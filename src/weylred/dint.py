@@ -9,17 +9,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List
 
 import numpy as np
 
 from .fiber import FiberFunction, FiberOperator, SphereFiber, fiber_JX_apply
 from .geometry import (
-    LevelSetModel,
     ScalarHamiltonian,
     SingularPoint,
     TestFunction,
     ambient_JY_apply,
+    call_on_nodes,
     circle_level_set,
     implicit_curve_level_set,
     jacobian_wedge_norm,
@@ -27,7 +27,6 @@ from .geometry import (
     rho as rho_at,
     _radial_newton,
 )
-from .sweep import semiclassical_sweep  # re-exported fiberwise sweep  # noqa: F401
 from .symbols import VectorField
 
 SNAP_TOL = 1e-8
@@ -92,6 +91,13 @@ def build_grid(
     """
     if lam_max <= lam_min:
         raise EmptyRange(f"empty lambda range [{lam_min}, {lam_max}]")
+    level_sets = {
+        "circle": lambda lam: circle_level_set(hamiltonian, lam, fiber_nodes),
+        "implicit-curve": lambda lam: implicit_curve_level_set(hamiltonian, lam, fiber_nodes),
+        "line": lambda lam: line_level_set(hamiltonian, lam, box, fiber_nodes),
+    }
+    if fiber_kind not in level_sets and fiber_kind != "sphere2":
+        raise ValueError(f"unknown fiber kind {fiber_kind!r}")
     radial = fiber_kind in ("circle", "sphere2")
     use_radial_sub = substitution == "radial" or (substitution == "auto" and radial)
     t, wt = np.polynomial.legendre.leggauss(n_lambda)
@@ -103,36 +109,27 @@ def build_grid(
             r_hi = _radial_newton(hamiltonian, e1, lam_max, max(math.sqrt(abs(lam_max)), 1e-3))
             r_nodes = 0.5 * (r_hi - r_lo) * t + 0.5 * (r_hi + r_lo)
             r_w = 0.5 * (r_hi - r_lo) * wt
-            lam_nodes = np.array([hamiltonian.value(r * e1) for r in r_nodes])
-            jac = np.array([float(np.dot(hamiltonian.grad(r * e1), e1)) for r in r_nodes])
+            lam_nodes = hamiltonian.value(r_nodes[:, None] * e1)
+            jac = hamiltonian.grad(r_nodes[:, None] * e1) @ e1
             lam_weights = r_w * jac
         else:
             lam_nodes = 0.5 * (lam_max - lam_min) * t + 0.5 * (lam_max + lam_min)
             lam_weights = 0.5 * (lam_max - lam_min) * wt
+        if fiber_kind == "sphere2":
+            unit = SphereFiber.sphere(1.0, n_polar, n_azimuth)
         fibers: List[object] = []
         rho_list: List[np.ndarray] = []
         for lam in lam_nodes:
-            if fiber_kind == "circle":
-                model = circle_level_set(hamiltonian, float(lam), fiber_nodes)
-                fibers.append(model)
-                rho_list.append(model.rho_values)
-            elif fiber_kind == "sphere2":
-                r = _radial_newton(hamiltonian, e1, float(lam), max(math.sqrt(abs(lam)), 1e-3))
-                fiber = SphereFiber.sphere(r, n_polar, n_azimuth)
-                fibers.append(fiber)
-                rho_list.append(
-                    np.array([rho_at([hamiltonian], z) for z in fiber.nodes])
-                )
-            elif fiber_kind == "implicit-curve":
-                model = implicit_curve_level_set(hamiltonian, float(lam), fiber_nodes)
-                fibers.append(model)
-                rho_list.append(model.rho_values)
-            elif fiber_kind == "line":
-                model = line_level_set(hamiltonian, float(lam), box, fiber_nodes)
-                fibers.append(model)
-                rho_list.append(model.rho_values)
+            lam = float(lam)
+            if fiber_kind == "sphere2":
+                r = _radial_newton(hamiltonian, e1, lam, max(math.sqrt(abs(lam)), 1e-3))
+                fiber = unit.scaled(r)
+                rho_values = rho_at([hamiltonian], fiber.nodes)
             else:
-                raise ValueError(f"unknown fiber kind {fiber_kind!r}")
+                fiber = level_sets[fiber_kind](lam)
+                rho_values = fiber.rho_values
+            fibers.append(fiber)
+            rho_list.append(rho_values)
     except SingularPoint as exc:
         raise SingularLevel(str(exc)) from exc
     return LambdaGrid([hamiltonian], lam_nodes, lam_weights, fibers, rho_list)
@@ -162,22 +159,11 @@ class DirectIntegralSection:
         return total
 
 
-def _eval_many(func: Callable, pts: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar field at many points, vectorized when possible."""
-    try:
-        out = np.asarray(func(pts))
-        if out.shape == (len(pts),):
-            return out
-    except Exception:
-        pass
-    return np.asarray([func(p) for p in pts])
-
-
 def apply_Tx(u: TestFunction, grid: LambdaGrid) -> DirectIntegralSection:
     """[T_x u](lambda)(z) = rho(z)^{1/2} u(z) sampled on the fibers."""
     parts = []
     for fiber, rho in zip(grid.fibers, grid.rho):
-        vals = _eval_many(u.value, np.asarray(fiber.nodes, dtype=float))
+        vals = call_on_nodes(u.value, np.asarray(fiber.nodes, dtype=float))
         parts.append(np.sqrt(rho) * vals.astype(complex))
     return DirectIntegralSection(grid, parts)
 
@@ -245,7 +231,7 @@ def ambient_integral(
         ).ravel()
     else:
         raise ValueError("ambient quadrature implemented for n = 2, 3")
-    vals = _eval_many(func, pts)
+    vals = call_on_nodes(func, pts)
     return float(np.real(np.sum(W * vals)))
 
 
@@ -261,14 +247,12 @@ def coarea_check(
     hams = grid.hamiltonians
 
     def weighted(pts):
-        vals = _eval_many(f.value, pts)
-        wedge = np.array([jacobian_wedge_norm(hams, p) for p in pts])
-        return vals * wedge
+        return call_on_nodes(f.value, pts) * jacobian_wedge_norm(hams, pts)
 
     lhs = ambient_integral(weighted, grid.dimension, box, n_r, n_ang)
     rhs = 0.0
     for w, fiber in zip(grid.lambda_weights, grid.fibers):
-        vals = _eval_many(f.value, np.asarray(fiber.nodes, dtype=float))
+        vals = call_on_nodes(f.value, np.asarray(fiber.nodes, dtype=float))
         rhs += w * float(np.real(np.sum(fiber.weights * vals)))
     return abs(lhs - rhs)
 
@@ -284,7 +268,7 @@ def apply_Txi(u: TestFunction, grid: LambdaGrid) -> DirectIntegralSection:
         raise ValueError("apply_Txi needs analytic Fourier data on the test function")
     parts = []
     for fiber, rho in zip(grid.fibers, grid.rho):
-        vals = _eval_many(u.fourier, np.asarray(fiber.nodes, dtype=float))
+        vals = call_on_nodes(u.fourier, np.asarray(fiber.nodes, dtype=float))
         parts.append(np.sqrt(rho) * vals.astype(complex))
     return DirectIntegralSection(grid, parts)
 
@@ -340,9 +324,7 @@ def strong_commutation_check(
     worst = 0.0
     for i, fiber in enumerate(grid.fibers):
         nodes = np.asarray(fiber.nodes, dtype=float)
-        lhs = np.sqrt(grid.rho[i]) * np.array(
-            [ambient_JY_apply(Y, u, hbar, z) for z in nodes]
-        )
+        lhs = np.sqrt(grid.rho[i]) * ambient_JY_apply(Y, u, hbar, nodes)
         rhs = fiber_JX_apply(Y, hbar, FiberFunction(fiber, tu.parts[i])).values
         dist = math.sqrt(float(np.sum(fiber.weights * np.abs(lhs - rhs) ** 2)))
         worst = max(worst, dist)
@@ -353,7 +335,7 @@ def slice_integrals(h: TestFunction, grid: LambdaGrid) -> np.ndarray:
     """F(lambda) = integral of h over the lambda fiber."""
     return np.array(
         [
-            float(np.real(np.sum(f.weights * _eval_many(h.value, np.asarray(f.nodes)))))
+            float(np.real(np.sum(f.weights * call_on_nodes(h.value, np.asarray(f.nodes)))))
             for f in grid.fibers
         ]
     )
@@ -372,34 +354,44 @@ def slice_continuity_probe(h: TestFunction, grid: LambdaGrid) -> float:
 
 def gaussian_poly_suite(n: int) -> List[TestFunction]:
     """Five Gaussian x polynomial test functions with analytic L2 norms,
-    gradients and unitary Fourier transforms (all vectorized)."""
+    gradients and unitary Fourier transforms.
+
+    Every callable takes one point of shape (n,) or points of shape (N, n);
+    gradients give shape (n,) or (N, n).
+    """
     if n not in (2, 3):
         raise ValueError("suite available for n = 2, 3")
 
     def sq(p):
         return np.sum(np.asarray(p) ** 2, axis=-1)
 
+    def gauss(p, a=0.5):
+        return np.exp(-a * sq(p))[..., None]
+
+    e0, e1 = np.eye(n)[0], np.eye(n)[1]
     pi_n = math.pi ** (n / 2)
+
+    def coord(p, a):
+        return np.asarray(p, dtype=float)[..., a : a + 1]
 
     suite = [
         TestFunction(
             value=lambda p: np.exp(-0.5 * sq(p)),
-            gradient=lambda p: -np.asarray(p) * math.exp(-0.5 * float(sq(p))),
+            gradient=lambda p: -np.asarray(p) * gauss(p),
             analytic_l2_norm=math.sqrt(pi_n),
             fourier=lambda p: np.exp(-0.5 * sq(p)),
             name="gaussian",
         ),
         TestFunction(
             value=lambda p: np.asarray(p)[..., 0] * np.exp(-0.5 * sq(p)),
-            gradient=lambda p: (np.eye(n)[0] - p[0] * np.asarray(p))
-            * math.exp(-0.5 * float(sq(p))),
+            gradient=lambda p: (e0 - coord(p, 0) * np.asarray(p)) * gauss(p),
             analytic_l2_norm=math.sqrt(pi_n / 2),
             fourier=lambda p: -1j * np.asarray(p)[..., 0] * np.exp(-0.5 * sq(p)),
             name="x1-gaussian",
         ),
         TestFunction(
             value=lambda p: np.exp(-sq(p)),
-            gradient=lambda p: -2 * np.asarray(p) * math.exp(-float(sq(p))),
+            gradient=lambda p: -2 * np.asarray(p) * gauss(p, 1.0),
             analytic_l2_norm=math.sqrt((math.pi / 2) ** (n / 2)),
             fourier=lambda p: 2 ** (-n / 2) * np.exp(-0.25 * sq(p)),
             name="narrow-gaussian",
@@ -409,9 +401,9 @@ def gaussian_poly_suite(n: int) -> List[TestFunction]:
             * np.asarray(p)[..., 1]
             * np.exp(-0.5 * sq(p)),
             gradient=lambda p: (
-                np.eye(n)[0] * p[1] + np.eye(n)[1] * p[0] - p[0] * p[1] * np.asarray(p)
+                e0 * coord(p, 1) + e1 * coord(p, 0) - coord(p, 0) * coord(p, 1) * np.asarray(p)
             )
-            * math.exp(-0.5 * float(sq(p))),
+            * gauss(p),
             analytic_l2_norm=math.sqrt(pi_n / 4),
             fourier=lambda p: -np.asarray(p)[..., 0]
             * np.asarray(p)[..., 1]
@@ -420,8 +412,7 @@ def gaussian_poly_suite(n: int) -> List[TestFunction]:
         ),
         TestFunction(
             value=lambda p: (1 - sq(p)) * np.exp(-0.5 * sq(p)),
-            gradient=lambda p: (-2 * np.asarray(p) - (1 - float(sq(p))) * np.asarray(p))
-            * math.exp(-0.5 * float(sq(p))),
+            gradient=lambda p: -(3 - sq(p))[..., None] * np.asarray(p) * gauss(p),
             analytic_l2_norm=math.sqrt(math.pi if n == 2 else 1.75 * pi_n),
             fourier=lambda p: (1 - n + sq(p)) * np.exp(-0.5 * sq(p)),
             name="laguerre-gaussian",

@@ -9,12 +9,12 @@ one-parameter flow propagator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import LevelSetModel, NotTangent, induced_divergence
+from .geometry import LevelSetModel, NotTangent, induced_divergence, tangency_residual
 from .symbols import VectorField
 
 TANGENCY_TOL = 1e-8
@@ -61,16 +61,21 @@ class SphereFiber:
     def sphere(cls, radius: float, n_polar: int = 24, n_azimuth: int = 48) -> "SphereFiber":
         mu, wmu = np.polynomial.legendre.leggauss(n_polar)
         betas = 2 * math.pi * np.arange(n_azimuth) / n_azimuth
-        s = np.sqrt(1 - mu**2)
-        nodes = np.empty((n_polar * n_azimuth, 3))
-        weights = np.empty(n_polar * n_azimuth)
-        for i in range(n_polar):
-            sl = slice(i * n_azimuth, (i + 1) * n_azimuth)
-            nodes[sl, 0] = radius * s[i] * np.cos(betas)
-            nodes[sl, 1] = radius * s[i] * np.sin(betas)
-            nodes[sl, 2] = radius * mu[i]
-            weights[sl] = radius * radius * wmu[i] * 2 * math.pi / n_azimuth
-        return cls(3, radius, nodes, weights, mu=mu, n_azimuth=n_azimuth)
+        M, B = np.meshgrid(mu, betas, indexing="ij")  # polar-major
+        S = np.sqrt(1 - M**2)
+        nodes = np.stack([S * np.cos(B), S * np.sin(B), M], axis=-1).reshape(-1, 3)
+        weights = np.repeat(wmu * 2 * math.pi / n_azimuth, n_azimuth)
+        unit = cls(3, 1.0, nodes, weights, mu=mu, n_azimuth=n_azimuth)
+        return unit if radius == 1.0 else unit.scaled(radius)
+
+    def scaled(self, radius: float) -> "SphereFiber":
+        """The same grid on the sphere of the given radius (from a unit-radius grid)."""
+        if self.radius != 1.0:
+            raise ValueError("only a unit-radius grid can be scaled")
+        factor = radius ** (self.ambient_dim - 1)
+        return replace(
+            self, radius=radius, nodes=radius * self.nodes, weights=factor * self.weights
+        )
 
     @property
     def n_nodes(self) -> int:
@@ -286,15 +291,28 @@ def _directional_derivative(X: VectorField, u: FiberFunction) -> np.ndarray:
 
 
 def _sphere_tensor_derivative(X: VectorField, fiber: SphereFiber, values) -> np.ndarray:
-    """<X, grad u> on the Gauss-Legendre x azimuth tensor grid."""
+    """<X, grad u> on the Gauss-Legendre x azimuth tensor grid.
+
+    The mu-derivative is taken per azimuthal Fourier mode. A smooth function
+    has odd modes of the form s * (smooth in mu) with s = sqrt(1 - mu^2),
+    which a polynomial in mu fits only to first order; for those modes the
+    polynomial derivative is applied to the smooth factor and s' = -mu/s is
+    added by the product rule.
+    """
     r = fiber.radius
     nb = fiber.n_azimuth
     mu = fiber.mu
     npol = len(mu)
     U = np.asarray(values, dtype=complex).reshape(npol, nb)
-    dU_beta = np.stack([_spectral_derivative_periodic(row) for row in U])
+    k = np.fft.fftfreq(nb, d=1.0 / nb)
+    Uk = np.fft.fft(U, axis=1)
+    dU_beta = np.fft.ifft(1j * k * Uk, axis=1)
     Dmu = _poly_diff_matrix(mu)
-    dU_mu = Dmu @ U
+    s = np.sqrt(1 - mu**2)[:, None]
+    odd = (k % 2).astype(bool)
+    dUk_mu = Dmu @ Uk
+    dUk_mu[:, odd] = s * (Dmu @ (Uk[:, odd] / s)) - (mu[:, None] / s**2) * Uk[:, odd]
+    dU_mu = np.fft.ifft(dUk_mu, axis=1)
     Z = fiber.nodes.reshape(npol, nb, 3)
     s2 = 1 - mu**2  # sin^2(polar)
     # z(mu, beta) = r (s cos b, s sin b, mu); metric g_mm = r^2/s^2, g_bb = r^2 s^2
@@ -330,26 +348,18 @@ def _fiber_divergence_values(X: VectorField, fiber, points: np.ndarray) -> np.nd
         # radial case: the Hessian correction vanishes for tangent fields,
         # so the induced divergence equals the ambient one
         div = X.divergence()
-        return np.real(div.evaluate_many(points, np.zeros_like(points)))
+        return np.real(div.evaluate_many(points))
     if isinstance(fiber, LevelSetModel):
-        return np.array(
-            [induced_divergence(X, fiber.hamiltonians, z) for z in points]
-        )
+        return induced_divergence(X, fiber.hamiltonians, points)
     raise ValueError("unsupported fiber type")
 
 
 def _check_tangent(X: VectorField, fiber) -> None:
     Z = np.asarray(fiber.nodes, dtype=float)
-    Xv = X.evaluate_many(Z)
     if isinstance(fiber, SphereFiber):
-        resid = np.max(np.abs(np.einsum("ia,ia->i", Xv, Z))) / fiber.radius
+        resid = np.max(np.abs(np.einsum("ia,ia->i", X.evaluate_many(Z), Z))) / fiber.radius
     else:
-        resid = max(
-            np.max(
-                np.abs(np.einsum("ia,ia->i", Xv, np.array([h.grad(z) for z in Z])))
-            )
-            for h in fiber.hamiltonians
-        )
+        resid = np.max(tangency_residual(X, fiber.hamiltonians, Z))
     if resid > TANGENCY_TOL:
         raise NotTangent(f"field is not tangent to the fiber (residual {resid:.3e})")
 

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .symbols import PolySymbol, VectorField
+from .symbols import PolySymbol, VectorField, compile_symbols, evaluate_compiled
 
 REGULARITY_THRESHOLD = 1e-8
-TANGENCY_TOL = 1e-9
 NODE_TOL = 1e-9
 
 
@@ -35,11 +35,17 @@ class ParametrizationUnavailable(ValueError):
 
 @dataclass(frozen=True)
 class ScalarHamiltonian:
-    """A position-only Hamiltonian phi with cached exact derivatives."""
+    """A position-only Hamiltonian phi with cached exact derivatives.
+
+    `value`, `grad` and `hess` take one point of shape (n,) or node arrays
+    of shape (N, n). Gradient and Hessian run compiled kernels built once
+    per Hamiltonian; the value runs the kernel cached on phi.
+    """
 
     phi: PolySymbol
     gradient: VectorField = field(init=False)
     hessian: Tuple[Tuple[PolySymbol, ...], ...] = field(init=False)
+    _kernels: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.phi.is_xi_free() or not self.phi.is_hbar_free():
@@ -51,26 +57,37 @@ class ScalarHamiltonian:
             tuple(grads[a].partial("x", b) for b in range(n)) for a in range(n)
         )
         object.__setattr__(self, "hessian", hess)
+        kernels = {}
+        for name, fs in (("grad", grads), ("hess", sum(hess, ()))):
+            exponents, coefficients = compile_symbols(fs)
+            kernels[name] = (exponents, coefficients.real.copy())
+        object.__setattr__(self, "_kernels", kernels)
 
     @property
     def dimension(self) -> int:
         return self.phi.dimension
 
-    def value(self, x) -> float:
+    def _run(self, kernel: str, x, shape: Tuple[int, ...]):
+        x = np.asarray(x, dtype=float)
+        out = evaluate_compiled(*self._kernels[kernel], np.atleast_2d(x))
+        out = out.reshape((len(out),) + shape)
+        return out if x.ndim == 2 else out[0]
+
+    def value(self, x):
+        """phi: a float for one point, shape (N,) for (N, n) nodes."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            return self.phi.evaluate_many(x).real
         return self.phi.evaluate(x, np.zeros(self.dimension)).real
 
     def grad(self, x) -> np.ndarray:
-        return self.gradient.evaluate(x)
+        """Gradient: shape (n,) for one point, (N, n) for (N, n) nodes."""
+        return self._run("grad", x, (self.dimension,))
 
     def hess(self, x) -> np.ndarray:
+        """Hessian: shape (n, n) for one point, (N, n, n) for (N, n) nodes."""
         n = self.dimension
-        zero = np.zeros(n)
-        return np.array(
-            [
-                [self.hessian[a][b].evaluate(x, zero).real for b in range(n)]
-                for a in range(n)
-            ]
-        )
+        return self._run("hess", x, (n, n))
 
 
 def radial_hamiltonian(n: int, half: bool = True) -> ScalarHamiltonian:
@@ -79,8 +96,6 @@ def radial_hamiltonian(n: int, half: bool = True) -> ScalarHamiltonian:
     for a in range(n):
         phi = phi + PolySymbol.x(a, n) * PolySymbol.x(a, n)
     if half:
-        from fractions import Fraction
-
         phi = phi * Fraction(1, 2)
     return ScalarHamiltonian(phi)
 
@@ -89,6 +104,11 @@ def radial_hamiltonian(n: int, half: bool = True) -> ScalarHamiltonian:
 class TestFunction:
     """A smooth ambient function with analytic derivative data.
 
+    The callables take node arrays of shape (N, n) and return shape (N,)
+    (`gradient`: (N, n)); `call_on_nodes` enforces this. They are also
+    given single points of shape (n,) by `check_gradient` and by the
+    one-point form of `ambient_JY_apply`.
+
     `fourier` (when present) is the unitary, hbar-free Fourier transform
     (2 pi)^{-n/2} int u(x) e^{-i<x,xi>} dx, used by the momentum-side
     decomposition.
@@ -96,10 +116,10 @@ class TestFunction:
 
     __test__ = False  # not a pytest class despite the name
 
-    value: Callable[[np.ndarray], complex]
+    value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
     analytic_l2_norm: Optional[float] = None
-    fourier: Optional[Callable[[np.ndarray], complex]] = None
+    fourier: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = ""
 
     def check_gradient(self, probes: np.ndarray, h: float = 1e-6, rtol: float = 1e-6) -> float:
@@ -117,26 +137,52 @@ class TestFunction:
         return worst
 
 
+def call_on_nodes(func: Callable, pts: np.ndarray, trailing: Tuple[int, ...] = ()) -> np.ndarray:
+    """func called once on an (N, n) node array; it must give shape (N,) + trailing."""
+    out = np.asarray(func(pts))
+    want = (len(pts),) + trailing
+    if out.shape != want:
+        raise ValueError(
+            f"callable {getattr(func, '__name__', func)!r} returned shape {out.shape} "
+            f"for an array of {len(pts)} points; expected {want}"
+        )
+    return out
+
+
 # -- pointwise geometry ------------------------------------------------
+#
+# Every function below takes one point of shape (n,) and gives a scalar, or
+# takes a node array of shape (N, n) and gives shape (N,).
 
 
 def gram_matrix(hams: Sequence[ScalarHamiltonian], x) -> np.ndarray:
-    grads = np.array([h.grad(x) for h in hams])
-    return grads @ grads.T
+    """Gram matrix of the gradients: (k, k) at one point, (N, k, k) on nodes."""
+    grads = np.stack([h.grad(x) for h in _as_ham_list(hams)], axis=-2)
+    return grads @ np.swapaxes(grads, -1, -2)
 
 
-def jacobian_wedge_norm(hams: Sequence[ScalarHamiltonian], x) -> float:
+def jacobian_wedge_norm(hams: Sequence[ScalarHamiltonian], x):
     """||wedge^k DJ(x)|| = sqrt(det Gram(grad phi_1, ..., grad phi_k))."""
-    hams = _as_ham_list(hams)
     det = np.linalg.det(gram_matrix(hams, x))
-    return math.sqrt(max(det, 0.0))
+    w = np.sqrt(np.maximum(det, 0.0))
+    return w if np.ndim(w) else float(w)
 
 
-def rho(hams, x, threshold: float = REGULARITY_THRESHOLD) -> float:
+def _require_regular(w, x, threshold: float) -> None:
+    """Raise SingularPoint naming the first point whose wedge norm is not above threshold."""
+    bad = np.flatnonzero(~(np.atleast_1d(w) > threshold))
+    if not bad.size:
+        return
+    if np.ndim(w) == 0:
+        raise SingularPoint(f"wedge norm {w:.3e} below threshold at {x}")
+    i = int(bad[0])
+    raise SingularPoint(f"wedge norm {w[i]:.3e} below threshold at node {i} ({x[i]})")
+
+
+def rho(hams, x, threshold: float = REGULARITY_THRESHOLD):
     """Density rho(x) = ||wedge^k DJ(x)||^{-1} on the regular set."""
     w = jacobian_wedge_norm(hams, x)
-    if w <= threshold:
-        raise SingularPoint(f"wedge norm {w:.3e} below threshold at {x}")
+    _require_regular(w, np.asarray(x), threshold)
     return 1.0 / w
 
 
@@ -151,20 +197,31 @@ def project_qx(hams, x, xi, threshold: float = REGULARITY_THRESHOLD) -> np.ndarr
     return xi - q @ (q.T @ xi)
 
 
-def tangency_residual(Y: VectorField, hams, x) -> float:
+def tangency_residual(Y: VectorField, hams, x):
     """max_j |<Y(x), grad phi_j(x)>|; zero certifies tangency at x."""
-    hams = _as_ham_list(hams)
     y = Y.evaluate(x)
-    return max(abs(float(np.dot(y, h.grad(x)))) for h in hams)
+    dots = [np.abs(np.sum(y * h.grad(x), axis=-1)) for h in _as_ham_list(hams)]
+    out = np.max(dots, axis=0)
+    return out if np.ndim(out) else float(out)
 
 
-def ambient_JY_apply(Y: VectorField, u: TestFunction, hbar: float, x) -> complex:
-    """(-i hbar (Y + div Y / 2) u)(x), with div Y evaluated exactly."""
+def ambient_JY_apply(Y: VectorField, u: TestFunction, hbar: float, x):
+    """(-i hbar (Y + div Y / 2) u)(x), with div Y evaluated exactly.
+
+    On an (N, n) node array the callables of u are called once on the array.
+    """
     x = np.asarray(x, dtype=float)
-    y = Y.evaluate(x)
-    div = Y.divergence().evaluate(x, np.zeros(Y.dimension)).real
-    grad = np.asarray(u.gradient(x))
-    return -1j * hbar * (np.dot(y, grad) + 0.5 * div * u.value(x))
+    pts = np.atleast_2d(x)
+    y = Y.evaluate(pts)
+    div = Y.divergence().evaluate_many(pts).real
+    if x.ndim == 1:
+        grad = np.asarray(u.gradient(x))[None, :]
+        val = u.value(x)
+    else:
+        grad = call_on_nodes(u.gradient, pts, (Y.dimension,))
+        val = call_on_nodes(u.value, pts)
+    out = -1j * hbar * (np.sum(y * grad, axis=-1) + 0.5 * div * val)
+    return out if x.ndim == 2 else complex(out[0])
 
 
 def _as_ham_list(hams) -> List[ScalarHamiltonian]:
@@ -215,34 +272,37 @@ def induced_divergence(
     *,
     threshold: float = REGULARITY_THRESHOLD,
     tangency_tol: float = 1e-8,
-) -> float:
+):
     """div of the induced field Y^lambda on the level set through z.
 
     k=1 closed form: div Y + <Hess[phi] Y, grad phi> / ||grad phi||^2.
     General k: div Y - Y(log rho) with rho = det(Gram)^{-1/2}, evaluated
     through the exact polynomial Gram determinant. The two coincide for k=1.
+    The symbols involved are built once per call, not once per node.
     """
     hams = _as_ham_list(hams)
     z = np.asarray(z, dtype=float)
-    if jacobian_wedge_norm(hams, z) <= threshold:
-        raise SingularPoint(f"singular point {z}")
-    if tangency_residual(Y, hams, z) > tangency_tol:
-        raise NotTangent(
-            f"field is not tangent at {z} (residual {tangency_residual(Y, hams, z):.3e})"
-        )
-    n = Y.dimension
-    zero = np.zeros(n)
-    div_y = Y.divergence().evaluate(z, zero).real
+    pts = np.atleast_2d(z)
+    _require_regular(jacobian_wedge_norm(hams, z), z, threshold)
+    resid = tangency_residual(Y, hams, pts)
+    if np.any(resid > tangency_tol):
+        i = int(np.argmax(resid > tangency_tol))
+        where = f"node {i} ({pts[i]})" if z.ndim == 2 else f"{z}"
+        raise NotTangent(f"field is not tangent at {where} (residual {resid[i]:.3e})")
+    div_y = Y.divergence().evaluate_many(pts).real
+    y = Y.evaluate(pts)
     if len(hams) == 1:
         h = hams[0]
-        g = h.grad(z)
-        correction = float(h.hess(z) @ Y.evaluate(z) @ g) / float(g @ g)
-        return div_y + correction
-    det_sym = _gram_det_symbol(hams)
-    det_val = det_sym.evaluate(z, zero).real
-    y_det = Y.apply_to(det_sym).evaluate(z, zero).real
-    # Y(log rho) = -Y(det)/2det; div Y^lambda = div Y - Y(log rho)
-    return div_y + 0.5 * y_det / det_val
+        g = h.grad(pts)
+        Hy = np.einsum("iab,ib->ia", h.hess(pts), y)
+        out = div_y + np.sum(Hy * g, axis=-1) / np.sum(g * g, axis=-1)
+    else:
+        det_sym = _gram_det_symbol(hams)
+        det_val = det_sym.evaluate_many(pts).real
+        y_det = Y.apply_to(det_sym).evaluate_many(pts).real
+        # Y(log rho) = -Y(det)/2det; div Y^lambda = div Y - Y(log rho)
+        out = div_y + 0.5 * y_det / det_val
+    return out if z.ndim == 2 else float(out[0])
 
 
 def moment_map_eval(generators: Sequence[VectorField], x, xi) -> np.ndarray:
@@ -273,12 +333,16 @@ class LevelSetModel:
 
     def __post_init__(self):
         self.level = np.atleast_1d(np.asarray(self.level, dtype=float))
-        for i, z in enumerate(self.nodes):
-            for h, lam in zip(self.hamiltonians, self.level):
-                if abs(h.value(z) - lam) > NODE_TOL * (1 + abs(lam)):
-                    raise ValueError(
-                        f"node {i} off the level set: phi={h.value(z)} vs {lam}"
-                    )
+        values = np.stack(
+            [h.value(self.nodes) for h, _ in zip(self.hamiltonians, self.level)]
+        )
+        level = self.level[: len(values), None]
+        off = ~(np.abs(values - level) <= NODE_TOL * (1 + np.abs(level)))
+        if off.any():
+            i, j = np.unravel_index(np.argmax(off.T), off.T.shape)
+            raise ValueError(
+                f"node {i} off the level set: phi={values[j, i]} vs {level[j, 0]}"
+            )
         if not np.all(np.isfinite(self.rho_values)) or np.any(self.rho_values <= 0):
             raise SingularPoint("rho must be finite and positive at every node")
         if np.any(self.weights <= 0):
@@ -337,7 +401,7 @@ def circle_level_set(
     thetas = 2 * math.pi * np.arange(n_nodes) / n_nodes
     nodes = r * np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
     weights = np.full(n_nodes, 2 * math.pi * r / n_nodes)
-    rho_values = np.array([rho([phi], z) for z in nodes])
+    rho_values = rho([phi], nodes)
 
     def point(t: float) -> np.ndarray:
         return r * np.array([math.cos(t), math.sin(t)])
@@ -347,6 +411,16 @@ def circle_level_set(
 
     chart = FiberChart(kind="circle", point=point, velocity=velocity, radius=r, params=thetas)
     return LevelSetModel([phi], np.array([lam]), "circle", nodes, weights, rho_values, chart)
+
+
+def _star_curve_velocity(phi: ScalarHamiltonian, Z: np.ndarray) -> np.ndarray:
+    """dz/dt at the (N, 2) points Z of a star-shaped level curve z(t) = r(t) (cos t, sin t)."""
+    r = np.linalg.norm(Z, axis=1)
+    d = Z / r[:, None]
+    dp = np.stack([-d[:, 1], d[:, 0]], axis=1)
+    g = phi.grad(Z)
+    rprime = -r * np.sum(g * dp, axis=1) / np.sum(g * d, axis=1)
+    return rprime[:, None] * d + r[:, None] * dp
 
 
 def implicit_curve_level_set(
@@ -369,14 +443,7 @@ def implicit_curve_level_set(
         return solve_r(t % (2 * math.pi), 1.0 + math.sqrt(abs(lam))) * d
 
     def velocity(t: float) -> np.ndarray:
-        z = point(t)
-        d = z / np.linalg.norm(z)
-        dp = np.array([-d[1], d[0]])
-        g = phi.grad(z)
-        r = float(np.linalg.norm(z))
-        denom = float(np.dot(g, d))
-        rprime = -r * float(np.dot(g, dp)) / denom
-        return rprime * d + r * dp
+        return _star_curve_velocity(phi, point(t)[None, :])[0]
 
     thetas = 2 * math.pi * np.arange(n_nodes) / n_nodes
     radii = np.empty(n_nodes)
@@ -385,9 +452,9 @@ def implicit_curve_level_set(
         radii[i] = solve_r(t, r_pred)
         r_pred = radii[i]
     nodes = radii[:, None] * np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    speeds = np.array([np.linalg.norm(velocity(t)) for t in thetas])
+    speeds = np.linalg.norm(_star_curve_velocity(phi, nodes), axis=1)
     weights = speeds * (2 * math.pi / n_nodes)
-    rho_values = np.array([rho([phi], z) for z in nodes])
+    rho_values = rho([phi], nodes)
     chart = FiberChart(
         kind="implicit-curve", point=point, velocity=velocity, params=thetas
     )
@@ -408,16 +475,11 @@ def sphere2_level_set(
     r = _radial_newton(phi, np.array([1.0, 0.0, 0.0]), lam, max(math.sqrt(abs(lam)) + 0.5, 0.5))
     mu, wmu = np.polynomial.legendre.leggauss(n_polar)  # mu = cos(polar)
     betas = 2 * math.pi * np.arange(n_azimuth) / n_azimuth
-    nodes = []
-    weights = []
-    for m, wm in zip(mu, wmu):
-        s = math.sqrt(1 - m * m)
-        for b in betas:
-            nodes.append([r * s * math.cos(b), r * s * math.sin(b), r * m])
-            weights.append(r * r * wm * 2 * math.pi / n_azimuth)
-    nodes = np.array(nodes)
-    weights = np.array(weights)
-    rho_values = np.array([rho([phi], z) for z in nodes])
+    M, B = np.meshgrid(mu, betas, indexing="ij")  # polar-major
+    S = np.sqrt(1 - M * M)
+    nodes = r * np.stack([S * np.cos(B), S * np.sin(B), M], axis=-1).reshape(-1, 3)
+    weights = np.repeat(r * r * wmu * 2 * math.pi / n_azimuth, n_azimuth)
+    rho_values = rho([phi], nodes)
     chart = FiberChart(kind="sphere2", radius=r)
     return LevelSetModel(
         [phi], np.array([lam]), "sphere2", nodes, weights, rho_values, chart
@@ -441,7 +503,7 @@ def line_level_set(
     t = t * box
     wt = wt * box
     nodes = x0[None, :] + t[:, None] * d[None, :]
-    rho_values = np.array([rho([phi], z) for z in nodes])
+    rho_values = rho([phi], nodes)
     chart = FiberChart(
         kind="line",
         point=lambda s: x0 + s * d,

@@ -8,6 +8,7 @@ are never stored, which makes dict equality a canonical-form equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Tuple
 
@@ -35,7 +36,7 @@ class PolySymbol:
     Immutable; all arithmetic returns new instances in canonical form.
     """
 
-    __slots__ = ("dimension", "terms")
+    __slots__ = ("dimension", "terms", "_compiled")
 
     def __init__(self, dimension: int, terms: Mapping[TermKey, QQi] | None = None):
         if dimension < 1:
@@ -60,6 +61,7 @@ class PolySymbol:
                 clean[key] = total
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_compiled", None)
 
     def __setattr__(self, *a):  # immutability guard
         raise AttributeError("PolySymbol is immutable")
@@ -252,36 +254,29 @@ class PolySymbol:
             {k: (-c if k[0] % 2 else c) for k, c in self.terms.items()},
         )
 
+    def compile(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Exponent matrix (T, 1 + 2n) over (hbar, x, xi) and complex coefficients (T,).
+
+        Built once per symbol and cached; `evaluate_compiled` runs it.
+        """
+        if self._compiled is None:
+            exponents, coefficients = compile_symbols([self])
+            object.__setattr__(self, "_compiled", (exponents, coefficients[:, 0]))
+        return self._compiled
+
     def evaluate(self, x: Sequence[float], xi: Sequence[float], hbar: float = 1.0) -> complex:
+        """Value at one phase-space point: the N = 1 case of `evaluate_many`."""
         x = np.asarray(x, dtype=float)
         xi = np.asarray(xi, dtype=float)
-        if x.shape[-1] != self.dimension or xi.shape[-1] != self.dimension:
+        if x.shape != (self.dimension,) or xi.shape != (self.dimension,):
             raise DimensionMismatch("point dimension does not match symbol")
-        total = 0.0 + 0.0j
-        for (h, xe, xie), c in self.terms.items():
-            mono = hbar**h
-            for a in range(self.dimension):
-                if xe[a]:
-                    mono = mono * x[a] ** xe[a]
-                if xie[a]:
-                    mono = mono * xi[a] ** xie[a]
-            total += complex(c) * mono
-        return total
+        return complex(self.evaluate_many(x[None, :], xi[None, :], hbar)[0])
 
-    def evaluate_many(self, xs: np.ndarray, xis: np.ndarray, hbar: float = 1.0) -> np.ndarray:
-        """Vectorized evaluate over arrays of shape (N, n)."""
-        xs = np.asarray(xs, dtype=float)
-        xis = np.asarray(xis, dtype=float)
-        total = np.zeros(xs.shape[0], dtype=complex)
-        for (h, xe, xie), c in self.terms.items():
-            mono = np.full(xs.shape[0], hbar**h, dtype=float)
-            for a in range(self.dimension):
-                if xe[a]:
-                    mono = mono * xs[:, a] ** xe[a]
-                if xie[a]:
-                    mono = mono * xis[:, a] ** xie[a]
-            total += complex(c) * mono
-        return total
+    def evaluate_many(
+        self, xs: np.ndarray, xis: np.ndarray | None = None, hbar: float = 1.0
+    ) -> np.ndarray:
+        """Values at the rows of arrays of shape (N, n); xis defaults to 0."""
+        return evaluate_compiled(*self.compile(), xs, xis, hbar)
 
     def __repr__(self):
         if not self.terms:
@@ -295,6 +290,58 @@ class PolySymbol:
             factors += [f"xi{a}^{e}" for a, e in enumerate(xie) if e]
             parts.append("*".join(factors))
         return " + ".join(parts)
+
+
+def compile_symbols(symbols: Sequence[PolySymbol]) -> Tuple[np.ndarray, np.ndarray]:
+    """One kernel for several symbols of one dimension over their shared monomials.
+
+    Returns the exponent matrix (T, 1 + 2n), one row (hbar, x, xi) per
+    distinct monomial, and the complex coefficient matrix (T, len(symbols)).
+    """
+    n = symbols[0].dimension
+    rows: dict[TermKey, int] = {}
+    for f in symbols:
+        _check_same_dim(symbols[0], f)
+        for key in f.terms:
+            rows.setdefault(key, len(rows))
+    exponents = np.zeros((len(rows), 1 + 2 * n), dtype=np.int64)
+    for (h, xe, xie), t in rows.items():
+        exponents[t] = (h, *xe, *xie)
+    coefficients = np.zeros((len(rows), len(symbols)), dtype=complex)
+    for j, f in enumerate(symbols):
+        for key, c in f.terms.items():
+            coefficients[rows[key], j] = complex(c)
+    return exponents, coefficients
+
+
+def evaluate_compiled(
+    exponents: np.ndarray,
+    coefficients: np.ndarray,
+    xs: np.ndarray,
+    xis: np.ndarray | None = None,
+    hbar: float = 1.0,
+) -> np.ndarray:
+    """Run a compiled kernel on the rows of (N, n) arrays; xis defaults to 0.
+
+    Gives shape (N,) for a coefficient vector and (N, m) for a (T, m)
+    coefficient matrix. This is the only numeric evaluator of symbols.
+    """
+    n = (exponents.shape[1] - 1) // 2
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != n:
+        raise DimensionMismatch(f"points of shape {xs.shape} do not match dimension {n}")
+    if xis is not None and np.shape(xis) != xs.shape:
+        raise DimensionMismatch(f"xi of shape {np.shape(xis)} do not match points {xs.shape}")
+    xis = np.zeros((1, n)) if xis is None else np.asarray(xis, dtype=float)
+    monomials = np.empty((len(exponents), len(xs)))
+    for row, (h, *exps) in zip(monomials, exponents.tolist()):
+        row[:] = float(hbar) ** h
+        for a in range(n):
+            if exps[a]:
+                row *= xs[:, a] ** exps[a]
+            if exps[n + a]:
+                row *= xis[:, a] ** exps[n + a]
+    return (coefficients.T @ monomials).T
 
 
 @dataclass(frozen=True)
@@ -323,6 +370,10 @@ class VectorField:
         return cls(n, tuple(PolySymbol.zero(n) for _ in range(n)))
 
     def divergence(self) -> PolySymbol:
+        return self._divergence
+
+    @cached_property
+    def _divergence(self) -> PolySymbol:
         out = PolySymbol.zero(self.dimension)
         for a, comp in enumerate(self.components):
             out = out + comp.partial("x", a)
@@ -343,19 +394,20 @@ class VectorField:
         )
         return VectorField(self.dimension, comps)
 
-    def evaluate(self, x: Sequence[float]) -> np.ndarray:
-        zero = np.zeros(self.dimension)
-        return np.array(
-            [comp.evaluate(x, zero).real for comp in self.components]
-        )
+    def evaluate(self, x) -> np.ndarray:
+        """Field values: shape (n,) for one point, (N, n) for an (N, n) array."""
+        x = np.asarray(x, dtype=float)
+        values = self.evaluate_many(np.atleast_2d(x))
+        return values if x.ndim == 2 else values[0]
 
     def evaluate_many(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        zeros = np.zeros_like(xs)
-        return np.stack(
-            [comp.evaluate_many(xs, zeros).real for comp in self.components],
-            axis=1,
-        )
+        return evaluate_compiled(*self._kernel, xs)
+
+    @cached_property
+    def _kernel(self) -> Tuple[np.ndarray, np.ndarray]:
+        exponents, coefficients = compile_symbols(self.components)
+        return exponents, coefficients.real.copy()
 
 
 def momentum_symbol(X: VectorField) -> PolySymbol:

@@ -21,6 +21,7 @@ from weylred.dint import (
     strong_commutation_check,
     uniform_grid,
 )
+from weylred import geometry, symbols
 from weylred.fiber import multiplication_op
 from weylred.geometry import (
     LevelSetModel,
@@ -84,6 +85,32 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             build_grid(half_r2, "torus", 0.5, 1.0)
 
+    def test_sphere_grid_evaluates_per_fiber_not_per_node(self, monkeypatch):
+        # scalar symbol evaluations and compiled-kernel runs may grow with
+        # the lambda nodes, never with n_polar x n_azimuth
+        calls = {"evaluate": 0, "kernel": 0}
+
+        def counting(fn, key):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(PolySymbol, "evaluate", counting(PolySymbol.evaluate, "evaluate"))
+        for module in (symbols, geometry):
+            monkeypatch.setattr(
+                module, "evaluate_compiled", counting(module.evaluate_compiled, "kernel")
+            )
+        h3 = radial_hamiltonian(3)
+        counts = []
+        for n_polar in (6, 12):
+            calls.update(evaluate=0, kernel=0)
+            build_grid(h3, "sphere2", 0.5, 4.0, 6, n_polar=n_polar, n_azimuth=2 * n_polar)
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+        assert counts[0]["kernel"] > 0
+
 
 class TestApplyTx:
     def test_unitarity_suite(self, big_grid, suite2):
@@ -118,6 +145,21 @@ class TestApplyTx:
         z = TestFunction(value=lambda p: np.zeros(len(np.atleast_2d(p))), gradient=lambda p: np.zeros(2))
         s = apply_Tx(z, grid)
         assert s.norm() == 0.0
+
+    def test_scalar_only_callable_rejected(self, half_r2):
+        # callables get the whole (N, n) node array once; a scalar-only one
+        # is reported by the shape it returned, not looped over point by point
+        grid = build_grid(half_r2, "circle", 0.5, 2.0, 4, 16)
+        shapes = []
+
+        def scalar_only(p):
+            shapes.append(np.shape(p))
+            return math.exp(-0.5 * float(np.sum(np.square(p))))
+
+        u = TestFunction(value=scalar_only, gradient=None)
+        with pytest.raises(ValueError, match=r"returned shape \(\) for an array of 16 points"):
+            apply_Tx(u, grid)
+        assert shapes == [(16, 2)]
 
 
 class TestAdjoint:
@@ -289,6 +331,19 @@ class TestStrongCommutation:
         u = gaussian_poly_suite(3)[3]
         assert strong_commutation_check(Y, u, 0.5, grid) < 1e-6
 
+    @pytest.mark.parametrize("n_polar", [10, 20, 40])
+    def test_sphere_odd_azimuthal_modes(self, n_polar):
+        # x1-gaussian has azimuthal modes +-1, which behave like
+        # sqrt(1 - mu^2) near the poles; a tilted rotation must still
+        # commute to the acceptance tolerance at every grid size
+        h3 = radial_hamiltonian(3)
+        grid = build_grid(
+            h3, "sphere2", 0.3, 6.0, 8, n_polar=n_polar, n_azimuth=2 * n_polar
+        )
+        Y = rotation_generator(0, 2, 3)
+        u = gaussian_poly_suite(3)[1]
+        assert strong_commutation_check(Y, u, 0.5, grid) < 1e-6
+
     def test_ellipse_continuation_fibers(self, suite2):
         phi = ScalarHamiltonian((x(0) * x(0) + 2 * (x(1) * x(1))) * Fraction(1, 2))
         grid = build_grid(phi, "implicit-curve", 0.3, 5.0, 8, 256)
@@ -342,6 +397,16 @@ class TestSuiteFactory:
         probes = rng.uniform(-1.5, 1.5, size=(4, n))
         for u in gaussian_poly_suite(n):
             assert u.check_gradient(probes) < 1e-6, u.name
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_array_gradients_match_rows(self, n):
+        rng = np.random.default_rng(23)
+        pts = rng.uniform(-2.0, 2.0, size=(16, n))
+        for u in gaussian_poly_suite(n):
+            rows = np.stack([u.gradient(p) for p in pts])
+            assert u.gradient(pts).shape == (16, n), u.name
+            assert np.allclose(u.gradient(pts), rows, rtol=1e-14, atol=0), u.name
+            assert u.value(pts).shape == (16,), u.name
 
     def test_bad_dimension(self):
         with pytest.raises(ValueError):

@@ -1,24 +1,31 @@
-"""Property-based checks of the exact algebra layer.
+"""Property-based checks of the exact algebra and the numeric layer.
 
-Everything here holds identically (no tolerances): the symbols carry
+The algebra laws hold identically (no tolerances): the symbols carry
 Gaussian-rational coefficients, so each law is checked by exact equality.
+The compiled evaluator and the array geometry are checked against exact
+or closed-form oracles.
 """
 
 from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylred.geometry import SingularPoint, radial_hamiltonian, rho
 from weylred.moyal import moyal_star, star_commutator
 from weylred.rational import QQi
 from weylred.symbols import PolySymbol
 
 
-def _term_keys(n, max_degree):
+def _term_keys(n, max_degree, max_hbar=0):
     exps = st.lists(
         st.integers(min_value=0, max_value=max_degree), min_size=n, max_size=n
     ).filter(lambda e: sum(e) <= max_degree)
-    return st.tuples(st.just(0), exps.map(tuple), exps.map(tuple))
+    return st.tuples(
+        st.integers(min_value=0, max_value=max_hbar), exps.map(tuple), exps.map(tuple)
+    )
 
 
 def _coeffs():
@@ -28,9 +35,9 @@ def _coeffs():
     return st.builds(QQi, frac, frac).filter(lambda c: c != QQi())
 
 
-def symbols(n=2, max_degree=2, max_terms=3):
+def symbols(n=2, max_degree=2, max_terms=3, max_hbar=0):
     return st.dictionaries(
-        _term_keys(n, max_degree), _coeffs(), min_size=1, max_size=max_terms
+        _term_keys(n, max_degree, max_hbar), _coeffs(), min_size=1, max_size=max_terms
     ).map(lambda terms: PolySymbol(n, terms))
 
 
@@ -88,3 +95,60 @@ def test_gaussian_rational_field_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a + (-a) == QQi()
     assert a / a == QQi(Fraction(1))
+
+
+# -- numeric layer ------------------------------------------------------
+
+_small_ints = st.integers(min_value=-3, max_value=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    symbols(max_degree=4, max_terms=6, max_hbar=2),
+    st.lists(st.tuples(*[_small_ints] * 4), min_size=1, max_size=8),
+    _small_ints,
+)
+def test_evaluate_many_matches_exact_sum(f, rows, hbar):
+    pts = np.array(rows, dtype=float)
+    got = f.evaluate_many(pts[:, :2], pts[:, 2:], hbar)
+    for row, value in zip(rows, got):
+        exact_re = exact_im = Fraction(0)
+        scale = Fraction(0)  # sum of the term magnitudes
+        for (h, xe, xie), c in f.terms.items():
+            mono = Fraction(hbar) ** h
+            for v, e in zip(row, xe + xie):
+                mono *= Fraction(v) ** e
+            exact_re += c.re * mono
+            exact_im += c.im * mono
+            scale += (abs(c.re) + abs(c.im)) * abs(mono)
+        exact = complex(float(exact_re), float(exact_im))
+        assert abs(value - exact) <= 1e-12 * float(scale)
+
+
+def _regular_rows(n, min_norm):
+    row = st.lists(
+        st.floats(min_value=-5, max_value=5, allow_subnormal=False), min_size=n, max_size=n
+    ).filter(lambda r: np.linalg.norm(r) >= min_norm)
+    return st.lists(row, min_size=1, max_size=24)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(lambda n: _regular_rows(n, 1e-2)))
+def test_rho_is_inverse_radius_on_node_arrays(rows):
+    x = np.array(rows)
+    got = rho(radial_hamiltonian(x.shape[1]), x)
+    assert got.shape == (len(x),)
+    np.testing.assert_allclose(got, 1 / np.linalg.norm(x, axis=1), rtol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([2, 3]).flatmap(lambda n: _regular_rows(n, 1e-1)),
+    st.lists(st.integers(min_value=0, max_value=23), min_size=1, max_size=4),
+)
+def test_singular_row_is_named(rows, bad):
+    x = np.array(rows)
+    bad = sorted({i % len(x) for i in bad})
+    x[bad] = 0.0
+    with pytest.raises(SingularPoint, match=rf"at node {bad[0]} \("):
+        rho(radial_hamiltonian(x.shape[1]), x)
