@@ -93,6 +93,8 @@ class SuiteConfig:
             raise ConfigError("field 'lambda_range': empty range")
         if any(h <= 0 for h in self.hbar_list):
             raise ConfigError("field 'hbar': values must be positive")
+        if any(a <= b for a, b in zip(self.hbar_list, self.hbar_list[1:])):
+            raise ConfigError("field 'hbar': values must be strictly decreasing")
         if self.fiber_kind not in ("circle", "sphere2", "implicit-curve", "line"):
             raise ConfigError(f"field 'fiber_kind': unknown kind {self.fiber_kind!r}")
         if self.fiber_kind in ("circle", "sphere2", "implicit-curve") and lo <= 0:

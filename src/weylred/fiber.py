@@ -279,9 +279,10 @@ def _directional_derivative(X: VectorField, u: FiberFunction) -> np.ndarray:
         return speed * du / r
     if isinstance(fiber, SphereFiber) and fiber.ambient_dim == 3:
         return _sphere_tensor_derivative(X, fiber, u.values)
-    if isinstance(fiber, LevelSetModel) and fiber.chart is not None:
+    chart = fiber.chart if isinstance(fiber, LevelSetModel) else None
+    if chart is not None and chart.node_velocities is not None:
         # uniform parameter grid; X u = <X, z'(t)> / |z'(t)|^2 * du/dt
-        vel = np.array([fiber.chart.velocity(t) for t in fiber.chart.params])
+        vel = chart.node_velocities
         coef = np.einsum("ia,ia->i", X.evaluate_many(Z), vel) / np.einsum(
             "ia,ia->i", vel, vel
         )

@@ -358,7 +358,7 @@ class LevelSetModel:
 
 @dataclass
 class FiberChart:
-    """Parametrization data for the FD divergence oracle.
+    """Parametrization data for the FD divergence oracle and curve derivatives.
 
     kind 'circle'/'implicit-curve': point(t), velocity(t) for t in [0, 2pi).
     kind 'sphere2': ambient radius only; charts are built per-node.
@@ -369,6 +369,7 @@ class FiberChart:
     velocity: Optional[Callable[[float], np.ndarray]] = None
     radius: Optional[float] = None
     params: Optional[np.ndarray] = None  # chart parameter per node
+    node_velocities: Optional[np.ndarray] = None  # dz/dt at each node, (N, n)
 
 
 def _radial_newton(phi: ScalarHamiltonian, direction: np.ndarray, lam: float, r0: float) -> float:
@@ -409,7 +410,8 @@ def circle_level_set(
     def velocity(t: float) -> np.ndarray:
         return r * np.array([-math.sin(t), math.cos(t)])
 
-    chart = FiberChart(kind="circle", point=point, velocity=velocity, radius=r, params=thetas)
+    tangents = np.stack([-nodes[:, 1], nodes[:, 0]], axis=1)
+    chart = FiberChart("circle", point, velocity, r, thetas, node_velocities=tangents)
     return LevelSetModel([phi], np.array([lam]), "circle", nodes, weights, rho_values, chart)
 
 
@@ -452,11 +454,12 @@ def implicit_curve_level_set(
         radii[i] = solve_r(t, r_pred)
         r_pred = radii[i]
     nodes = radii[:, None] * np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    speeds = np.linalg.norm(_star_curve_velocity(phi, nodes), axis=1)
-    weights = speeds * (2 * math.pi / n_nodes)
+    node_velocities = _star_curve_velocity(phi, nodes)
+    weights = np.linalg.norm(node_velocities, axis=1) * (2 * math.pi / n_nodes)
     rho_values = rho([phi], nodes)
     chart = FiberChart(
-        kind="implicit-curve", point=point, velocity=velocity, params=thetas
+        kind="implicit-curve", point=point, velocity=velocity, params=thetas,
+        node_velocities=node_velocities,
     )
     return LevelSetModel(
         [phi], np.array([lam]), "implicit-curve", nodes, weights, rho_values, chart
@@ -509,6 +512,7 @@ def line_level_set(
         point=lambda s: x0 + s * d,
         velocity=lambda s: d.copy(),
         params=t,
+        node_velocities=np.tile(d, (n_nodes, 1)),
     )
     return LevelSetModel(
         [phi], np.array([lam]), "line", nodes, wt.copy(), rho_values, chart

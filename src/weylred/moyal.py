@@ -2,8 +2,9 @@
 
 Everything here is finite and exact: star products of polynomials truncate
 once the bidifferential order exceeds the degree of either factor, and the
-star-basis expansion is solved by exact Gaussian elimination over Q(i).
-No floating point enters this module.
+star-basis expansion is a top-down reduction, one hbar-slice at a time, by
+exact division by leading terms over Q(i). No floating point enters this
+module.
 """
 
 from __future__ import annotations
@@ -13,11 +14,15 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from .rational import QQi
-from .symbols import PolySymbol, _check_same_dim
+from .symbols import PolySymbol, TermKey, _check_same_dim
 
 
 class SingularSystemError(ValueError):
-    """The star powers are linearly dependent over Q(i)[hbar]."""
+    """f^m is not a Q(i)[hbar]-combination of independent star powers of f."""
+
+
+class ExpansionBoundError(RuntimeError):
+    """The star-basis reduction reached an hbar power past its degree bound."""
 
 
 def _compositions(total: int, parts: int):
@@ -178,80 +183,76 @@ class StarExpansion:
         return self.reconstruct() - self.base_symbol**self.degree
 
 
-def _solve_exact(rows: List[List[QQi]], rhs: List[QQi]) -> List[QQi]:
-    """Solve a (possibly overdetermined) exact linear system uniquely.
+def _leading_key(f: PolySymbol) -> TermKey:
+    """Leading monomial in the graded lex order: total degree, then x, then xi."""
+    return max(f.terms, key=lambda key: (sum(key[1]) + sum(key[2]), key[1], key[2]))
 
-    Raises SingularSystemError when the columns are dependent or the system
-    is inconsistent.
+
+def _as_polynomial_in(
+    s: PolySymbol, plain_powers: List[PolySymbol], leading: List[TermKey]
+) -> List[Tuple[int, QQi]]:
+    """Coefficients a_j with s = sum_j a_j f^j, by division by leading terms.
+
+    In a graded monomial order the leading monomial of f^j is LM(f)^j, so
+    each step removes the leading term of s with one multiple of a power of
+    f. Raises SingularSystemError when s is not a polynomial in f.
     """
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivot_row_of_col: dict[int, int] = {}
-    r = 0
-    for c in range(n_cols):
-        pivot = None
-        for rr in range(r, n_rows):
-            if not aug[rr][c].is_zero():
-                pivot = rr
-                break
-        if pivot is None:
+    out = []
+    while not s.is_zero():
+        key = _leading_key(s)
+        j = next((j for j, lead in enumerate(leading) if lead == key), None)
+        if j is None:
             raise SingularSystemError(
-                "star powers are linearly dependent over Q(i)[hbar]"
+                "a slice of f^m - f^{*m} is not a polynomial in f"
             )
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][c]
-        aug[r] = [v / pv for v in aug[r]]
-        for rr in range(n_rows):
-            if rr != r and not aug[rr][c].is_zero():
-                factor = aug[rr][c]
-                aug[rr] = [v - factor * w for v, w in zip(aug[rr], aug[r])]
-        pivot_row_of_col[c] = r
-        r += 1
-    for rr in range(r, n_rows):
-        if not aug[rr][n_cols].is_zero():
-            raise SingularSystemError("inconsistent star-basis system")
-    return [aug[pivot_row_of_col[c]][n_cols] for c in range(n_cols)]
+        a = s.terms[key] / plain_powers[j].terms[key]
+        out.append((j, a))
+        s = s - plain_powers[j] * a
+    return out
 
 
 def expand_power_in_star_basis(f: PolySymbol, m: int) -> StarExpansion:
     """Express the pointwise power f^m in the basis {hbar^d f^{*j}}.
 
-    Requires f free of hbar. Solves the exact linear system matching every
-    monomial of f^m against the star powers f^{*0}..f^{*m}.
+    Requires f free of hbar. The hbar^0 part of f^{*j} is f^j, so the
+    remainder f^m - f^{*m} is reduced top-down: its lowest hbar-slice d is
+    written as sum_j a_j f^j by leading-term division, and hbar^d a_j f^{*j}
+    moves from the remainder into c_j until nothing is left. Every term of
+    f^{*j} has degree + 2 * (hbar power) <= j deg f, so d never exceeds
+    m deg f / 2.
     """
     if m < 1:
         raise ValueError("power must be a positive integer")
     if not f.is_hbar_free():
         raise ValueError("base symbol must be hbar-free")
     n = f.dimension
-    powers = [PolySymbol.one(n)]
+    degree = f.total_degree()
+    if degree == 0:
+        raise SingularSystemError("star powers of a constant are linearly dependent")
+    star_powers = [PolySymbol.one(n)]
+    plain_powers = [PolySymbol.one(n)]
     for _ in range(m):
-        powers.append(moyal_star(powers[-1], f))
-    target = f**m
-    dmax = max(p.hbar_degree() for p in powers)
+        star_powers.append(moyal_star(star_powers[-1], f))
+        plain_powers.append(plain_powers[-1] * f)
+    leading = [_leading_key(p) for p in plain_powers]
+    d_max = m * degree // 2
 
-    # unknowns: c_{j,d} with f^m = sum_{j,d} c_{j,d} hbar^d f^{*j}
-    unknowns = [(j, d) for j in range(m + 1) for d in range(dmax + 1)]
-    shifted = {
-        (j, d): PolySymbol.hbar(n, d) * powers[j] for (j, d) in unknowns
-    }
-    keys = set(target.terms)
-    for p in shifted.values():
-        keys |= set(p.terms)
-    ordered_keys = sorted(keys)
-    rows = [
-        [shifted[u].coefficient(key) for u in unknowns] for key in ordered_keys
+    zero = (0,) * n
+    coeff_terms: dict[int, dict[TermKey, QQi]] = {m: {(0, zero, zero): QQi.coerce(1)}}
+    rest = plain_powers[m] - star_powers[m]
+    for d in range(d_max + 1):
+        if rest.is_zero():
+            break
+        for j, a in _as_polynomial_in(rest.hbar_component(d), plain_powers, leading):
+            coeff_terms.setdefault(j, {})[(d, zero, zero)] = a
+            rest = rest - PolySymbol.hbar(n, d) * (star_powers[j] * a)
+    if not rest.is_zero():
+        raise ExpansionBoundError(
+            f"f^m - f^(*m) keeps hbar powers past the bound m deg f / 2 = {d_max}"
+        )
+    coefficients = [
+        (j, PolySymbol(n, terms)) for j, terms in sorted(coeff_terms.items())
     ]
-    rhs = [target.coefficient(key) for key in ordered_keys]
-    solution = _solve_exact(rows, rhs)
-
-    coeff_polys: dict[int, PolySymbol] = {}
-    for (j, d), c in zip(unknowns, solution):
-        if c.is_zero():
-            continue
-        coeff_polys[j] = coeff_polys.get(j, PolySymbol.zero(n)) + PolySymbol.hbar(n, d) * c
-    coefficients = sorted(coeff_polys.items())
     return StarExpansion(
-        base_symbol=f, degree=m, coefficients=coefficients, star_powers=powers
+        base_symbol=f, degree=m, coefficients=coefficients, star_powers=star_powers
     )

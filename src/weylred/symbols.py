@@ -63,8 +63,21 @@ class PolySymbol:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_compiled", None)
 
+    @classmethod
+    def _canonical(cls, dimension: int, terms: dict) -> "PolySymbol":
+        """Wrap a term dict that is canonical by construction, unchecked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "dimension", dimension)
+        object.__setattr__(out, "terms", terms)
+        object.__setattr__(out, "_compiled", None)
+        return out
+
     def __setattr__(self, *a):  # immutability guard
         raise AttributeError("PolySymbol is immutable")
+
+    def __reduce__(self):
+        # rebuild through the public constructor; the compiled kernel is not carried
+        return (PolySymbol, (self.dimension, self.terms))
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -111,12 +124,12 @@ class PolySymbol:
                 terms.pop(k, None)
             else:
                 terms[k] = total
-        return PolySymbol(self.dimension, terms)
+        return PolySymbol._canonical(self.dimension, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PolySymbol":
-        return PolySymbol(self.dimension, {k: -c for k, c in self.terms.items()})
+        return PolySymbol._canonical(self.dimension, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other) -> "PolySymbol":
         return self + (-self._coerce(other))
@@ -127,7 +140,9 @@ class PolySymbol:
     def __mul__(self, other) -> "PolySymbol":
         if isinstance(other, (int, Fraction, QQi)):
             c = QQi.coerce(other)
-            return PolySymbol(
+            if c.is_zero():
+                return PolySymbol.zero(self.dimension)
+            return PolySymbol._canonical(
                 self.dimension, {k: v * c for k, v in self.terms.items()}
             )
         other = self._coerce(other)
@@ -146,7 +161,7 @@ class PolySymbol:
                     out.pop(key, None)
                 else:
                     out[key] = total
-        return PolySymbol(self.dimension, out)
+        return PolySymbol._canonical(self.dimension, out)
 
     __rmul__ = __mul__
 
@@ -194,7 +209,7 @@ class PolySymbol:
             new_key = list(key)
             new_key[pos] = new_exps
             out[tuple(new_key)] = c * e  # type: ignore[index]
-        return PolySymbol(self.dimension, out)
+        return PolySymbol._canonical(self.dimension, out)
 
     def poisson(self, other: "PolySymbol") -> "PolySymbol":
         """{f,g} = sum_a (d_xi_a f d_x_a g - d_x_a f d_xi_a g).
@@ -222,11 +237,6 @@ class PolySymbol:
             return 0
         return max(sum(xie) for _, _, xie in self.terms)
 
-    def hbar_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(h for h, _, _ in self.terms)
-
     def is_xi_free(self) -> bool:
         return all(sum(xie) == 0 for _, _, xie in self.terms)
 
@@ -238,7 +248,7 @@ class PolySymbol:
 
     def hbar_component(self, power: int) -> "PolySymbol":
         """The hbar^power slice, with the hbar factor stripped."""
-        return PolySymbol(
+        return PolySymbol._canonical(
             self.dimension,
             {
                 (0, xe, xie): c

@@ -59,6 +59,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="hbar"):
             config_from_dict({"hbar": [0.5, -0.1]})
 
+    @pytest.mark.parametrize("ladder", [(0.1, 0.5), (0.5, 0.5), (0.5, 0.25, 0.3)])
+    def test_hbar_ladder_must_strictly_decrease(self, ladder):
+        with pytest.raises(ConfigError, match="strictly decreasing"):
+            SuiteConfig(hbar_list=ladder)
+
     def test_kind_dimension_mismatch(self):
         with pytest.raises(ConfigError):
             config_from_dict({"n": 3, "fiber_kind": "circle"})
@@ -147,6 +152,12 @@ class TestCLI:
         assert main(["kernel", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_unordered_hbar_ladder_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"hbar": [0.125, 0.5]}))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "strictly decreasing" in capsys.readouterr().err
+
     def test_bad_format_exit_two(self, tmp_path, capsys):
         assert main(["kernel", "--out", str(tmp_path), "--format", "xml"]) == 2
 
@@ -167,9 +178,11 @@ class TestCLI:
         assert (a / "evolve.json").read_bytes() == (b / "evolve.json").read_bytes()
 
     def test_errors_become_failed_records(self, tmp_path):
-        # a config whose sweep hbar list is unordered: deviations cannot
-        # decrease monotonically, but the run must still emit a report
-        cfg = SuiteConfig(hbar_list=(0.0625, 0.5))
+        # an unordered sweep hbar list, set past config validation (which
+        # rejects it): deviations cannot decrease monotonically, but the run
+        # must still emit a report
+        cfg = SuiteConfig()
+        cfg.hbar_list = (0.0625, 0.5)
         report = run_suite(cfg, "sweep")
         assert len(report.records) == 1
         assert report.records[0].passed is False

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +20,8 @@ from weylred.fiber import (
     multiplication_op,
     stereo_charts,
 )
-from weylred.geometry import NotTangent
+from weylred import geometry
+from weylred.geometry import NotTangent, ScalarHamiltonian, implicit_curve_level_set
 from weylred.symbols import PolySymbol, VectorField, rotation_generator
 
 
@@ -275,6 +278,40 @@ class TestFiberJX:
         out = fiber_JX_apply(Y, hbar, FiberFunction(fiber, vals))
         expected = -1j * hbar * (2j * Z[:, 0] * vals + 0.5 * (-Z[:, 1]) * vals)
         assert np.max(np.abs(out.values - expected)) < 1e-8
+
+
+class TestImplicitCurveJX:
+    """JX on an implicit curve reads node velocities stored at construction."""
+
+    @staticmethod
+    def _ellipse_model(n_nodes):
+        x0, x1 = PolySymbol.x(0, 2), PolySymbol.x(1, 2)
+        phi = ScalarHamiltonian((x0 * x0 + 2 * (x1 * x1)) * Fraction(1, 2))
+        X = VectorField(2, (-2 * x1, x0))
+        return implicit_curve_level_set(phi, 1.3, n_nodes=n_nodes), X
+
+    def test_apply_solves_no_newton(self, monkeypatch):
+        model, X = self._ellipse_model(256)
+        calls = []
+        solve = geometry._radial_newton
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(geometry, "_radial_newton", counted)
+        u = FiberFunction(model, np.exp(1j * np.arange(256) * 2 * np.pi / 256))
+        fiber_JX_apply(X, 0.5, u)
+        assert calls == []
+
+    def test_matrix_matches_per_node_chart_velocities(self):
+        model, X = self._ellipse_model(64)
+        chart = model.chart
+        per_node = np.array([chart.velocity(t) for t in chart.params])
+        old = replace(model, chart=replace(chart, node_velocities=per_node))
+        G = fiber_JX_matrix(X, 0.5, model).matrix
+        G_old = fiber_JX_matrix(X, 0.5, old).matrix
+        assert np.max(np.abs(G - G_old)) < 1e-12
 
 
 class TestEvolveGroup:

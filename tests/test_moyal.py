@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from weylred.rational import QQi
+from weylred import moyal
 from weylred.moyal import (
+    ExpansionBoundError,
     SingularSystemError,
     bidifferential_power,
     expand_power_in_star_basis,
@@ -185,9 +187,41 @@ class TestStarExpansion:
         with pytest.raises(SingularSystemError):
             expand_power_in_star_basis(PolySymbol.constant(2, 2), 2)
 
+    def test_zero_base_singular(self):
+        with pytest.raises(SingularSystemError):
+            expand_power_in_star_basis(PolySymbol.zero(2), 3)
+
     def test_hbar_base_rejected(self):
         with pytest.raises(ValueError):
             expand_power_in_star_basis(hb(), 2)
+
+    def test_nonpositive_power_rejected(self):
+        with pytest.raises(ValueError):
+            expand_power_in_star_basis(x(0), 0)
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_affine_base_is_its_own_star_power(self, m):
+        # second derivatives of an affine f vanish, so f^{*j} = f^j
+        f = x(0) - 3 * xi(1) + 2
+        exp = expand_power_in_star_basis(f, m)
+        assert exp.coefficients == [(m, PolySymbol.one(2))]
+        assert exp.star_powers == [f**j for j in range(m + 1)]
+
+    def test_generic_cubic_slice_not_polynomial_in_f(self):
+        f = xi(0) ** 2 * xi(1) + x(0) - 2 * x(1)
+        assert expand_power_in_star_basis(f, 2).coefficients == [(2, PolySymbol.one(2))]
+        with pytest.raises(SingularSystemError, match="not a polynomial in f"):
+            expand_power_in_star_basis(f, 3)
+
+    def test_hbar_power_past_the_degree_bound_is_named(self, monkeypatch):
+        # a corrupted product whose remainder is a polynomial in f at hbar^9,
+        # past the bound m deg f / 2 = 4 for m = 4, deg f = 2
+        def star(a, b):
+            return a * b * (1 + hb(2, 9))
+
+        monkeypatch.setattr(moyal, "moyal_star", star)
+        with pytest.raises(ExpansionBoundError):
+            expand_power_in_star_basis(angular_momentum(0, 1, 2), 4)
 
 
 def test_star_power_matches_iterated():

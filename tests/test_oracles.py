@@ -1,0 +1,189 @@
+"""Independent oracles for the exact Moyal layer.
+
+Neither oracle calls `weylred.moyal`:
+
+- Star powers of an angular momentum f = f_ij come from the Weyl symbol of
+  a rotation, whose generating function is
+      sum_k s^k/k! f^{*k} = sech^2(hbar s/2) exp((2 f/hbar) tanh(hbar s/2)),
+  expanded in exact Fraction power series. The star-basis coefficients of
+  f^m follow by triangular elimination, since f^{*j} = f^j + lower powers.
+- The star product itself is the exponential bidifferential formula
+  f exp((i hbar/2)(<-d_xi . ->d_x - <-d_x . ->d_xi)) g of Groenewold (1946)
+  and Moyal (1949), applied term by term with sympy.
+"""
+
+import random
+import time
+from fractions import Fraction
+from math import factorial
+
+import pytest
+
+from weylred.moyal import expand_power_in_star_basis, moyal_star
+from weylred.rational import QQi
+from weylred.symbols import PolySymbol, angular_momentum
+
+from conftest import random_symbol
+
+M_MAX = 8
+N_MAX = 4
+EXPANSION_SECONDS = 8.0  # all 80 expansions; the dense solve needed well over 20 s
+
+# polynomials in (f, hbar): {(power of f, power of hbar): Fraction}
+
+
+def _poly_mul(p, q):
+    out = {}
+    for (a1, b1), c1 in p.items():
+        for (a2, b2), c2 in q.items():
+            key = (a1 + a2, b1 + b2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def _poly_axpy(p, q, scale):
+    """p + scale * q."""
+    out = dict(p)
+    for k, c in q.items():
+        out[k] = out.get(k, 0) + scale * c
+    return {k: c for k, c in out.items() if c}
+
+
+def _tanh_coefficients(order):
+    """Taylor coefficients t_k of tanh(w), k <= order, from tanh * cosh = sinh."""
+    sinh = [Fraction(1, factorial(k)) if k % 2 else Fraction(0) for k in range(order + 1)]
+    cosh = [Fraction(0) if k % 2 else Fraction(1, factorial(k)) for k in range(order + 1)]
+    t = []
+    for k in range(order + 1):
+        t.append(sinh[k] - sum(t[i] * cosh[k - i] for i in range(k)))
+    return t
+
+
+def angular_star_powers(order):
+    """[P_0, ..., P_order] with f^{*k} = P_k(f, hbar) for any angular momentum f."""
+    t = _tanh_coefficients(order)
+    # s-series of E = (2f/hbar) tanh(hbar s/2) and of sech^2(hbar s/2) = 1 - tanh^2
+    E = [{(1, k - 1): t[k] / 2 ** (k - 1)} if t[k] else {} for k in range(order + 1)]
+    sech2 = []
+    for k in range(order + 1):
+        c = (k == 0) - sum(t[i] * t[k - i] for i in range(k + 1))
+        sech2.append({(0, k): c / 2**k} if c else {})
+    # G = exp(E) from G' = E' G: k G_k = sum_{i=1}^k i E_i G_{k-i}
+    G = [{(0, 0): Fraction(1)}]
+    for k in range(1, order + 1):
+        g = {}
+        for i in range(1, k + 1):
+            g = _poly_axpy(g, _poly_mul(E[i], G[k - i]), Fraction(i, k))
+        G.append(g)
+    powers = []
+    for k in range(order + 1):
+        series_k = {}
+        for i in range(k + 1):
+            series_k = _poly_axpy(series_k, _poly_mul(sech2[i], G[k - i]), 1)
+        powers.append({key: c * factorial(k) for key, c in series_k.items()})
+    return powers
+
+
+def star_basis_coefficients(m, powers):
+    """{j: {hbar power: c}} with f^m = sum_j c_j(hbar) f^{*j}."""
+    rest = {(m, 0): Fraction(1)}
+    coefficients = {}
+    for j in range(m, -1, -1):
+        cj = {(0, b): c for (a, b), c in rest.items() if a == j}
+        if cj:
+            coefficients[j] = {b: c for (_, b), c in cj.items()}
+            rest = _poly_axpy(rest, _poly_mul(cj, powers[j]), -1)
+    assert not rest
+    return coefficients
+
+
+def _in_f(poly, f_powers, n):
+    out = PolySymbol.zero(n)
+    for (a, b), c in poly.items():
+        out = out + f_powers[a] * PolySymbol.hbar(n, b) * c
+    return out
+
+
+def test_oracle_reproduces_the_m4_table():
+    # f^4 = f^{*4} + 5 hbar^2 f^{*2} + (3/2) hbar^4
+    powers = angular_star_powers(4)
+    assert star_basis_coefficients(4, powers) == {
+        4: {0: 1},
+        2: {2: 5},
+        0: {4: Fraction(3, 2)},
+    }
+
+
+def test_angular_expansions_match_generating_function_up_to_m8_n4():
+    powers = angular_star_powers(M_MAX)
+    cases = []
+    for n in range(2, N_MAX + 1):
+        for i in range(n):
+            for j in range(i + 1, n):
+                f = angular_momentum(i, j, n)
+                f_powers = [PolySymbol.one(n)]
+                for _ in range(M_MAX):
+                    f_powers.append(f_powers[-1] * f)
+                star = [_in_f(p, f_powers, n) for p in powers]
+                for m in range(1, M_MAX + 1):
+                    want = {
+                        k: _in_f({(0, b): c for b, c in cj.items()}, f_powers, n)
+                        for k, cj in star_basis_coefficients(m, powers).items()
+                    }
+                    cases.append((f, m, want, star[: m + 1]))
+    assert len(cases) == 80
+    elapsed = 0.0
+    for f, m, want, star in cases:
+        t0 = time.perf_counter()
+        exp = expand_power_in_star_basis(f, m)
+        elapsed += time.perf_counter() - t0
+        assert exp.coefficients == sorted(want.items())
+        assert exp.star_powers == star
+    assert elapsed < EXPANSION_SECONDS
+
+
+# -- Moyal product from the exponential bidifferential formula -------------
+
+
+def _to_sympy(sympy, f, xs, xis, hbar):
+    out = sympy.Integer(0)
+    for (h, xe, xie), c in f.terms.items():
+        term = (sympy.Rational(c.re.numerator, c.re.denominator)
+                + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator)) * hbar**h
+        for v, e in zip(xs + xis, xe + xie):
+            term *= v**e
+        out += term
+    return out
+
+
+def _sympy_star(sympy, F, G, xs, xis, hbar, order):
+    """F exp((i hbar/2) Lambda) G, Lambda = sum_a (<-d_xi_a ->d_x_a - <-d_x_a ->d_xi_a)."""
+    pairs = [(sympy.Integer(1), F, G)]  # sum of c * (derivative of F) * (derivative of G)
+    out = F * G
+    for k in range(1, order + 1):
+        nxt = []
+        for c, A, B in pairs:
+            for x, xi in zip(xs, xis):
+                nxt.append((c, sympy.diff(A, xi), sympy.diff(B, x)))
+                nxt.append((-c, sympy.diff(A, x), sympy.diff(B, xi)))
+        pairs = [(c, A, B) for c, A, B in nxt if A != 0 and B != 0]
+        scale = (sympy.I * hbar / 2) ** k / sympy.factorial(k)
+        out += scale * sum((c * A * B for c, A, B in pairs), sympy.Integer(0))
+    return sympy.expand(out)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_moyal_star_matches_sympy_exponential_formula(seed):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    n = 1 + seed % 2
+    xs = list(sympy.symbols(f"x0:{n}"))
+    xis = list(sympy.symbols(f"xi0:{n}"))
+    hbar = sympy.Symbol("hbar")
+    for _ in range(3):
+        f = random_symbol(rng, n, rng.randint(1, 3))
+        g = random_symbol(rng, n, rng.randint(1, 3)) + QQi(0, 1) * random_symbol(rng, n, 2)
+        F = _to_sympy(sympy, f, xs, xis, hbar)
+        G = _to_sympy(sympy, g, xs, xis, hbar)
+        want = _sympy_star(sympy, F, G, xs, xis, hbar, f.total_degree() + g.total_degree())
+        assert sympy.expand(_to_sympy(sympy, moyal_star(f, g), xs, xis, hbar) - want) == 0

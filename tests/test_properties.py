@@ -14,7 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylred.geometry import SingularPoint, radial_hamiltonian, rho
-from weylred.moyal import moyal_star, star_commutator
+from weylred.moyal import (
+    SingularSystemError,
+    expand_power_in_star_basis,
+    moyal_star,
+    star_commutator,
+)
 from weylred.rational import QQi
 from weylred.symbols import PolySymbol
 
@@ -95,6 +100,46 @@ def test_gaussian_rational_field_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a + (-a) == QQi()
     assert a / a == QQi(Fraction(1))
+
+
+def _is_hbar_only(c):
+    return all(not any(xe) and not any(xie) for _, xe, xie in c.terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    symbols(max_degree=2, max_terms=4).filter(lambda f: f.total_degree() >= 1),
+    st.integers(min_value=1, max_value=4),
+)
+def test_star_expansion_is_exact_or_named_singular(f, m):
+    try:
+        exp = expand_power_in_star_basis(f, m)
+    except SingularSystemError:
+        return
+    assert exp.coefficients[-1] == (m, PolySymbol.one(2))
+    assert [j for j, _ in exp.coefficients] == sorted({j for j, _ in exp.coefficients})
+    assert all(not c.is_zero() and _is_hbar_only(c) for _, c in exp.coefficients)
+    assert exp.residual().is_zero()
+
+
+def _revalidated(r):
+    return PolySymbol(r.dimension, dict(r.terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    symbols(max_degree=3, max_terms=5, max_hbar=2),
+    symbols(max_degree=3, max_terms=5, max_hbar=2),
+    st.one_of(st.just(0), st.integers(min_value=-2, max_value=2), _coeffs()),
+    st.sampled_from(["x", "xi"]),
+    st.integers(min_value=0, max_value=1),
+)
+def test_arithmetic_results_are_canonical(f, g, c, kind, a):
+    # internal results skip revalidation; the public constructor must agree
+    for r in (f + g, f - g, -f, f * g, f * c, c * f, f * 0, f.partial(kind, a),
+              f.hbar_component(1), f + (-f)):
+        assert r == _revalidated(r)
+    assert (f * 0).terms == {} and (f + (-f)).terms == {}
 
 
 # -- numeric layer ------------------------------------------------------

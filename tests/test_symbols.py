@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -205,6 +207,21 @@ class TestEvaluate:
             for (h, xe, xie), c in f.terms.items()
         )
         assert val == pytest.approx(exact)
+
+
+class TestCopying:
+    @pytest.mark.parametrize(
+        "clone", [lambda f: pickle.loads(pickle.dumps(f)), copy.deepcopy]
+    )
+    def test_round_trip(self, rng, clone):
+        for f in (PolySymbol.x(0, 2), random_symbol(rng, 3, 4) * QQi("1/2", "-3")):
+            f.compile()
+            g = clone(f)
+            assert g == f and hash(g) == hash(f)
+            assert g._compiled is None  # the kernel is rebuilt, not carried
+            assert g.evaluate([0.3] * f.dimension, [-1.1] * f.dimension, 0.7) == (
+                f.evaluate([0.3] * f.dimension, [-1.1] * f.dimension, 0.7)
+            )
 
 
 class TestVectorField:
