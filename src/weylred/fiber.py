@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .geometry import LevelSetModel, NotTangent, induced_divergence, tangency_residual
-from .symbols import VectorField
+from .symbols import VectorField, evaluate_compiled
 
 TANGENCY_TOL = 1e-8
 
@@ -81,6 +82,19 @@ class SphereFiber:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
+    @cached_property
+    def pair_angles(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Angle between every node pair (N, N) and the antipodal mask |z + w| <= 1e-9 r.
+
+        Built on first use and kept in the instance dict, outside the fields:
+        `scaled` and `dataclasses.replace` make a new instance without it.
+        """
+        Z = self.nodes
+        r = self.radius
+        theta = np.arccos(np.clip((Z @ Z.T) / (r * r), -1.0, 1.0))
+        anti = np.linalg.norm(Z[:, None, :] + Z[None, :, :], axis=2) <= 1e-9 * r
+        return theta, anti
+
 
 @dataclass
 class FiberFunction:
@@ -113,9 +127,10 @@ class PWSymbol:
     """A fiber symbol given through its vertical Fourier transform.
 
     fhat(m, v): base points m on the sphere, vertical vectors v in the
-    tangent plane at m; vectorized over leading axes; must vanish for
-    ||v|| > support_radius. The optional kappa is an even cutoff on the
-    tangent bundle (kappa(m, v) = kappa(m, -v)).
+    tangent plane at m; must vanish for ||v|| > support_radius. The optional
+    kappa is an even cutoff on the tangent bundle (kappa(m, v) = kappa(m, -v)).
+    `kernel_quantize` calls each once, on (K, n) batches that hold only the
+    K in-support, non-antipodal node pairs; both return shape (K,).
     """
 
     fhat: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -213,28 +228,29 @@ def kernel_quantize(f: PWSymbol, hbar: float, fiber: SphereFiber) -> FiberOperat
     the chord direction, so that on small scales the construction matches
     the flat Weyl kernel hbar^{-d} fhat((x+y)/2, (x-y)/hbar). Antipodal
     entries vanish; the optional cutoff kappa is evaluated at the geometric
-    half-velocity (the midpoint-map tangent).
+    half-velocity (the midpoint-map tangent). The symbol is evaluated only
+    on pairs with r theta/|hbar| <= support_radius; every other entry is 0.
     """
     if hbar == 0:
         raise ValueError("hbar must be nonzero")
     Z = fiber.nodes
     r = fiber.radius
     n = fiber.ambient_dim
-    cos_t = np.clip((Z @ Z.T) / (r * r), -1.0, 1.0)
-    theta = np.arccos(cos_t)
-    S = Z[:, None, :] + Z[None, :, :]
-    ns = np.linalg.norm(S, axis=2)
-    anti = ns <= 1e-9 * r
-    M = r * S / np.where(anti, 1.0, ns)[..., None]
-    D = Z[:, None, :] - Z[None, :, :]
-    nd = np.linalg.norm(D, axis=2)
-    U = D / np.where(nd < 1e-15, 1.0, nd)[..., None]
-    V = (r * theta / hbar)[..., None] * U
-    K = hbar ** (1 - n) * np.asarray(f.fhat(M, V), dtype=complex)
+    theta, anti = fiber.pair_angles
+    keep = ~anti & (r * theta / abs(hbar) <= f.support_radius)
+    rows, cols = np.nonzero(keep)
+    theta = theta[keep]
+    S = Z[rows] + Z[cols]
+    M = r * S / np.linalg.norm(S, axis=1)[:, None]
+    D = Z[rows] - Z[cols]
+    nd = np.linalg.norm(D, axis=1)
+    U = D / np.where(nd < 1e-15, 1.0, nd)[:, None]
+    V = (r * theta / hbar)[:, None] * U
+    values = hbar ** (1 - n) * np.asarray(f.fhat(M, V), dtype=complex)
     if f.kappa is not None:
-        K = K * f.kappa(M, (r * theta / 2)[..., None] * U)
-    K[anti] = 0.0
-    K[(r * theta / abs(hbar)) > f.support_radius] = 0.0
+        values = values * f.kappa(M, (r * theta / 2)[:, None] * U)
+    K = np.zeros(keep.shape, dtype=complex)
+    K[keep] = values
     return FiberOperator(fiber, K * fiber.weights[None, :])
 
 
@@ -247,10 +263,10 @@ def multiplication_op(a: Callable[[np.ndarray], complex], fiber) -> FiberOperato
 
 
 def _spectral_derivative_periodic(values: np.ndarray) -> np.ndarray:
-    """d/dt on a uniform periodic grid over [0, 2 pi)."""
+    """d/dt on a uniform periodic grid over [0, 2 pi), for each column of (N, m)."""
     n = len(values)
     k = np.fft.fftfreq(n, d=1.0 / n)
-    return np.fft.ifft(1j * k * np.fft.fft(values))
+    return np.fft.ifft(1j * k[:, None] * np.fft.fft(values, axis=0), axis=0)
 
 
 def _poly_diff_matrix(x: np.ndarray) -> np.ndarray:
@@ -265,34 +281,37 @@ def _poly_diff_matrix(x: np.ndarray) -> np.ndarray:
     return D
 
 
-def _directional_derivative(X: VectorField, u: FiberFunction) -> np.ndarray:
-    """(X u)(z) at the fiber nodes for a field X tangent to the fiber."""
-    fiber = u.fiber
+def _directional_derivative(X: VectorField, fiber, values: np.ndarray) -> np.ndarray:
+    """(X u)(z) at the fiber nodes for each column u of an (N, m) block, X tangent."""
     Z = np.asarray(fiber.nodes, dtype=float)
-    if u.gradients is not None:
-        return np.einsum("ia,ia->i", X.evaluate_many(Z), np.asarray(u.gradients))
     if isinstance(fiber, SphereFiber) and fiber.ambient_dim == 2:
         r = fiber.radius
         tau = np.stack([-Z[:, 1], Z[:, 0]], axis=1) / r
         speed = np.einsum("ia,ia->i", X.evaluate_many(Z), tau)
-        du = _spectral_derivative_periodic(u.values)
-        return speed * du / r
+        du = _spectral_derivative_periodic(values)
+        return speed[:, None] * du / r
     if isinstance(fiber, SphereFiber) and fiber.ambient_dim == 3:
-        return _sphere_tensor_derivative(X, fiber, u.values)
+        return _sphere_tensor_derivative(X, fiber, values)
     chart = fiber.chart if isinstance(fiber, LevelSetModel) else None
     if chart is not None and chart.node_velocities is not None:
-        # uniform parameter grid; X u = <X, z'(t)> / |z'(t)|^2 * du/dt
+        # X u = <X, z'(t)> / |z'(t)|^2 * du/dt
         vel = chart.node_velocities
         coef = np.einsum("ia,ia->i", X.evaluate_many(Z), vel) / np.einsum(
             "ia,ia->i", vel, vel
         )
-        du = _spectral_derivative_periodic(u.values)
-        return coef * du
+        if chart.kind == "line":
+            # Gauss-Legendre parameters: polynomial derivative on nodes scaled
+            # into [-1, 1], where the barycentric weights stay finite
+            scale = np.max(np.abs(chart.params))
+            du = (_poly_diff_matrix(chart.params / scale) @ values) / scale
+        else:
+            du = _spectral_derivative_periodic(values)  # uniform periodic grid
+        return coef[:, None] * du
     raise ValueError("no differentiation route for this fiber")
 
 
 def _sphere_tensor_derivative(X: VectorField, fiber: SphereFiber, values) -> np.ndarray:
-    """<X, grad u> on the Gauss-Legendre x azimuth tensor grid.
+    """<X, grad u> on the Gauss-Legendre x azimuth tensor grid, per column of (N, m).
 
     The mu-derivative is taken per azimuthal Fourier mode. A smooth function
     has odd modes of the form s * (smooth in mu) with s = sqrt(1 - mu^2),
@@ -304,15 +323,19 @@ def _sphere_tensor_derivative(X: VectorField, fiber: SphereFiber, values) -> np.
     nb = fiber.n_azimuth
     mu = fiber.mu
     npol = len(mu)
-    U = np.asarray(values, dtype=complex).reshape(npol, nb)
+    U = np.asarray(values, dtype=complex).reshape(npol, nb, -1)
     k = np.fft.fftfreq(nb, d=1.0 / nb)
     Uk = np.fft.fft(U, axis=1)
-    dU_beta = np.fft.ifft(1j * k * Uk, axis=1)
+    dU_beta = np.fft.ifft(1j * k[:, None] * Uk, axis=1)
     Dmu = _poly_diff_matrix(mu)
-    s = np.sqrt(1 - mu**2)[:, None]
+
+    def d_mu(A):
+        return (Dmu @ A.reshape(npol, -1)).reshape(A.shape)
+
+    s = np.sqrt(1 - mu**2)[:, None, None]
     odd = (k % 2).astype(bool)
-    dUk_mu = Dmu @ Uk
-    dUk_mu[:, odd] = s * (Dmu @ (Uk[:, odd] / s)) - (mu[:, None] / s**2) * Uk[:, odd]
+    dUk_mu = d_mu(Uk)
+    dUk_mu[:, odd] = s * d_mu(Uk[:, odd] / s) - (mu[:, None, None] / s**2) * Uk[:, odd]
     dU_mu = np.fft.ifft(dUk_mu, axis=1)
     Z = fiber.nodes.reshape(npol, nb, 3)
     s2 = 1 - mu**2  # sin^2(polar)
@@ -335,12 +358,11 @@ def _sphere_tensor_derivative(X: VectorField, fiber: SphereFiber, values) -> np.
         ],
         axis=-1,
     )
-    grad = (
-        (dU_mu / (r * r / s2[:, None]))[..., None] * dz_dmu
-        + (dU_beta / (r * r * s2[:, None]))[..., None] * dz_db
-    )
+    # <X, grad u> = <X, dz_dmu> du/dmu / g_mm + <X, dz_db> du/db / g_bb
     Xv = X.evaluate_many(fiber.nodes).reshape(npol, nb, 3)
-    return np.einsum("pba,pba->pb", Xv, grad).reshape(-1)
+    x_mu = np.einsum("pba,pba->pb", Xv, dz_dmu) / (r * r / s2[:, None])
+    x_beta = np.einsum("pba,pba->pb", Xv, dz_db) / (r * r * s2[:, None])
+    return (x_mu[..., None] * dU_mu + x_beta[..., None] * dU_beta).reshape(npol * nb, -1)
 
 
 def _fiber_divergence_values(X: VectorField, fiber, points: np.ndarray) -> np.ndarray:
@@ -365,24 +387,30 @@ def _check_tangent(X: VectorField, fiber) -> None:
         raise NotTangent(f"field is not tangent to the fiber (residual {resid:.3e})")
 
 
+def _jx_block(X: VectorField, hbar: float, fiber, values: np.ndarray, deriv: np.ndarray):
+    """-i hbar (X u + (div X^lambda) u / 2) for the columns u of an (N, m) block."""
+    div = _fiber_divergence_values(X, fiber, np.asarray(fiber.nodes, dtype=float))
+    return -1j * hbar * (deriv + 0.5 * div[:, None] * values)
+
+
 def fiber_JX_apply(X: VectorField, hbar: float, u: FiberFunction) -> FiberFunction:
     """-i hbar (X u + (div X^lambda) u / 2) on the fiber."""
     _check_tangent(X, u.fiber)
-    Z = np.asarray(u.fiber.nodes, dtype=float)
-    div = _fiber_divergence_values(X, u.fiber, Z)
-    deriv = _directional_derivative(X, u)
-    return FiberFunction(u.fiber, -1j * hbar * (deriv + 0.5 * div * u.values))
+    values = u.values[:, None]
+    if u.gradients is not None:
+        Z = np.asarray(u.fiber.nodes, dtype=float)
+        deriv = np.einsum("ia,ia->i", X.evaluate_many(Z), np.asarray(u.gradients))[:, None]
+    else:
+        deriv = _directional_derivative(X, u.fiber, values)
+    return FiberFunction(u.fiber, _jx_block(X, hbar, u.fiber, values, deriv)[:, 0])
 
 
 def fiber_JX_matrix(X: VectorField, hbar: float, fiber) -> FiberOperator:
-    """Dense matrix of fiber_JX_apply (column-by-column on basis vectors)."""
-    n = len(fiber.nodes)
-    cols = []
-    for j in range(n):
-        e = np.zeros(n, dtype=complex)
-        e[j] = 1.0
-        cols.append(fiber_JX_apply(X, hbar, FiberFunction(fiber, e)).values)
-    return FiberOperator(fiber, np.stack(cols, axis=1))
+    """Dense matrix of fiber_JX_apply: one derivative call on the identity block."""
+    _check_tangent(X, fiber)
+    eye = np.eye(len(fiber.nodes), dtype=complex)
+    deriv = _directional_derivative(X, fiber, eye)
+    return FiberOperator(fiber, _jx_block(X, hbar, fiber, eye, deriv))
 
 
 # -- flow propagator ---------------------------------------------------
@@ -406,11 +434,19 @@ def evolve_group(
     fiber = u.fiber
     _check_tangent(X, fiber)
     Z0 = np.asarray(fiber.nodes, dtype=float)
+    if isinstance(fiber, SphereFiber):
+        # the induced divergence is the ambient one (see _fiber_divergence_values),
+        # so X and div X run as one kernel per stage
+        kernel = X.kernel_with_divergence
 
-    def rhs(pts):
-        vel = X.evaluate_many(pts)
-        dacc = _fiber_divergence_values(X, fiber, pts)
-        return vel, dacc
+        def rhs(pts):
+            values = evaluate_compiled(*kernel, pts)
+            return values[:, :-1], values[:, -1]
+
+    else:
+
+        def rhs(pts):
+            return X.evaluate_many(pts), _fiber_divergence_values(X, fiber, pts)
 
     pts = Z0.copy()
     acc = np.zeros(len(pts))
@@ -439,6 +475,4 @@ def _trig_interpolate(values: np.ndarray, angles: np.ndarray) -> np.ndarray:
     n = len(values)
     coeffs = np.fft.fft(values) / n
     k = np.fft.fftfreq(n, d=1.0 / n)
-    return np.asarray(
-        [np.sum(coeffs * np.exp(1j * k * a)) for a in angles], dtype=complex
-    )
+    return np.sum(coeffs * np.exp(1j * np.outer(angles, k)), axis=1)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
@@ -46,12 +47,19 @@ class Profile:
     def grid(self) -> np.ndarray:
         return self.s0 + self.ds * np.arange(len(self.values))
 
+    @cached_property
+    def _splines(self) -> Tuple[CubicSpline, CubicSpline]:
+        """Real and imaginary interpolants, built once per profile."""
+        grid = self.grid()
+        return (
+            CubicSpline(grid, self.values.real, extrapolate=False),
+            CubicSpline(grid, self.values.imag, extrapolate=False),
+        )
+
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
-        spline_re = CubicSpline(self.grid(), self.values.real, extrapolate=False)
-        spline_im = CubicSpline(self.grid(), self.values.imag, extrapolate=False)
-        out = np.nan_to_num(spline_re(s)) + 1j * np.nan_to_num(spline_im(s))
-        return out
+        spline_re, spline_im = self._splines
+        return np.nan_to_num(spline_re(s)) + 1j * np.nan_to_num(spline_im(s))
 
     def convolve(self, other: "Profile") -> "Profile":
         if abs(self.ds - other.ds) > 1e-15:

@@ -12,6 +12,7 @@ from weylred.fiber import (
     FiberFunction,
     PWSymbol,
     SphereFiber,
+    _trig_interpolate,
     evolve_group,
     fiber_JX_apply,
     fiber_JX_matrix,
@@ -21,7 +22,12 @@ from weylred.fiber import (
     stereo_charts,
 )
 from weylred import geometry
-from weylred.geometry import NotTangent, ScalarHamiltonian, implicit_curve_level_set
+from weylred.geometry import (
+    NotTangent,
+    ScalarHamiltonian,
+    implicit_curve_level_set,
+    line_level_set,
+)
 from weylred.symbols import PolySymbol, VectorField, rotation_generator
 
 
@@ -39,6 +45,29 @@ def bump_symbol(r, support=4.0, kappa=None):
         return a * bump(np.linalg.norm(v, axis=-1), support)
 
     return PWSymbol(fhat=fhat, support_radius=support, kappa=kappa)
+
+
+def even_cutoff(m, v):
+    return np.exp(-np.sum(v * v, axis=-1)) * (1.0 + 0.1 * m[..., 0])
+
+
+def midpoint_kernel_oracle(f, hbar, fiber):
+    """K(z, w) entry by entry from midpoint_map, then times the weights."""
+    r, n, N = fiber.radius, fiber.ambient_dim, fiber.n_nodes
+    K = np.zeros((N, N), dtype=complex)
+    for i, z in enumerate(fiber.nodes):
+        for j, w in enumerate(fiber.nodes):
+            try:
+                m, half = midpoint_map(z, w, r)
+            except AntipodalPair:
+                continue
+            if 2 * np.linalg.norm(half) / abs(hbar) > f.support_radius:
+                continue
+            val = hbar ** (1 - n) * complex(f.fhat(m[None], (2 / hbar) * half[None])[0])
+            if f.kappa is not None:
+                val *= complex(f.kappa(m[None], half[None])[0])
+            K[i, j] = val
+    return K * fiber.weights[None, :]
 
 
 def x(a, n=2):
@@ -183,6 +212,63 @@ class TestKernelQuantize:
         with pytest.raises(ValueError):
             kernel_quantize(bump_symbol(1.0), 0.0, SphereFiber.circle(1.0, 8))
 
+    @pytest.mark.parametrize("kappa", [None, even_cutoff], ids=["bare", "kappa"])
+    @pytest.mark.parametrize(
+        "fiber",
+        [SphereFiber.circle(1.0, 32), SphereFiber.sphere(1.3, n_polar=6, n_azimuth=12)],
+        ids=["circle-32", "sphere-6x12"],
+    )
+    def test_matches_per_entry_midpoint_oracle(self, fiber, kappa):
+        f = bump_symbol(fiber.radius, support=4.0, kappa=kappa)
+        for hbar in (0.7, -1.1):
+            got = kernel_quantize(f, hbar, fiber).matrix
+            want = midpoint_kernel_oracle(f, hbar, fiber)
+            assert np.count_nonzero(got) == np.count_nonzero(want)
+            assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+    def test_symbol_sees_only_in_support_pairs(self):
+        n_nodes, hbar, support = 64, 0.3, 4.0
+        fiber = SphereFiber.circle(1.0, n_nodes)
+        gap = np.abs(np.arange(n_nodes)[:, None] - np.arange(n_nodes)[None, :])
+        theta = 2 * math.pi * np.minimum(gap, n_nodes - gap) / n_nodes
+        expected = int(np.count_nonzero(theta / hbar <= support))  # no antipode in reach
+        shapes = []
+        base = bump_symbol(1.0, support)
+
+        def fhat(m, v):
+            shapes.append(("fhat", m.shape, v.shape))
+            return base.fhat(m, v)
+
+        def kappa(m, v):
+            shapes.append(("kappa", m.shape, v.shape))
+            return np.ones(len(m))
+
+        kernel_quantize(PWSymbol(fhat, support, kappa), hbar, fiber)
+        assert 0 < expected < n_nodes * n_nodes
+        assert shapes == [
+            ("fhat", (expected, 2), (expected, 2)),
+            ("kappa", (expected, 2), (expected, 2)),
+        ]
+
+    def test_scaled_fiber_does_not_reuse_unit_pair_angles(self):
+        f = bump_symbol(1.0, support=3.0)
+        unit = SphereFiber.sphere(1.0, n_polar=6, n_azimuth=12)
+        kernel_quantize(f, 0.5, unit)  # fills the unit fiber's pair cache
+        scaled = unit.scaled(2.5)
+        assert "pair_angles" not in vars(scaled)
+        got = kernel_quantize(f, 0.5, scaled).matrix
+        fresh = kernel_quantize(f, 0.5, SphereFiber.sphere(2.5, n_polar=6, n_azimuth=12)).matrix
+        assert np.array_equal(got, fresh)
+        assert not np.array_equal(got, kernel_quantize(f, 0.5, unit).matrix)
+        # another grid with the same node count must not see the unit grid's pairs
+        other = SphereFiber.sphere(1.0, n_polar=12, n_azimuth=6)
+        swapped = replace(
+            unit, nodes=other.nodes, weights=other.weights, mu=other.mu, n_azimuth=6
+        )
+        got = kernel_quantize(f, 0.5, swapped).matrix
+        want = midpoint_kernel_oracle(f, 0.5, other)
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
 
 class TestMultiplication:
     def test_identity(self):
@@ -280,6 +366,56 @@ class TestFiberJX:
         assert np.max(np.abs(out.values - expected)) < 1e-8
 
 
+class TestJXMatrix:
+    """The matrix is one derivative call on the identity block."""
+
+    @staticmethod
+    def _column_build(X, hbar, fiber):
+        eye = np.eye(len(fiber.nodes))
+        return np.stack(
+            [fiber_JX_apply(X, hbar, FiberFunction(fiber, e)).values for e in eye], axis=1
+        )
+
+    def test_circle_matches_column_build_bitwise(self):
+        fiber = SphereFiber.circle(1.0, 256)
+        X = rotation_generator(0, 1, 2)
+        G = fiber_JX_matrix(X, 0.3, fiber).matrix
+        assert np.array_equal(G, self._column_build(X, 0.3, fiber))
+
+    def test_ellipse_matches_column_build(self):
+        model, X = TestImplicitCurveJX._ellipse_model(64)
+        G = fiber_JX_matrix(X, 0.5, model).matrix
+        assert np.max(np.abs(G - self._column_build(X, 0.5, model))) <= 1e-12
+
+    def test_sphere_matches_column_build(self):
+        fiber = SphereFiber.sphere(1.2, n_polar=8, n_azimuth=16)
+        rot = rotation_generator(1, 2, 3)
+        X = VectorField(3, tuple(PolySymbol.x(0, 3) * c for c in rot.components))
+        G = fiber_JX_matrix(X, 0.5, fiber).matrix
+        assert np.max(np.abs(G - self._column_build(X, 0.5, fiber))) <= 1e-12
+
+    def test_matrix_checks_tangency(self):
+        with pytest.raises(NotTangent):
+            fiber_JX_matrix(VectorField(2, (x(0), x(1))), 1.0, SphereFiber.circle(1.0, 16))
+
+
+class TestLineJX:
+    """Gauss-Legendre line fibers are differentiated by a polynomial, not an FFT."""
+
+    @pytest.mark.parametrize("n_nodes", [64, 256])
+    def test_grid_route_matches_gradient_route(self, n_nodes):
+        phi = ScalarHamiltonian(x(0) + 2 * x(1))
+        model = line_level_set(phi, 0.7, box=5.0, n_nodes=n_nodes)
+        direction = np.array([-2.0, 1.0]) / math.sqrt(5)  # unit tangent of the line
+        X = VectorField(2, (PolySymbol.constant(-2, 2), PolySymbol.constant(1, 2)))
+        s = model.chart.params  # arc length from the foot point along the line
+        vals = np.exp(-(s**2))
+        grads = (-2 * s * vals)[:, None] * direction[None, :]
+        grid = fiber_JX_apply(X, 1.0, FiberFunction(model, vals)).values
+        exact = fiber_JX_apply(X, 1.0, FiberFunction(model, vals, gradients=grads)).values
+        assert np.max(np.abs(grid - exact)) < 1e-9
+
+
 class TestImplicitCurveJX:
     """JX on an implicit curve reads node velocities stored at construction."""
 
@@ -315,6 +451,16 @@ class TestImplicitCurveJX:
 
 
 class TestEvolveGroup:
+    @pytest.mark.parametrize("n_nodes", [64, 256, 384])
+    def test_trig_interpolate_matches_per_angle_sum(self, n_nodes):
+        rng = np.random.default_rng(n_nodes)
+        values = rng.normal(size=n_nodes) + 1j * rng.normal(size=n_nodes)
+        angles = rng.uniform(-math.pi, math.pi, size=n_nodes)
+        coeffs = np.fft.fft(values) / n_nodes
+        k = np.fft.fftfreq(n_nodes, d=1.0 / n_nodes)
+        loop = np.array([np.sum(coeffs * np.exp(1j * k * a)) for a in angles])
+        assert np.array_equal(_trig_interpolate(values, angles), loop)
+
     def test_full_period_rotation(self):
         fiber = SphereFiber.circle(1.0, 64)
         X = rotation_generator(0, 1, 2)

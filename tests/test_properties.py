@@ -3,7 +3,8 @@
 The algebra laws hold identically (no tolerances): the symbols carry
 Gaussian-rational coefficients, so each law is checked by exact equality.
 The compiled evaluator and the array geometry are checked against exact
-or closed-form oracles.
+or closed-form oracles; the fiber kernel and flow against the structure
+they must keep (hermiticity, the group law).
 """
 
 from fractions import Fraction
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylred.fiber import FiberFunction, PWSymbol, SphereFiber, evolve_group, kernel_quantize
 from weylred.geometry import SingularPoint, radial_hamiltonian, rho
 from weylred.moyal import (
     SingularSystemError,
@@ -21,7 +23,7 @@ from weylred.moyal import (
     star_commutator,
 )
 from weylred.rational import QQi
-from weylred.symbols import PolySymbol
+from weylred.symbols import PolySymbol, VectorField, rotation_generator
 
 
 def _term_keys(n, max_degree, max_hbar=0):
@@ -197,3 +199,56 @@ def test_singular_row_is_named(rows, bad):
     x[bad] = 0.0
     with pytest.raises(SingularPoint, match=rf"at node {bad[0]} \("):
         rho(radial_hamiltonian(x.shape[1]), x)
+
+
+# -- fiber kernel and flow ---------------------------------------------------
+
+_unit = st.floats(min_value=-1, max_value=1, allow_subnormal=False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(["circle", "sphere"]),
+    st.floats(min_value=0.5, max_value=2.0),
+    st.floats(min_value=0.05, max_value=2.0),
+    st.floats(min_value=0.5, max_value=6.0),
+    st.lists(_unit, min_size=5, max_size=5),
+)
+def test_kernel_is_hermitian_for_real_even_symbols(kind, radius, hbar, support, c):
+    fiber = (
+        SphereFiber.circle(radius, 40)
+        if kind == "circle"
+        else SphereFiber.sphere(radius, n_polar=5, n_azimuth=10)
+    )
+
+    def fhat(m, v):  # real, and even in v
+        nv = np.linalg.norm(v, axis=-1)
+        t = np.minimum(nv / support, 1.0)
+        bump = np.where(t < 1, np.exp(-1 / (1 - t * t + (t >= 1))), 0.0)
+        return (c[0] + c[1] * m[..., 0] + c[2] * m[..., 1]) * bump * np.cos(c[3] * nv + c[4])
+
+    K = kernel_quantize(PWSymbol(fhat, support), hbar, fiber).kernel_matrix()
+    assert np.max(np.abs(K - K.conj().T)) <= 1e-10 * max(1.0, np.max(np.abs(K)))
+
+
+_tilt = st.fractions(min_value=Fraction(-3, 10), max_value=Fraction(3, 10), max_denominator=20)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.sampled_from([64, 128]),
+    st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]),
+    st.lists(_tilt, min_size=2, max_size=2),
+    st.floats(min_value=-1, max_value=1),
+    st.floats(min_value=-1, max_value=1),
+)
+def test_flow_group_law_on_circles(n_nodes, radius, tilt, s, t):
+    # X = (1 + (a x0 + b x1) / r) * rotation: tangent, divergent, no rest point
+    fiber = SphereFiber.circle(float(radius), n_nodes)
+    scale = 1 + PolySymbol.x(0, 2) * (tilt[0] / radius) + PolySymbol.x(1, 2) * (tilt[1] / radius)
+    X = VectorField(2, tuple(scale * comp for comp in rotation_generator(0, 1, 2).components))
+    u = FiberFunction(fiber, np.exp(np.cos(fiber.thetas) + 0.5j * np.sin(fiber.thetas)))
+    both = evolve_group(X, s, 0.7, evolve_group(X, t, 0.7, u, steps=256), steps=256)
+    once = evolve_group(X, s + t, 0.7, u, steps=256)
+    assert np.max(np.abs(both.values - once.values)) <= 1e-8 * np.max(np.abs(once.values))
+    assert once.norm() == pytest.approx(u.norm(), rel=1e-8)
