@@ -1,6 +1,6 @@
 """Command-line verification harness.
 
-    weylred <subcommand> --config <path> [--out <dir>] [--format json,csv] [--jobs N]
+    weylred <subcommand> --config <path> [--out <dir>] [--format json,csv]
 
 Subcommands: identities | coarea | unitarity | commutation | evolve |
 kernel | sweep | all. Exit codes: 0 all checks pass, 1 check failure,
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import random
 import sys
 import time
@@ -487,12 +486,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="JSON config path (defaults apply if omitted)")
     parser.add_argument("--out", help="output directory (overrides config)")
     parser.add_argument("--format", default="json", help="comma list: json,csv")
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=int(os.environ.get("WEYLRED_JOBS", "1")),
-        help="worker count (checks currently run sequentially for determinism)",
-    )
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config) if args.config else SuiteConfig()

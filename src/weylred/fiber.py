@@ -231,6 +231,8 @@ def kernel_quantize(f: PWSymbol, hbar: float, fiber: SphereFiber) -> FiberOperat
     half-velocity (the midpoint-map tangent). The symbol is evaluated only
     on pairs with r theta/|hbar| <= support_radius; every other entry is 0.
     """
+    if not isinstance(fiber, SphereFiber):
+        raise TypeError(f"kernel_quantize needs a SphereFiber, got a {type(fiber).__name__}")
     if hbar == 0:
         raise ValueError("hbar must be nonzero")
     Z = fiber.nodes

@@ -5,12 +5,22 @@ once the bidifferential order exceeds the degree of either factor, and the
 star-basis expansion is a top-down reduction, one hbar-slice at a time, by
 exact division by leading terms over Q(i). No floating point enters this
 module.
+
+The Moyal operator splits across coordinate pairs: with
+Pi_a = d_xi_a (x) d_x_a - d_x_a (x) d_xi_a,
+exp((i hbar/2) sum_a Pi_a) = prod_a exp((i hbar/2) Pi_a), so the star
+product of two monomials is the tensor product of n one-coordinate
+products, each a short cached table. Since P^k(g, f) = (-1)^k P^k(f, g),
+f * g - g * f is twice the odd orders of f * g: the star commutator is one
+pass over the term pairs, not two star products and a subtraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import factorial, perm
 from typing import List, Tuple
 
 from .rational import QQi
@@ -25,117 +35,105 @@ class ExpansionBoundError(RuntimeError):
     """The star-basis reduction reached an hbar power past its degree bound."""
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` non-negative ints summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+@lru_cache(maxsize=4096)
+def _coordinate_product(alpha: int, beta: int, gamma: int, delta: int) -> tuple:
+    """x^alpha xi^beta * x^gamma xi^delta in one coordinate pair.
+
+    Gives ((k, x exponent, xi exponent, r), ...) over the orders k with
+    r != 0, the order-k term being i^k hbar^k r x^(alpha+gamma-k) xi^(beta+delta-k):
+    r = sum_{j+l=k} (-1)^l ff(beta,j) ff(alpha,l) ff(gamma,j) ff(delta,l) / (2^k j! l!),
+    with ff(a, j) = a (a-1) ... (a-j+1) the falling factorial.
+    """
+    out = []
+    for k in range(min(beta, gamma) + min(alpha, delta) + 1):
+        r = Fraction(0)
+        for j in range(max(0, k - min(alpha, delta)), min(beta, gamma, k) + 1):
+            l = k - j
+            term = Fraction(
+                perm(beta, j) * perm(alpha, l) * perm(gamma, j) * perm(delta, l),
+                2**k * factorial(j) * factorial(l),
+            )
+            r += -term if l % 2 else term
+        if r:
+            out.append((k, alpha + gamma - k, beta + delta - k, r))
+    return tuple(out)
 
 
-def _multi_factorial(alpha: Tuple[int, ...]) -> int:
-    out = 1
-    for a in alpha:
-        f = 1
-        for j in range(2, a + 1):
-            f *= j
-        out *= f
-    return out
+def _star_sum(f: PolySymbol, g: PolySymbol, keep=None, phased: bool = True) -> dict:
+    """Terms of f * g as {(hbar power, x exponents, xi exponents): [re, im]}.
+
+    Each pair of monomials multiplies as the tensor product of the
+    one-coordinate tables; K is the summed order. `keep(K)` selects orders.
+    With `phased`, the order-K term gains hbar^K and the phase i^K, applied
+    as a swap and sign of (re, im); without it the terms are the raw
+    (1/2)^K / K! P^K parts. Coefficients stay raw Fractions here.
+    """
+    _check_same_dim(f, g)
+    acc: dict = {}
+    for (h1, xe1, xie1), c1 in f.terms.items():
+        for (h2, xe2, xie2), c2 in g.terms.items():
+            re = c1.re * c2.re - c1.im * c2.im
+            im = c1.re * c2.im + c1.im * c2.re
+            rotated = ((re, im), (-im, re), (-re, -im), (im, -re)) if phased else ((re, im),) * 4
+            combos = [
+                (k, (p,), (q,), s)
+                for k, p, q, s in _coordinate_product(xe1[0], xie1[0], xe2[0], xie2[0])
+            ]
+            for a in range(1, f.dimension):
+                table = _coordinate_product(xe1[a], xie1[a], xe2[a], xie2[a])
+                combos = [
+                    (K + k, xe + (p,), xie + (q,), r * s if k else r)  # order 0 has r = 1
+                    for K, xe, xie, r in combos
+                    for k, p, q, s in table
+                ]
+            for K, xe, xie, r in combos:
+                if keep is not None and not keep(K):
+                    continue
+                cre, cim = rotated[K & 3]
+                if K:
+                    cre, cim = cre * r, cim * r
+                key = (h1 + h2 + K if phased else h1 + h2, xe, xie)
+                slot = acc.get(key)
+                if slot is None:
+                    acc[key] = [cre, cim]
+                else:
+                    slot[0] += cre
+                    slot[1] += cim
+    return acc
 
 
-class _DerivCache:
-    """Memoizes iterated partials of one symbol, keyed by (alpha, beta)."""
-
-    def __init__(self, f: PolySymbol, first: str, second: str):
-        # first/second name the variable kind for alpha/beta respectively
-        self.first = first
-        self.second = second
-        self.cache = {((0,) * f.dimension, (0,) * f.dimension): f}
-        self.n = f.dimension
-
-    def get(self, alpha: Tuple[int, ...], beta: Tuple[int, ...]) -> PolySymbol:
-        key = (alpha, beta)
-        if key in self.cache:
-            return self.cache[key]
-        # peel one derivative off and recurse
-        for a in range(self.n):
-            if alpha[a] > 0:
-                down = tuple(v - 1 if j == a else v for j, v in enumerate(alpha))
-                base = self.get(down, beta)
-                out = base.partial(self.first, a)
-                break
-        else:
-            for a in range(self.n):
-                if beta[a] > 0:
-                    down = tuple(v - 1 if j == a else v for j, v in enumerate(beta))
-                    base = self.get(alpha, down)
-                    out = base.partial(self.second, a)
-                    break
-            else:  # pragma: no cover - zero order handled above
-                raise AssertionError
-        self.cache[key] = out
-        return out
+def _to_symbol(n: int, acc: dict, scale: int = 1) -> PolySymbol:
+    """One QQi per nonzero term of a `_star_sum` result, times `scale`."""
+    return PolySymbol._canonical(
+        n, {key: QQi(re * scale, im * scale) for key, (re, im) in acc.items() if re or im}
+    )
 
 
 def bidifferential_power(f: PolySymbol, g: PolySymbol, k: int) -> PolySymbol:
     """P^k(f, g); P^0 = fg and P^1 is the Poisson bracket.
 
     P^k(f,g) = sum_{|alpha|+|beta|=k} k!/(alpha! beta!) (-1)^{|beta|}
-               (d_xi^alpha d_x^beta f)(d_x^alpha d_xi^beta g).
+               (d_xi^alpha d_x^beta f)(d_x^alpha d_xi^beta g),
+    read off the order-k terms of the star product without their phase,
+    times k! 2^k.
     """
-    _check_same_dim(f, g)
     if k < 0:
         raise ValueError("bidifferential order must be non-negative")
-    n = f.dimension
-    if k == 0:
-        return f * g
-    if k > min(f.total_degree(), g.total_degree()):
-        return PolySymbol.zero(n)
-    df = _DerivCache(f, "xi", "x")
-    dg = _DerivCache(g, "x", "xi")
-    k_fact = 1
-    for j in range(2, k + 1):
-        k_fact *= j
-    out = PolySymbol.zero(n)
-    for combined in _compositions(k, 2 * n):
-        alpha = combined[:n]
-        beta = combined[n:]
-        left = df.get(alpha, beta)
-        if left.is_zero():
-            continue
-        right = dg.get(alpha, beta)
-        if right.is_zero():
-            continue
-        coeff = Fraction(k_fact, _multi_factorial(alpha) * _multi_factorial(beta))
-        if sum(beta) % 2:
-            coeff = -coeff
-        out = out + coeff * (left * right)
-    return out
+    acc = _star_sum(f, g, keep=lambda K: K == k, phased=False)
+    return _to_symbol(f.dimension, acc, factorial(k) * 2**k)
 
 
 def moyal_star(f: PolySymbol, g: PolySymbol) -> PolySymbol:
     """f * g = sum_k (1/k!) (i/2)^k hbar^k P^k(f, g), a finite exact sum."""
-    _check_same_dim(f, g)
-    n = f.dimension
-    kmax = min(f.total_degree(), g.total_degree())
-    out = PolySymbol.zero(n)
-    half_i = QQi(Fraction(0), Fraction(1, 2))
-    coeff = QQi.coerce(1)  # (i/2)^k / k!
-    for k in range(kmax + 1):
-        if k > 0:
-            coeff = coeff * half_i / k
-        pk = bidifferential_power(f, g, k)
-        if pk.is_zero():
-            continue
-        out = out + PolySymbol.hbar(n, k) * (coeff * pk)
-    return out
+    return _to_symbol(f.dimension, _star_sum(f, g))
 
 
 def star_commutator(f: PolySymbol, g: PolySymbol) -> PolySymbol:
-    """f * g - g * f; leading term is i hbar {f, g}."""
-    return moyal_star(f, g) - moyal_star(g, f)
+    """f * g - g * f; leading term is i hbar {f, g}.
+
+    P^k(g, f) = (-1)^k P^k(f, g), so this is twice the odd orders of f * g.
+    """
+    return _to_symbol(f.dimension, _star_sum(f, g, keep=lambda K: K & 1), 2)
 
 
 def star_power(f: PolySymbol, m: int) -> PolySymbol:

@@ -212,6 +212,11 @@ class TestKernelQuantize:
         with pytest.raises(ValueError):
             kernel_quantize(bump_symbol(1.0), 0.0, SphereFiber.circle(1.0, 8))
 
+    def test_level_set_fiber_rejected_by_name(self):
+        fiber = geometry.circle_level_set(geometry.radial_hamiltonian(2), 0.5, 32)
+        with pytest.raises(TypeError, match="needs a SphereFiber, got a LevelSetModel"):
+            kernel_quantize(bump_symbol(1.0), 0.3, fiber)
+
     @pytest.mark.parametrize("kappa", [None, even_cutoff], ids=["bare", "kappa"])
     @pytest.mark.parametrize(
         "fiber",

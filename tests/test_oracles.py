@@ -1,6 +1,6 @@
 """Independent oracles for the exact Moyal layer.
 
-Neither oracle calls `weylred.moyal`:
+No oracle here calls `weylred.moyal`:
 
 - Star powers of an angular momentum f = f_ij come from the Weyl symbol of
   a rotation, whose generating function is
@@ -9,17 +9,24 @@ Neither oracle calls `weylred.moyal`:
   f^m follow by triangular elimination, since f^{*j} = f^j + lower powers.
 - The star product itself is the exponential bidifferential formula
   f exp((i hbar/2)(<-d_xi . ->d_x - <-d_x . ->d_xi)) g of Groenewold (1946)
-  and Moyal (1949), applied term by term with sympy.
+  and Moyal (1949), applied term by term with sympy, and the textbook
+  composition sum P^k(f, g) over all multi-indices |alpha| + |beta| = k,
+  built from `PolySymbol.partial` and products.
 """
 
 import random
 import time
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
-from weylred.moyal import expand_power_in_star_basis, moyal_star
+from weylred.moyal import (
+    bidifferential_power,
+    expand_power_in_star_basis,
+    moyal_star,
+    star_commutator,
+)
 from weylred.rational import QQi
 from weylred.symbols import PolySymbol, angular_momentum
 
@@ -172,18 +179,95 @@ def _sympy_star(sympy, F, G, xs, xis, hbar, order):
     return sympy.expand(out)
 
 
-@pytest.mark.parametrize("seed", range(6))
+def _exact_symbol(rng, n, degree, max_hbar=2):
+    """Random symbol of total degree <= degree with hbar powers and Q(i) coefficients."""
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        exps = [0] * (2 * n)
+        for _ in range(rng.randint(0, degree)):
+            exps[rng.randrange(2 * n)] += 1
+        key = (rng.randint(0, max_hbar), tuple(exps[:n]), tuple(exps[n:]))
+        terms[key] = QQi(
+            Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+            Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+        )
+    return PolySymbol(n, terms)
+
+
+@pytest.mark.parametrize("seed", range(9))
 def test_moyal_star_matches_sympy_exponential_formula(seed):
     sympy = pytest.importorskip("sympy")
     rng = random.Random(seed)
-    n = 1 + seed % 2
+    n = 1 + seed % 3
     xs = list(sympy.symbols(f"x0:{n}"))
     xis = list(sympy.symbols(f"xi0:{n}"))
     hbar = sympy.Symbol("hbar")
     for _ in range(3):
-        f = random_symbol(rng, n, rng.randint(1, 3))
-        g = random_symbol(rng, n, rng.randint(1, 3)) + QQi(0, 1) * random_symbol(rng, n, 2)
+        if seed < 3:
+            f = random_symbol(rng, n, rng.randint(1, 3))
+            g = random_symbol(rng, n, rng.randint(1, 3)) + QQi(0, 1) * random_symbol(rng, n, 2)
+        else:  # hbar-carrying factors with Q(i) coefficients
+            f, g = _exact_symbol(rng, n, 3), _exact_symbol(rng, n, 3)
         F = _to_sympy(sympy, f, xs, xis, hbar)
         G = _to_sympy(sympy, g, xs, xis, hbar)
         want = _sympy_star(sympy, F, G, xs, xis, hbar, f.total_degree() + g.total_degree())
         assert sympy.expand(_to_sympy(sympy, moyal_star(f, g), xs, xis, hbar) - want) == 0
+
+
+# -- the textbook composition sum --------------------------------------------
+
+
+def _ref_compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _ref_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _ref_derivative(f, xi_orders, x_orders):
+    for kind, orders in (("xi", xi_orders), ("x", x_orders)):
+        for a, e in enumerate(orders):
+            for _ in range(e):
+                f = f.partial(kind, a)
+    return f
+
+
+def _ref_bidifferential_power(f, g, k):
+    """sum_{|alpha|+|beta|=k} k!/(alpha! beta!) (-1)^|beta| (d_xi^alpha d_x^beta f)(d_x^alpha d_xi^beta g)."""
+    n = f.dimension
+    out = PolySymbol.zero(n)
+    for combined in _ref_compositions(k, 2 * n):
+        alpha, beta = combined[:n], combined[n:]
+        left = _ref_derivative(f, alpha, beta)
+        right = _ref_derivative(g, beta, alpha)
+        if left.is_zero() or right.is_zero():
+            continue
+        coeff = Fraction(factorial(k), prod(factorial(e) for e in combined))
+        out = out + (-coeff if sum(beta) % 2 else coeff) * (left * right)
+    return out
+
+
+def _ref_moyal_star(f, g):
+    """sum_k (i/2)^k / k! hbar^k P^k(f, g)."""
+    n = f.dimension
+    out = PolySymbol.zero(n)
+    for k in range(min(f.total_degree(), g.total_degree()) + 1):
+        scale = Fraction(1, 2**k * factorial(k))
+        phase = (QQi(1), QQi(0, 1), QQi(-1), QQi(0, -1))[k % 4]
+        out = out + PolySymbol.hbar(n, k) * (phase * scale * _ref_bidifferential_power(f, g, k))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_layer_matches_composition_sum(seed):
+    rng = random.Random(100 + seed)
+    for _ in range(12):
+        n = rng.randint(1, 3)
+        f, g = _exact_symbol(rng, n, 3), _exact_symbol(rng, n, 3)
+        star = _ref_moyal_star(f, g)
+        assert moyal_star(f, g) == star
+        assert star_commutator(f, g) == star - _ref_moyal_star(g, f)
+        for k in range(7):
+            assert bidifferential_power(f, g, k) == _ref_bidifferential_power(f, g, k)

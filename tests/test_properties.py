@@ -48,6 +48,13 @@ def symbols(n=2, max_degree=2, max_terms=3, max_hbar=0):
     ).map(lambda terms: PolySymbol(n, terms))
 
 
+def same_dimension(count, max_degree=2, max_hbar=1):
+    """`count` symbols of one dimension n in {1, 2, 3}, hbar powers up to max_hbar."""
+    return st.sampled_from([1, 2, 3]).flatmap(
+        lambda n: st.tuples(*[symbols(n, max_degree, max_hbar=max_hbar)] * count)
+    )
+
+
 @settings(max_examples=40, deadline=None)
 @given(symbols(), symbols())
 def test_star_reduces_to_product_at_hbar_zero(f, g):
@@ -55,15 +62,33 @@ def test_star_reduces_to_product_at_hbar_zero(f, g):
 
 
 @settings(max_examples=25, deadline=None)
-@given(symbols(max_degree=2), symbols(max_degree=2), symbols(max_degree=2))
-def test_star_is_associative(f, g, h):
+@given(same_dimension(3))
+def test_star_is_associative(fgh):
+    f, g, h = fgh
     assert moyal_star(moyal_star(f, g), h) == moyal_star(f, moyal_star(g, h))
 
 
 @settings(max_examples=40, deadline=None)
-@given(symbols(), symbols())
-def test_commutator_antisymmetric(f, g):
-    assert star_commutator(f, g) == -star_commutator(g, f)
+@given(same_dimension(2, max_degree=3))
+def test_commutator_antisymmetric(fg):
+    f, g = fg
+    commutator = star_commutator(f, g)
+    assert commutator == moyal_star(f, g) - moyal_star(g, f)
+    assert commutator == -star_commutator(g, f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(same_dimension(2, max_degree=3, max_hbar=0))
+def test_swapped_factors_flip_the_sign_of_hbar(fg):
+    f, g = fg
+    assert moyal_star(g, f) == moyal_star(f, g).substitute_hbar_sign()
+
+
+@settings(max_examples=40, deadline=None)
+@given(same_dimension(2, max_degree=3, max_hbar=0))
+def test_star_commutator_has_only_odd_hbar_powers(fg):
+    f, g = fg
+    assert all(h % 2 == 1 for h, _, _ in star_commutator(f, g).terms)
 
 
 @settings(max_examples=40, deadline=None)
