@@ -15,7 +15,13 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .geometry import LevelSetModel, NotTangent, induced_divergence, tangency_residual
+from .geometry import (
+    LevelSetModel,
+    NotTangent,
+    call_on_nodes,
+    induced_divergence,
+    tangency_residual,
+)
 from .symbols import VectorField, evaluate_compiled
 
 TANGENCY_TOL = 1e-8
@@ -50,11 +56,22 @@ class SphereFiber:
         target = 2 * math.pi * r if self.ambient_dim == 2 else 4 * math.pi * r * r
         if abs(self.weights.sum() - target) > 1e-10 * target:
             raise ValueError("quadrature weights do not reproduce the volume")
+        if self.thetas is not None:
+            # the offset pair geometry of `kernel_pairs` relies on this grid
+            n = self.n_nodes
+            uniform = 2 * math.pi * np.arange(n) / n
+            if (
+                self.ambient_dim != 2
+                or np.shape(self.thetas) != (n,)
+                or np.max(np.abs(self.thetas - uniform)) > 1e-12
+                or np.max(np.abs(self.nodes - r * _unit_circle(uniform))) > 1e-12 * r
+            ):
+                raise ValueError("circle nodes must be r (cos, sin)(2 pi k / N) in order k = 0..N-1")
 
     @classmethod
     def circle(cls, radius: float, n_nodes: int = 256) -> "SphereFiber":
         thetas = 2 * math.pi * np.arange(n_nodes) / n_nodes
-        nodes = radius * np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+        nodes = radius * _unit_circle(thetas)
         weights = np.full(n_nodes, 2 * math.pi * radius / n_nodes)
         return cls(2, radius, nodes, weights, thetas=thetas)
 
@@ -95,20 +112,75 @@ class SphereFiber:
         anti = np.linalg.norm(Z[:, None, :] + Z[None, :, :], axis=2) <= 1e-9 * r
         return theta, anti
 
+    def kernel_pairs(self, reach: float):
+        """Midpoint geometry of the non-antipodal node pairs within geodesic distance reach.
+
+        Returns (rows, cols, arc, M, U): the pair indices, the geodesic
+        distance r theta, the geodesic midpoint and the unit chord direction
+        (z_row - z_col)/|z_row - z_col| (0 on the diagonal), one entry per pair.
+
+        On a uniform circle the geometry of a pair depends only on its node
+        offset d = row - col: theta = 2 pi |d| / N, and the midpoint sits at
+        the angle phi = theta_col + pi d / N with chord direction
+        (-sin phi, cos phi). Offsets 1 <= d < N/2 are built directly, the
+        mirrored pair (col, row) reuses the midpoint with the negated
+        direction, and antipodes (d = N/2) never enter. Other grids use
+        `pair_angles`.
+        """
+        if self.thetas is None:
+            return self._kernel_pairs_from_angles(reach)
+        r, n = self.radius, self.n_nodes
+        offsets = np.arange(1, (n + 1) // 2)
+        arcs = r * (2 * math.pi * offsets / n)
+        keep = arcs <= reach
+        offsets, arcs = offsets[keep], arcs[keep]
+        cols = np.broadcast_to(np.arange(n), (len(offsets), n)).ravel()
+        rows = (cols + np.repeat(offsets, n)) % n
+        phi = self.thetas[cols] + np.repeat(math.pi * offsets / n, n)
+        cos, sin = np.cos(phi), np.sin(phi)
+        mid = r * np.stack([cos, sin], axis=1)
+        chord = np.stack([-sin, cos], axis=1)
+        arc = np.repeat(arcs, n)
+        diag = np.arange(n)
+        return (
+            np.concatenate([diag, rows, cols]),
+            np.concatenate([diag, cols, rows]),
+            np.concatenate([np.zeros(n), arc, arc]),
+            np.concatenate([self.nodes, mid, mid]),
+            np.concatenate([np.zeros((n, 2)), chord, -chord]),
+        )
+
+    def _kernel_pairs_from_angles(self, reach: float):
+        Z, r = self.nodes, self.radius
+        theta, anti = self.pair_angles
+        keep = ~anti & (r * theta <= reach)
+        rows, cols = np.nonzero(keep)
+        S = Z[rows] + Z[cols]
+        M = r * S / np.linalg.norm(S, axis=1)[:, None]
+        D = Z[rows] - Z[cols]
+        nd = np.linalg.norm(D, axis=1)
+        U = D / np.where(nd < 1e-15, 1.0, nd)[:, None]
+        return rows, cols, r * theta[keep], M, U
+
+
+def _unit_circle(angles: np.ndarray) -> np.ndarray:
+    return np.stack([np.cos(angles), np.sin(angles)], axis=1)
+
 
 @dataclass
 class FiberFunction:
     """Node values of a function on a fiber (SphereFiber or LevelSetModel).
 
-    `gradients` (ambient gradient per node) and `func` (ambient callable)
-    are optional analytic enrichments; when present they are preferred over
-    grid differentiation/interpolation.
+    `gradients` (ambient gradient per node) and `func` (ambient callable,
+    called once on an (N, n) point array and giving (N,)) are optional
+    analytic enrichments; when present they are preferred over grid
+    differentiation/interpolation.
     """
 
     fiber: object
     values: np.ndarray
     gradients: Optional[np.ndarray] = None
-    func: Optional[Callable[[np.ndarray], complex]] = None
+    func: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
@@ -230,34 +302,27 @@ def kernel_quantize(f: PWSymbol, hbar: float, fiber: SphereFiber) -> FiberOperat
     entries vanish; the optional cutoff kappa is evaluated at the geometric
     half-velocity (the midpoint-map tangent). The symbol is evaluated only
     on pairs with r theta/|hbar| <= support_radius; every other entry is 0.
+    The pair geometry comes from `SphereFiber.kernel_pairs`: circles build
+    it from node offsets, 2-spheres from their cached pair angles.
     """
     if not isinstance(fiber, SphereFiber):
         raise TypeError(f"kernel_quantize needs a SphereFiber, got a {type(fiber).__name__}")
     if hbar == 0:
         raise ValueError("hbar must be nonzero")
-    Z = fiber.nodes
-    r = fiber.radius
-    n = fiber.ambient_dim
-    theta, anti = fiber.pair_angles
-    keep = ~anti & (r * theta / abs(hbar) <= f.support_radius)
-    rows, cols = np.nonzero(keep)
-    theta = theta[keep]
-    S = Z[rows] + Z[cols]
-    M = r * S / np.linalg.norm(S, axis=1)[:, None]
-    D = Z[rows] - Z[cols]
-    nd = np.linalg.norm(D, axis=1)
-    U = D / np.where(nd < 1e-15, 1.0, nd)[:, None]
-    V = (r * theta / hbar)[:, None] * U
-    values = hbar ** (1 - n) * np.asarray(f.fhat(M, V), dtype=complex)
+    rows, cols, arc, M, U = fiber.kernel_pairs(abs(hbar) * f.support_radius)
+    values = hbar ** (1 - fiber.ambient_dim) * np.asarray(
+        f.fhat(M, (arc / hbar)[:, None] * U), dtype=complex
+    )
     if f.kappa is not None:
-        values = values * f.kappa(M, (r * theta / 2)[:, None] * U)
-    K = np.zeros(keep.shape, dtype=complex)
-    K[keep] = values
-    return FiberOperator(fiber, K * fiber.weights[None, :])
+        values = values * f.kappa(M, (arc / 2)[:, None] * U)
+    K = np.zeros((fiber.n_nodes, fiber.n_nodes), dtype=complex)
+    K[rows, cols] = values * fiber.weights[cols]
+    return FiberOperator(fiber, K)
 
 
-def multiplication_op(a: Callable[[np.ndarray], complex], fiber) -> FiberOperator:
-    vals = np.array([a(z) for z in fiber.nodes], dtype=complex)
+def multiplication_op(a: Callable[[np.ndarray], np.ndarray], fiber) -> FiberOperator:
+    """Multiplication by a(z); a is called once on the (N, n) nodes and gives (N,)."""
+    vals = call_on_nodes(a, np.asarray(fiber.nodes, dtype=float)).astype(complex)
     return FiberOperator(fiber, np.diag(vals))
 
 
@@ -379,10 +444,13 @@ def _fiber_divergence_values(X: VectorField, fiber, points: np.ndarray) -> np.nd
     raise ValueError("unsupported fiber type")
 
 
-def _check_tangent(X: VectorField, fiber) -> None:
+def _check_tangent(X: VectorField, fiber, field_values: Optional[np.ndarray] = None) -> None:
+    """Raise NotTangent unless X is tangent at the nodes; field_values are X there, if known."""
     Z = np.asarray(fiber.nodes, dtype=float)
     if isinstance(fiber, SphereFiber):
-        resid = np.max(np.abs(np.einsum("ia,ia->i", X.evaluate_many(Z), Z))) / fiber.radius
+        if field_values is None:
+            field_values = X.evaluate_many(Z)
+        resid = np.max(np.abs(np.einsum("ia,ia->i", field_values, Z))) / fiber.radius
     else:
         resid = np.max(tangency_residual(X, fiber.hamiltonians, Z))
     if resid > TANGENCY_TOL:
@@ -430,12 +498,25 @@ def evolve_group(
     Solves d/dt v = (X + div X^lambda / 2) v along characteristics:
     v(t, z) = exp(int_0^t div X^lambda(Phi_s z) ds / 2) * u(Phi_t z); the
     exponent accumulates the Radon-Nikodym density of the flow pullback.
-    hbar cancels in the closed form. Fixed-step RK4 integrates the flow and
-    the divergence accumulator jointly.
+    hbar cancels in the closed form.
+
+    A linear field X(x) = A x on a SphereFiber follows its exact orbit
+    Phi_t = e^{tA}, and its divergence integral is t tr A. Nonlinear fields
+    and level-set fibers integrate the flow and the divergence accumulator
+    jointly with `steps` fixed RK4 steps.
     """
     fiber = u.fiber
-    _check_tangent(X, fiber)
     Z0 = np.asarray(fiber.nodes, dtype=float)
+    A = X.linear_part() if isinstance(fiber, SphereFiber) else None
+    if A is not None:
+        _check_tangent(X, fiber, Z0 @ A.T)
+        # tangency to the sphere makes A skew (its symmetric part, at most the
+        # tangency tolerance, is dropped): e^{tA} = V e^{-i t lam} V^H from the
+        # Hermitian eigendecomposition i A = V lam V^H
+        lam, V = np.linalg.eigh(0.5j * (A - A.T))
+        E = ((V * np.exp(-1j * t * lam)) @ V.conj().T).real
+        return _pull_back(u, Z0 @ E.T, np.full(len(Z0), t * np.trace(A)))
+    _check_tangent(X, fiber)
     if isinstance(fiber, SphereFiber):
         # the induced divergence is the ambient one (see _fiber_divergence_values),
         # so X and div X run as one kernel per stage
@@ -460,16 +541,21 @@ def evolve_group(
         k4v, k4a = rhs(pts + h * k3v)
         pts = pts + (h / 6) * (k1v + 2 * k2v + 2 * k3v + k4v)
         acc = acc + (h / 6) * (k1a + 2 * k2a + 2 * k3a + k4a)
+    return _pull_back(u, pts, acc)
+
+
+def _pull_back(u: FiberFunction, pts: np.ndarray, acc: np.ndarray) -> FiberFunction:
+    """sqrt(exp(acc)) * u(pts): u at the flowed nodes pts, times the flow density."""
     if not np.all(np.isfinite(pts)):
         raise FloatingPointError("flow integration broke down")
-    density = np.exp(acc)
+    fiber = u.fiber
     if u.func is not None:
-        pulled = np.array([u.func(p) for p in pts], dtype=complex)
+        pulled = call_on_nodes(u.func, pts).astype(complex)
     elif isinstance(fiber, SphereFiber) and fiber.ambient_dim == 2:
         pulled = _trig_interpolate(u.values, np.arctan2(pts[:, 1], pts[:, 0]))
     else:
         raise ValueError("need an ambient callable to evaluate along the flow")
-    return FiberFunction(fiber, np.sqrt(density) * pulled)
+    return FiberFunction(fiber, np.sqrt(np.exp(acc)) * pulled)
 
 
 def _trig_interpolate(values: np.ndarray, angles: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Tuple
+from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -388,6 +388,20 @@ class VectorField:
         for a, comp in enumerate(self.components):
             out = out + comp.partial("x", a)
         return out
+
+    def linear_part(self) -> Optional[np.ndarray]:
+        """The real (n, n) matrix A with X(x) = A x, or None if some term is not degree 1.
+
+        Like the compiled kernel, it keeps the real parts of the coefficients.
+        """
+        n = self.dimension
+        A = np.zeros((n, n))
+        for a, comp in enumerate(self.components):
+            for (_, xe, _), c in comp.terms.items():
+                if sum(xe) != 1:
+                    return None
+                A[a, xe.index(1)] = float(c.re)
+        return A
 
     def apply_to(self, a: PolySymbol) -> PolySymbol:
         """Directional derivative X(a) = sum_b X_b d_x_b a."""

@@ -269,7 +269,7 @@ class TestApplyTxi:
 class TestAssembleOpd:
     def test_multiplication_rule(self, half_r2, suite2):
         grid = build_grid(half_r2, "circle", 0.5, 2.0, 8, 32)
-        rule = lambda lam, fiber, hbar: multiplication_op(lambda z: z[0], fiber)
+        rule = lambda lam, fiber, hbar: multiplication_op(lambda z: z[:, 0], fiber)
         op = assemble_Opd(rule, grid, 1.0)
         s = apply_Tx(suite2[0], grid)
         out = op.apply(s)
@@ -285,7 +285,7 @@ class TestAssembleOpd:
 
     def test_commutes_with_diagonal(self, half_r2, suite2):
         grid = build_grid(half_r2, "circle", 0.5, 2.0, 8, 32)
-        rule = lambda lam, fiber, hbar: multiplication_op(lambda z: z[0] * z[1], fiber)
+        rule = lambda lam, fiber, hbar: multiplication_op(lambda z: z[:, 0] * z[:, 1], fiber)
         op = assemble_Opd(rule, grid, 1.0)
         s = apply_Tx(suite2[0], grid)
         b = np.sin(grid.lambda_nodes)

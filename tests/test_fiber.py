@@ -21,7 +21,8 @@ from weylred.fiber import (
     multiplication_op,
     stereo_charts,
 )
-from weylred import geometry
+from weylred import fiber as fiber_module
+from weylred import geometry, symbols
 from weylred.geometry import (
     NotTangent,
     ScalarHamiltonian,
@@ -74,6 +75,12 @@ def x(a, n=2):
     return PolySymbol.x(a, n)
 
 
+def _radial_rotation():
+    """|x|^2 (x0 d1 - x1 d0): the rotation field on the unit circle, but cubic."""
+    r2 = x(0) * x(0) + x(1) * x(1)
+    return VectorField(2, tuple(r2 * c for c in rotation_generator(0, 1, 2).components))
+
+
 class TestSphereFiber:
     def test_circle_volume(self):
         f = SphereFiber.circle(1.5, 64)
@@ -89,6 +96,20 @@ class TestSphereFiber:
         bad[3] *= 1.001
         with pytest.raises(ValueError):
             SphereFiber(2, 1.0, bad, f.weights, thetas=f.thetas)
+
+    def test_circle_rejects_nodes_off_the_uniform_order(self):
+        # kernel_pairs reads the pair geometry off node offsets, so the
+        # nodes must be r (cos, sin)(2 pi k / N) in order
+        f = SphereFiber.circle(1.5, 16)
+        perm = np.random.default_rng(2).permutation(16)
+        with pytest.raises(ValueError, match="in order"):
+            replace(f, nodes=np.roll(f.nodes, 1, axis=0))
+        with pytest.raises(ValueError, match="in order"):
+            replace(f, nodes=f.nodes[perm])
+        with pytest.raises(ValueError, match="in order"):
+            replace(f, nodes=f.nodes[perm], thetas=f.thetas[perm])
+        assert np.array_equal(replace(f, nodes=f.nodes.copy()).nodes, f.nodes)
+        assert SphereFiber.circle(1.0, 16).scaled(1.5).thetas is not None
 
 
 class TestMidpointMap:
@@ -231,6 +252,32 @@ class TestKernelQuantize:
             assert np.count_nonzero(got) == np.count_nonzero(want)
             assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("n_nodes", [31, 48])
+    @pytest.mark.parametrize("hbar", [0.45, -0.8, 2.5], ids=["band", "negative", "all-offsets"])
+    def test_offset_kernel_matches_per_entry_oracle(self, n_nodes, hbar):
+        fiber = SphereFiber.circle(1.2, n_nodes)
+        f = bump_symbol(fiber.radius, support=4.0, kappa=even_cutoff)
+        got = kernel_quantize(f, hbar, fiber).matrix
+        want = midpoint_kernel_oracle(f, hbar, fiber)
+        assert np.count_nonzero(got) == np.count_nonzero(want)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        if hbar == 2.5:  # the support reaches past pi r: every offset is in band
+            assert np.count_nonzero(got) == n_nodes * n_nodes - (n_nodes % 2 == 0) * n_nodes
+            if n_nodes % 2 == 0:
+                half = n_nodes // 2
+                assert all(got[i, (i + half) % n_nodes] == 0.0 for i in range(n_nodes))
+
+    @pytest.mark.parametrize("n_nodes", [192, 384, 768])
+    def test_circle_kernel_exactly_hermitian(self, n_nodes):
+        fiber = SphereFiber.circle(1.0, n_nodes)
+        K = kernel_quantize(bump_symbol(1.0), 0.3, fiber).kernel_matrix()
+        assert np.array_equal(K, K.conj().T)
+
+    def test_circle_kernel_builds_no_pair_angles(self):
+        fiber = SphereFiber.circle(1.0, 64)
+        kernel_quantize(bump_symbol(1.0), 0.3, fiber)
+        assert "pair_angles" not in vars(fiber)
+
     def test_symbol_sees_only_in_support_pairs(self):
         n_nodes, hbar, support = 64, 0.3, 4.0
         fiber = SphereFiber.circle(1.0, n_nodes)
@@ -278,14 +325,14 @@ class TestKernelQuantize:
 class TestMultiplication:
     def test_identity(self):
         fiber = SphereFiber.circle(1.0, 32)
-        op = multiplication_op(lambda z: 1.0, fiber)
+        op = multiplication_op(lambda z: np.ones(len(z)), fiber)
         u = FiberFunction(fiber, np.sin(fiber.thetas))
         assert np.allclose(op.apply(u).values, u.values)
 
     def test_multiplications_commute(self):
         fiber = SphereFiber.circle(1.0, 32)
-        A = multiplication_op(lambda z: z[0], fiber)
-        B = multiplication_op(lambda z: np.exp(z[1]), fiber)
+        A = multiplication_op(lambda z: z[:, 0], fiber)
+        B = multiplication_op(lambda z: np.exp(z[:, 1]), fiber)
         assert np.allclose(A.matrix @ B.matrix, B.matrix @ A.matrix)
 
     def test_leibniz_commutator_row(self):
@@ -293,7 +340,7 @@ class TestMultiplication:
         fiber = SphereFiber.circle(1.0, 128)
         X = rotation_generator(0, 1, 2)
         hbar = 0.7
-        A = multiplication_op(lambda z: z[0] ** 2, fiber)
+        A = multiplication_op(lambda z: z[:, 0] ** 2, fiber)
         u = FiberFunction(fiber, np.exp(np.sin(fiber.thetas)))
         lhs = (
             fiber_JX_apply(X, hbar, A.apply(u)).values
@@ -492,6 +539,68 @@ class TestEvolveGroup:
         u = FiberFunction(fiber, np.exp(np.sin(fiber.thetas)) + 0j)
         direct = evolve_group(X, t, hbar, u)
         assert np.max(np.abs(P @ u.values - direct.values)) < 1e-6
+
+    @staticmethod
+    def _count_kernel_runs(monkeypatch):
+        calls = []
+        for module in (symbols, fiber_module):
+            raw = module.evaluate_compiled
+
+            def counted(*args, raw=raw):
+                calls.append(len(args[2]))
+                return raw(*args)
+
+            monkeypatch.setattr(module, "evaluate_compiled", counted)
+        return calls
+
+    def test_linear_field_runs_no_compiled_kernel(self, monkeypatch):
+        fiber = SphereFiber.circle(1.0, 64)
+        u = FiberFunction(fiber, np.exp(np.cos(fiber.thetas)) + 0j)
+        calls = self._count_kernel_runs(monkeypatch)
+        evolve_group(rotation_generator(0, 1, 2), 0.7, 1.0, u)
+        assert calls == []
+        evolve_group(_radial_rotation(), 0.7, 1.0, u, steps=8)
+        assert len(calls) > 0
+
+    @pytest.mark.parametrize("t", [-2.1, 2 * math.pi])
+    def test_rk4_matches_exact_orbit(self, t):
+        # on the unit circle Y = |x|^2 R x is the rotation R x, but Y is not
+        # linear, so it takes the RK4 route
+        fiber = SphereFiber.circle(1.0, 96)
+        Y = _radial_rotation()
+        assert Y.linear_part() is None
+        u = FiberFunction(fiber, np.exp(np.sin(fiber.thetas) + 0.3j * np.cos(2 * fiber.thetas)))
+        exact = evolve_group(rotation_generator(0, 1, 2), t, 1.0, u)
+        rk4 = evolve_group(Y, t, 1.0, u, steps=4096)
+        assert np.max(np.abs(rk4.values - exact.values)) <= 1e-10
+
+    def test_exact_orbit_on_two_sphere(self):
+        fiber = SphereFiber.sphere(1.3, n_polar=8, n_azimuth=16)
+
+        def func(z):
+            return np.exp(0.4 * z[:, 0] - 0.3j * z[:, 2]) * (1 + 0.2 * z[:, 1])
+
+        t = 0.9
+        u = FiberFunction(fiber, func(fiber.nodes), func=func)
+        out = evolve_group(rotation_generator(0, 2, 3), t, 0.5, u)
+        # x0' = -x2, x2' = x0
+        z = fiber.nodes
+        turned = np.stack(
+            [
+                z[:, 0] * math.cos(t) - z[:, 2] * math.sin(t),
+                z[:, 1],
+                z[:, 0] * math.sin(t) + z[:, 2] * math.cos(t),
+            ],
+            axis=1,
+        )
+        assert np.max(np.abs(out.values - func(turned))) <= 1e-13
+
+    def test_linear_field_off_the_sphere_rejected(self):
+        fiber = SphereFiber.circle(1.0, 32)
+        X = VectorField(2, (x(0), x(1)))  # radial
+        u = FiberFunction(fiber, np.ones(32))
+        with pytest.raises(NotTangent):
+            evolve_group(X, 0.5, 1.0, u)
 
     def test_norm_preserved_divergent_field(self):
         fiber = SphereFiber.circle(1.0, 128)

@@ -268,10 +268,14 @@ _tilt = st.fractions(min_value=Fraction(-3, 10), max_value=Fraction(3, 10), max_
     st.floats(min_value=-1, max_value=1),
 )
 def test_flow_group_law_on_circles(n_nodes, radius, tilt, s, t):
-    # X = (1 + (a x0 + b x1) / r) * rotation: tangent, divergent, no rest point
+    # X = (|x|^2 / r^2 + (a x0 + b x1) / r) * rotation: tangent, divergent, no
+    # rest point; |x|^2 / r^2 is 1 on the fiber and keeps X nonlinear (RK4
+    # route) even when a = b = 0
     fiber = SphereFiber.circle(float(radius), n_nodes)
-    scale = 1 + PolySymbol.x(0, 2) * (tilt[0] / radius) + PolySymbol.x(1, 2) * (tilt[1] / radius)
+    x0, x1 = PolySymbol.x(0, 2), PolySymbol.x(1, 2)
+    scale = (x0 * x0 + x1 * x1) * (1 / radius**2) + x0 * (tilt[0] / radius) + x1 * (tilt[1] / radius)
     X = VectorField(2, tuple(scale * comp for comp in rotation_generator(0, 1, 2).components))
+    assert X.linear_part() is None
     u = FiberFunction(fiber, np.exp(np.cos(fiber.thetas) + 0.5j * np.sin(fiber.thetas)))
     both = evolve_group(X, s, 0.7, evolve_group(X, t, 0.7, u, steps=256), steps=256)
     once = evolve_group(X, s + t, 0.7, u, steps=256)

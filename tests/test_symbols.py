@@ -3,6 +3,7 @@ import pickle
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from weylred.rational import QQi, parse_rational
@@ -240,6 +241,27 @@ class TestVectorField:
         W = Y.lie_bracket(X)
         for c1, c2 in zip(Z.components, W.components):
             assert c1 == -c2
+
+    def test_linear_part_of_rotations(self):
+        assert np.array_equal(rotation_generator(0, 1, 2).linear_part(), [[0, -1], [1, 0]])
+        A = rotation_generator(0, 2, 3).linear_part()
+        assert np.array_equal(A, [[0, 0, -1], [0, 0, 0], [1, 0, 0]])
+
+    def test_linear_part_of_a_linear_non_rotation(self):
+        X = VectorField(2, (Fraction(3, 2) * x(0) - x(1), 4 * x(1)))
+        assert np.array_equal(X.linear_part(), [[1.5, -1.0], [0.0, 4.0]])
+
+    @pytest.mark.parametrize(
+        "extra",
+        [PolySymbol.one(2), x(0) * x(1), x(1) * x(1) * x(1)],
+        ids=["constant", "quadratic", "cubic"],
+    )
+    def test_linear_part_none_with_a_non_linear_term(self, extra):
+        assert VectorField(2, (x(1) + extra, -x(0))).linear_part() is None
+        assert VectorField(2, (x(1), extra)).linear_part() is None
+
+    def test_linear_part_of_zero_field(self):
+        assert np.array_equal(VectorField.zero(3).linear_part(), np.zeros((3, 3)))
 
 
 class TestLiteralFormat:
