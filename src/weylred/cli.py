@@ -38,7 +38,7 @@ from .fiber import (
     kernel_quantize,
     stereo_charts,
 )
-from .geometry import ScalarHamiltonian, TestFunction
+from .geometry import TestFunction, radial_hamiltonian
 from .moyal import expand_power_in_star_basis, star_commutator
 from .report import CheckRecord, Report, emit_report
 from .sweep import bump_profile, default_sweep_pair, semiclassical_sweep
@@ -191,10 +191,8 @@ def _random_field(rng: random.Random, n: int, degree: int):
 
 
 def _run_coarea(cfg: SuiteConfig, report: Report) -> None:
-    from .config import _half_square
-
     # fixed oracle geometry: disc levels of |x|^2/2 in the plane
-    ham = ScalarHamiltonian(_half_square(2))
+    ham = radial_hamiltonian(2)
     suite = gaussian_poly_suite(2)
     f = suite[2]  # exp(-|x|^2)
     kind = "circle"
@@ -231,12 +229,10 @@ def _run_coarea(cfg: SuiteConfig, report: Report) -> None:
 
 
 def _run_unitarity(cfg: SuiteConfig, report: Report) -> None:
-    from .config import _half_square
-
     n = cfg.dimension
     # radial levels of |x|^2/2: the only geometry with analytic norms to
     # compare against, independent of the configured hamiltonian
-    ham = ScalarHamiltonian(_half_square(n))
+    ham = radial_hamiltonian(n)
     kind = "circle" if n == 2 else "sphere2"
     grid = build_grid(
         ham,

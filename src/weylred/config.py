@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from .geometry import ScalarHamiltonian
+from .geometry import ScalarHamiltonian, radial_hamiltonian
 from .symbols import PolySymbol, VectorField, rotation_generator, symbol_from_literal
 
 
@@ -34,25 +34,19 @@ _KNOWN_KEYS = {
     "out",
 }
 
-_NAMED_HAMILTONIANS = {
-    "half-square-norm": lambda n: _half_square(n),
-    "ellipse": lambda n: _ellipse(n),
-    "linear-x1": lambda n: PolySymbol.x(0, n),
-}
 
-
-def _half_square(n: int) -> PolySymbol:
-    phi = PolySymbol.zero(n)
-    for a in range(n):
-        phi = phi + PolySymbol.x(a, n) * PolySymbol.x(a, n)
-    return phi * Fraction(1, 2)
-
-
-def _ellipse(n: int) -> PolySymbol:
+def _ellipse(n: int) -> ScalarHamiltonian:
     if n != 2:
         raise ConfigError("the 'ellipse' hamiltonian requires n = 2")
     x0, x1 = PolySymbol.x(0, 2), PolySymbol.x(1, 2)
-    return (x0 * x0 + 2 * (x1 * x1)) * Fraction(1, 2)
+    return ScalarHamiltonian((x0 * x0 + 2 * (x1 * x1)) * Fraction(1, 2))
+
+
+_NAMED_HAMILTONIANS = {
+    "half-square-norm": radial_hamiltonian,
+    "ellipse": _ellipse,
+    "linear-x1": lambda n: ScalarHamiltonian(PolySymbol.x(0, n)),
+}
 
 
 @dataclass
@@ -75,7 +69,7 @@ class SuiteConfig:
 
     def __post_init__(self):
         if self.hamiltonian is None:
-            self.hamiltonian = ScalarHamiltonian(_half_square(self.dimension))
+            self.hamiltonian = radial_hamiltonian(self.dimension)
         if self.vector_field is None:
             self.vector_field = rotation_generator(0, 1, self.dimension)
         self._validate()
@@ -111,7 +105,7 @@ def _parse_hamiltonian(spec, n: int) -> ScalarHamiltonian:
     if isinstance(spec, str):
         if spec not in _NAMED_HAMILTONIANS:
             raise ConfigError(f"field 'hamiltonian': unknown name {spec!r}")
-        return ScalarHamiltonian(_NAMED_HAMILTONIANS[spec](n))
+        return _NAMED_HAMILTONIANS[spec](n)
     if isinstance(spec, list):
         try:
             sym = symbol_from_literal(spec, n)

@@ -10,21 +10,24 @@ The Moyal operator splits across coordinate pairs: with
 Pi_a = d_xi_a (x) d_x_a - d_x_a (x) d_xi_a,
 exp((i hbar/2) sum_a Pi_a) = prod_a exp((i hbar/2) Pi_a), so the star
 product of two monomials is the tensor product of n one-coordinate
-products, each a short cached table. Since P^k(g, f) = (-1)^k P^k(f, g),
-f * g - g * f is twice the odd orders of f * g: the star commutator is one
-pass over the term pairs, not two star products and a subtraction.
+products, each a short cached table of integers 2^k k! r. The products
+themselves run in `symbols.integer_product`, the loop the plain product
+uses too: Gaussian-integer numerators over one common denominator, the kept
+orders weighted over the 2^K K! of the largest, and one division per output
+term. Since P^k(g, f) = (-1)^k P^k(f, g), f * g - g * f is twice the odd
+orders of f * g: the star commutator is one pass over the term pairs, not
+two star products and a subtraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import factorial, perm
+from math import comb, factorial, gcd, perm
 from typing import List, Tuple
 
 from .rational import QQi
-from .symbols import PolySymbol, TermKey, _check_same_dim
+from .symbols import PolySymbol, TermKey, _check_same_dim, integer_product
 
 
 class SingularSystemError(ValueError):
@@ -39,74 +42,61 @@ class ExpansionBoundError(RuntimeError):
 def _coordinate_product(alpha: int, beta: int, gamma: int, delta: int) -> tuple:
     """x^alpha xi^beta * x^gamma xi^delta in one coordinate pair.
 
-    Gives ((k, x exponent, xi exponent, r), ...) over the orders k with
-    r != 0, the order-k term being i^k hbar^k r x^(alpha+gamma-k) xi^(beta+delta-k):
-    r = sum_{j+l=k} (-1)^l ff(beta,j) ff(alpha,l) ff(gamma,j) ff(delta,l) / (2^k j! l!),
-    with ff(a, j) = a (a-1) ... (a-j+1) the falling factorial.
+    Gives ((k, x exponent, xi exponent, R, k!), ...) over the orders k with
+    R != 0, the order-k term being
+    i^k hbar^k R / (2^k k!) x^(alpha+gamma-k) xi^(beta+delta-k), with the integer
+    R = sum_{j+l=k} binom(k, j) (-1)^l ff(beta,j) ff(alpha,l) ff(gamma,j) ff(delta,l)
+    and ff(a, j) = a (a-1) ... (a-j+1) the falling factorial.
     """
     out = []
     for k in range(min(beta, gamma) + min(alpha, delta) + 1):
-        r = Fraction(0)
+        R = 0
         for j in range(max(0, k - min(alpha, delta)), min(beta, gamma, k) + 1):
             l = k - j
-            term = Fraction(
-                perm(beta, j) * perm(alpha, l) * perm(gamma, j) * perm(delta, l),
-                2**k * factorial(j) * factorial(l),
-            )
-            r += -term if l % 2 else term
-        if r:
-            out.append((k, alpha + gamma - k, beta + delta - k, r))
+            term = comb(k, j) * perm(beta, j) * perm(alpha, l) * perm(gamma, j) * perm(delta, l)
+            R += -term if l % 2 else term
+        if R:
+            out.append((k, alpha + gamma - k, beta + delta - k, R, factorial(k)))
     return tuple(out)
 
 
-def _star_sum(f: PolySymbol, g: PolySymbol, keep=None, phased: bool = True) -> dict:
-    """Terms of f * g as {(hbar power, x exponents, xi exponents): [re, im]}.
+def _monomial_product(xe1: tuple, xie1: tuple, xe2: tuple, xie2: tuple) -> list:
+    """x^xe1 xi^xie1 * x^xe2 xi^xie2 as [(K, x exponents, xi exponents, W), ...].
 
-    Each pair of monomials multiplies as the tensor product of the
-    one-coordinate tables; K is the summed order. `keep(K)` selects orders.
-    With `phased`, the order-K term gains hbar^K and the phase i^K, applied
-    as a swap and sign of (re, im); without it the terms are the raw
-    (1/2)^K / K! P^K parts. Coefficients stay raw Fractions here.
+    The tensor product of the one-coordinate tables, K the summed order: the
+    order-K term is i^K hbar^K W / (2^K K!) times its monomial, where
+    W = prod_a R_a K! / prod_a k_a! is an integer.
+    """
+    entries = [(0, (), (), 1, 1)]  # (K, xe, xie, prod R_a, prod k_a!)
+    for a, b, c, d in zip(xe1, xie1, xe2, xie2):
+        table = _coordinate_product(a, b, c, d)
+        entries = [
+            (K + k, xe + (p,), xie + (q,), W * R, facts * k_fact)
+            for K, xe, xie, W, facts in entries
+            for k, p, q, R, k_fact in table
+        ]
+    return [(K, xe, xie, W * factorial(K) // facts) for K, xe, xie, W, facts in entries]
+
+
+def _star(f: PolySymbol, g: PolySymbol, keep=None, phased: bool = True, scale: int = 1) -> PolySymbol:
+    """The orders K of f * g that `keep(K)` selects, times `scale`.
+
+    Without `phased` the terms are the raw (1/2)^K / K! P^K parts, with no
+    hbar^K or i^K. The kept orders share the denominator L = 2^K K! of the
+    largest one, so every weight of `integer_product` is an integer.
     """
     _check_same_dim(f, g)
-    acc: dict = {}
-    for (h1, xe1, xie1), c1 in f.terms.items():
-        for (h2, xe2, xie2), c2 in g.terms.items():
-            re = c1.re * c2.re - c1.im * c2.im
-            im = c1.re * c2.im + c1.im * c2.re
-            rotated = ((re, im), (-im, re), (-re, -im), (im, -re)) if phased else ((re, im),) * 4
-            combos = [
-                (k, (p,), (q,), s)
-                for k, p, q, s in _coordinate_product(xe1[0], xie1[0], xe2[0], xie2[0])
-            ]
-            for a in range(1, f.dimension):
-                table = _coordinate_product(xe1[a], xie1[a], xe2[a], xie2[a])
-                combos = [
-                    (K + k, xe + (p,), xie + (q,), r * s if k else r)  # order 0 has r = 1
-                    for K, xe, xie, r in combos
-                    for k, p, q, s in table
-                ]
-            for K, xe, xie, r in combos:
-                if keep is not None and not keep(K):
-                    continue
-                cre, cim = rotated[K & 3]
-                if K:
-                    cre, cim = cre * r, cim * r
-                key = (h1 + h2 + K if phased else h1 + h2, xe, xie)
-                slot = acc.get(key)
-                if slot is None:
-                    acc[key] = [cre, cim]
-                else:
-                    slot[0] += cre
-                    slot[1] += cim
-    return acc
-
-
-def _to_symbol(n: int, acc: dict, scale: int = 1) -> PolySymbol:
-    """One QQi per nonzero term of a `_star_sum` result, times `scale`."""
-    return PolySymbol._canonical(
-        n, {key: QQi(re * scale, im * scale) for key, (re, im) in acc.items() if re or im}
-    )
+    top = min(f.total_degree(), g.total_degree())  # no pair of terms reaches past it
+    kept = [K for K in range(top + 1) if keep is None or keep(K)]
+    if not kept:
+        return PolySymbol.zero(f.dimension)
+    L = 2 ** kept[-1] * factorial(kept[-1])
+    common = gcd(scale, L)
+    lift = [
+        scale // common * (L // (2**K * factorial(K))) if K in kept else 0
+        for K in range(top + 1)
+    ]
+    return integer_product(f, g, _monomial_product, lift, L // common, phased)
 
 
 def bidifferential_power(f: PolySymbol, g: PolySymbol, k: int) -> PolySymbol:
@@ -119,13 +109,12 @@ def bidifferential_power(f: PolySymbol, g: PolySymbol, k: int) -> PolySymbol:
     """
     if k < 0:
         raise ValueError("bidifferential order must be non-negative")
-    acc = _star_sum(f, g, keep=lambda K: K == k, phased=False)
-    return _to_symbol(f.dimension, acc, factorial(k) * 2**k)
+    return _star(f, g, keep=lambda K: K == k, phased=False, scale=factorial(k) * 2**k)
 
 
 def moyal_star(f: PolySymbol, g: PolySymbol) -> PolySymbol:
     """f * g = sum_k (1/k!) (i/2)^k hbar^k P^k(f, g), a finite exact sum."""
-    return _to_symbol(f.dimension, _star_sum(f, g))
+    return _star(f, g)
 
 
 def star_commutator(f: PolySymbol, g: PolySymbol) -> PolySymbol:
@@ -133,7 +122,7 @@ def star_commutator(f: PolySymbol, g: PolySymbol) -> PolySymbol:
 
     P^k(g, f) = (-1)^k P^k(f, g), so this is twice the odd orders of f * g.
     """
-    return _to_symbol(f.dimension, _star_sum(f, g, keep=lambda K: K & 1), 2)
+    return _star(f, g, keep=lambda K: K & 1, scale=2)
 
 
 def star_power(f: PolySymbol, m: int) -> PolySymbol:

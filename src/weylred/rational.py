@@ -72,6 +72,14 @@ class QQi:
         )
 
     # -- helpers --------------------------------------------------------
+    @classmethod
+    def _from_fractions(cls, re: Fraction, im: Fraction) -> "QQi":
+        """Wrap two Fractions unchecked; the exact product loop builds its terms so."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "re", re)
+        object.__setattr__(out, "im", im)
+        return out
+
     @staticmethod
     def coerce(v) -> "QQi":
         if isinstance(v, QQi):

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import lcm
+from operator import add, index
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,6 +32,16 @@ def _check_same_dim(f: "PolySymbol", g: "PolySymbol"):
         )
 
 
+def _exponent(e) -> int:
+    """An exponent or hbar power as a Python int; bools and non-integers are refused."""
+    if not isinstance(e, (bool, np.bool_)):
+        try:
+            return index(e)
+        except TypeError:
+            pass
+    raise ValueError(f"exponents must be integers, got {e!r}")
+
+
 class PolySymbol:
     """Polynomial in x_0..x_{n-1}, xi_0..xi_{n-1} and hbar over Q(i).
 
@@ -43,8 +55,9 @@ class PolySymbol:
             raise ValueError("dimension must be a positive integer")
         clean: dict[TermKey, QQi] = {}
         for (h, xe, xie), c in (terms or {}).items():
-            xe = tuple(int(e) for e in xe)
-            xie = tuple(int(e) for e in xie)
+            h = _exponent(h)
+            xe = tuple(_exponent(e) for e in xe)
+            xie = tuple(_exponent(e) for e in xie)
             if h < 0 or any(e < 0 for e in xe) or any(e < 0 for e in xie):
                 raise ValueError("exponents must be non-negative")
             if len(xe) != dimension or len(xie) != dimension:
@@ -52,7 +65,7 @@ class PolySymbol:
             c = QQi.coerce(c)
             if c.is_zero():
                 continue
-            key = (int(h), xe, xie)
+            key = (h, xe, xie)
             prev = clean.get(key)
             total = c if prev is None else prev + c
             if total.is_zero():
@@ -119,17 +132,22 @@ class PolySymbol:
         terms = dict(self.terms)
         for k, c in other.terms.items():
             prev = terms.get(k)
-            total = c if prev is None else prev + c
-            if total.is_zero():
-                terms.pop(k, None)
+            if prev is None:
+                terms[k] = c
+                continue
+            re, im = prev.re + c.re, prev.im + c.im
+            if re or im:
+                terms[k] = QQi._from_fractions(re, im)
             else:
-                terms[k] = total
+                del terms[k]
         return PolySymbol._canonical(self.dimension, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PolySymbol":
-        return PolySymbol._canonical(self.dimension, {k: -c for k, c in self.terms.items()})
+        return PolySymbol._canonical(
+            self.dimension, {k: QQi._from_fractions(-c.re, -c.im) for k, c in self.terms.items()}
+        )
 
     def __sub__(self, other) -> "PolySymbol":
         return self + (-self._coerce(other))
@@ -138,30 +156,7 @@ class PolySymbol:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> "PolySymbol":
-        if isinstance(other, (int, Fraction, QQi)):
-            c = QQi.coerce(other)
-            if c.is_zero():
-                return PolySymbol.zero(self.dimension)
-            return PolySymbol._canonical(
-                self.dimension, {k: v * c for k, v in self.terms.items()}
-            )
-        other = self._coerce(other)
-        _check_same_dim(self, other)
-        out: dict[TermKey, QQi] = {}
-        for (h1, xe1, xie1), c1 in self.terms.items():
-            for (h2, xe2, xie2), c2 in other.terms.items():
-                key = (
-                    h1 + h2,
-                    tuple(a + b for a, b in zip(xe1, xe2)),
-                    tuple(a + b for a, b in zip(xie1, xie2)),
-                )
-                prev = out.get(key)
-                total = c1 * c2 if prev is None else prev + c1 * c2
-                if total.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = total
-        return PolySymbol._canonical(self.dimension, out)
+        return integer_product(self, self._coerce(other))
 
     __rmul__ = __mul__
 
@@ -208,7 +203,7 @@ class PolySymbol:
             new_exps = tuple(v - 1 if j == a else v for j, v in enumerate(exps))
             new_key = list(key)
             new_key[pos] = new_exps
-            out[tuple(new_key)] = c * e  # type: ignore[index]
+            out[tuple(new_key)] = QQi._from_fractions(c.re * e, c.im * e)  # type: ignore[index]
         return PolySymbol._canonical(self.dimension, out)
 
     def poisson(self, other: "PolySymbol") -> "PolySymbol":
@@ -300,6 +295,84 @@ class PolySymbol:
             factors += [f"xi{a}^{e}" for a, e in enumerate(xie) if e]
             parts.append("*".join(factors))
         return " + ".join(parts)
+
+
+_FRACTION_ZERO = Fraction(0)
+
+
+def _numerators(f: PolySymbol) -> Tuple[int, dict]:
+    """(D, {key: (re, im)}): the coefficients of f as Gaussian-integer numerators
+    over D, the lcm of their denominators."""
+    D = 1
+    for c in f.terms.values():
+        D = lcm(D, c.re.denominator, c.im.denominator)
+    return D, {
+        key: (c.re.numerator * (D // c.re.denominator), c.im.numerator * (D // c.im.denominator))
+        for key, c in f.terms.items()
+    }
+
+
+def integer_product(
+    f: PolySymbol,
+    g: PolySymbol,
+    monomial_product=None,
+    lift: Sequence[int] = (1,),
+    den: int = 1,
+    phased: bool = True,
+) -> PolySymbol:
+    """The exact product loop: every product of symbols runs here, on integers.
+
+    Both factors enter as Gaussian-integer numerators over their common
+    denominators D_f, D_g. A pair of terms multiplies its numerators and
+    spreads them over the entries (K, x exponents, xi exponents, W) that
+    `monomial_product(xe1, xie1, xe2, xie2)` gives for its two monomials;
+    the plain product (None) has the one entry (0, xe1 + xe2, xie1 + xie2, 1).
+    An entry of order K adds W lift[K] times the numerator product; with
+    `phased` it also gains hbar^K and the phase i^K, applied as a swap and
+    sign. Only int multiply-adds run per pair: each surviving sum is divided
+    once, by D_f D_g den, into one reduced Fraction pair and one QQi.
+    """
+    _check_same_dim(f, g)
+    df, f_terms = _numerators(f)
+    dg, g_terms = _numerators(g)
+    if phased:  # fold the sign of i^K into the weights; the swap stays below
+        lift = [-w if K & 2 else w for K, w in enumerate(lift)]
+    acc: dict = {}
+    for (h1, xe1, xie1), (a, b) in f_terms.items():
+        for (h2, xe2, xie2), (c, d) in g_terms.items():
+            re, im = a * c - b * d, a * d + b * c
+            h = h1 + h2
+            if monomial_product is None:
+                entries = ((0, tuple(map(add, xe1, xe2)), tuple(map(add, xie1, xie2)), 1),)
+            else:
+                entries = monomial_product(xe1, xie1, xe2, xie2)
+            for K, xe, xie, w in entries:
+                w *= lift[K]
+                if not w:
+                    continue
+                if phased:
+                    key = (h + K, xe, xie)
+                    cre, cim = (-im * w, re * w) if K & 1 else (re * w, im * w)
+                else:
+                    key = (h, xe, xie)
+                    cre, cim = re * w, im * w
+                slot = acc.get(key)
+                if slot is None:
+                    acc[key] = [cre, cim]
+                else:
+                    slot[0] += cre
+                    slot[1] += cim
+    D = df * dg * den
+    return PolySymbol._canonical(
+        f.dimension,
+        {
+            key: QQi._from_fractions(
+                Fraction(re, D) if re else _FRACTION_ZERO, Fraction(im, D) if im else _FRACTION_ZERO
+            )
+            for key, (re, im) in acc.items()
+            if re or im
+        },
+    )
 
 
 def compile_symbols(symbols: Sequence[PolySymbol]) -> Tuple[np.ndarray, np.ndarray]:
@@ -499,7 +572,8 @@ def symbol_from_literal(records, n: int) -> PolySymbol:
         re = parse_rational(rec.get("re", "0"))
         im = parse_rational(rec.get("im", "0"))
         h = rec.get("hbar", 0)
-        if not isinstance(h, int) or h < 0:
+        # type, not isinstance: JSON true and false arrive as bools, a subclass of int
+        if type(h) is not int or h < 0:
             raise ValueError(f"hbar power must be a non-negative integer, got {h!r}")
         xe = rec.get("x", [0] * n)
         xie = rec.get("xi", [0] * n)
@@ -507,10 +581,10 @@ def symbol_from_literal(records, n: int) -> PolySymbol:
             if (
                 not isinstance(exps, list)
                 or len(exps) != n
-                or any(not isinstance(e, int) or e < 0 for e in exps)
+                or any(type(e) is not int or e < 0 for e in exps)
             ):
                 raise ValueError(
-                    f"{label} exponents must be a length-{n} list of non-negative integers"
+                    f"{label} exponents must be a length-{n} list of non-negative integers, got {exps!r}"
                 )
         key = (h, tuple(xe), tuple(xie))
         c = QQi(re, im)

@@ -74,6 +74,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="hamiltonian"):
             config_from_dict({"hamiltonian": "no-such-thing"})
 
+    def test_half_square_norm_is_the_radial_hamiltonian(self):
+        from weylred.geometry import radial_hamiltonian
+
+        for n, kind in ((2, "circle"), (3, "sphere2")):
+            cfg = config_from_dict({"n": n, "fiber_kind": kind, "hamiltonian": "half-square-norm"})
+            assert cfg.hamiltonian.phi == radial_hamiltonian(n).phi
+            default = SuiteConfig(dimension=n, fiber_kind=kind).hamiltonian
+            assert default.phi == radial_hamiltonian(n).phi
+
+    def test_boolean_in_a_literal_rejected(self):
+        term = {"re": "1", "hbar": True, "x": [True, False], "xi": [0, 0]}
+        with pytest.raises(ConfigError, match="field 'hamiltonian': hbar"):
+            config_from_dict({"hamiltonian": [term]})
+
     def test_ellipse_needs_n2(self):
         with pytest.raises(ConfigError):
             config_from_dict(
@@ -157,6 +171,13 @@ class TestCLI:
         cfg.write_text(json.dumps({"hbar": [0.125, 0.5]}))
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "strictly decreasing" in capsys.readouterr().err
+
+    def test_boolean_exponent_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        term = {"re": "1", "x": [True, False], "xi": [0, 0]}
+        cfg.write_text(json.dumps({"hamiltonian": [term]}))
+        assert main(["identities", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "x exponents" in capsys.readouterr().err
 
     def test_bad_format_exit_two(self, tmp_path, capsys):
         assert main(["kernel", "--out", str(tmp_path), "--format", "xml"]) == 2

@@ -1,5 +1,8 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+from math import comb, factorial, perm
 
 import pytest
 
@@ -97,6 +100,60 @@ class TestMoyalStar:
         f = random_symbol(rng, 2, 4)
         g = random_symbol(rng, 2, 4)
         assert moyal_star(f, g).substitute_hbar_sign() == moyal_star(g, f)
+
+
+class TestIntegerProductLoop:
+    _QQI_ARITHMETIC = (
+        "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__neg__"
+    )
+
+    def test_products_run_no_qqi_arithmetic(self, monkeypatch):
+        f = angular_momentum(0, 1, 3) ** 3
+        g = angular_momentum(0, 2, 3) ** 2
+        calls = Counter()
+        for name in self._QQI_ARITHMETIC:
+
+            def counted(*args, _raw=QQi.__dict__[name], _name=name):
+                calls[_name] += 1
+                return _raw(*args)
+
+            monkeypatch.setattr(QQi, name, counted)
+        products = [
+            f * g,
+            moyal_star(f, g),
+            star_commutator(f, g),
+            f * Fraction(3, 7),
+            f * QQi(1, -2),
+            f.partial("x", 0),
+        ]
+        assert calls == Counter()
+        assert all(not p.is_zero() for p in products)
+
+    def test_coordinate_tables_are_integer(self):
+        # for all exponents <= 8: the stored R = 2^k k! r is an int, equal to the
+        # binomial sum and to the Fraction formula r the tables held before
+        for alpha, beta, gamma, delta in itertools.product(range(9), repeat=4):
+            table = {
+                k: (p, q, R, k_fact)
+                for k, p, q, R, k_fact in moyal._coordinate_product(alpha, beta, gamma, delta)
+            }
+            top = min(beta, gamma) + min(alpha, delta)
+            assert set(table) <= set(range(top + 1))
+            for k in range(top + 1):
+                falling = [
+                    (-1) ** (k - j) * perm(beta, j) * perm(alpha, k - j) * perm(gamma, j) * perm(delta, k - j)
+                    for j in range(k + 1)
+                ]
+                R = sum(comb(k, j) * ff for j, ff in enumerate(falling))
+                r = sum(
+                    Fraction(ff, 2**k * factorial(j) * factorial(k - j)) for j, ff in enumerate(falling)
+                )
+                assert R == r * 2**k * factorial(k)
+                if R:
+                    assert table[k] == (alpha + gamma - k, beta + delta - k, R, factorial(k))
+                    assert type(table[k][2]) is int
+                else:
+                    assert k not in table
 
 
 class TestStarCommutator:

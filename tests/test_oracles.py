@@ -12,6 +12,10 @@ No oracle here calls `weylred.moyal`:
   and Moyal (1949), applied term by term with sympy, and the textbook
   composition sum P^k(f, g) over all multi-indices |alpha| + |beta| = k,
   built from `PolySymbol.partial` and products.
+
+The references multiply with `_ref_product`, the plain product term by
+term in `QQi` arithmetic, so they never run the integer product loop that
+`PolySymbol.__mul__` and the star products share.
 """
 
 import random
@@ -20,6 +24,8 @@ from fractions import Fraction
 from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylred.moyal import (
     bidifferential_power,
@@ -35,6 +41,31 @@ from conftest import random_symbol
 M_MAX = 8
 N_MAX = 4
 EXPANSION_SECONDS = 8.0  # all 80 expansions; the dense solve needed well over 20 s
+
+def _ref_product(f, g):
+    """The plain product term by term in QQi arithmetic: the loop the integer product replaced."""
+    out = {}
+    for (h1, xe1, xie1), c1 in f.terms.items():
+        for (h2, xe2, xie2), c2 in g.terms.items():
+            key = (
+                h1 + h2,
+                tuple(a + b for a, b in zip(xe1, xe2)),
+                tuple(a + b for a, b in zip(xie1, xie2)),
+            )
+            prev = out.get(key)
+            total = c1 * c2 if prev is None else prev + c1 * c2
+            if total.is_zero():
+                out.pop(key, None)
+            else:
+                out[key] = total
+    return PolySymbol(f.dimension, out)
+
+
+def _ref_scaled(f, c, hbar_power=0):
+    """c hbar^hbar_power f, through the reference product."""
+    zero = (0,) * f.dimension
+    return _ref_product(PolySymbol(f.dimension, {(hbar_power, zero, zero): c}), f)
+
 
 # polynomials in (f, hbar): {(power of f, power of hbar): Fraction}
 
@@ -107,7 +138,7 @@ def star_basis_coefficients(m, powers):
 def _in_f(poly, f_powers, n):
     out = PolySymbol.zero(n)
     for (a, b), c in poly.items():
-        out = out + f_powers[a] * PolySymbol.hbar(n, b) * c
+        out = out + _ref_scaled(f_powers[a], QQi(c), b)
     return out
 
 
@@ -130,7 +161,7 @@ def test_angular_expansions_match_generating_function_up_to_m8_n4():
                 f = angular_momentum(i, j, n)
                 f_powers = [PolySymbol.one(n)]
                 for _ in range(M_MAX):
-                    f_powers.append(f_powers[-1] * f)
+                    f_powers.append(_ref_product(f_powers[-1], f))
                 star = [_in_f(p, f_powers, n) for p in powers]
                 for m in range(1, M_MAX + 1):
                     want = {
@@ -245,7 +276,7 @@ def _ref_bidifferential_power(f, g, k):
         if left.is_zero() or right.is_zero():
             continue
         coeff = Fraction(factorial(k), prod(factorial(e) for e in combined))
-        out = out + (-coeff if sum(beta) % 2 else coeff) * (left * right)
+        out = out + _ref_scaled(_ref_product(left, right), QQi(-coeff if sum(beta) % 2 else coeff))
     return out
 
 
@@ -256,7 +287,7 @@ def _ref_moyal_star(f, g):
     for k in range(min(f.total_degree(), g.total_degree()) + 1):
         scale = Fraction(1, 2**k * factorial(k))
         phase = (QQi(1), QQi(0, 1), QQi(-1), QQi(0, -1))[k % 4]
-        out = out + PolySymbol.hbar(n, k) * (phase * scale * _ref_bidifferential_power(f, g, k))
+        out = out + _ref_scaled(_ref_bidifferential_power(f, g, k), phase * scale, k)
     return out
 
 
@@ -271,3 +302,58 @@ def test_exact_layer_matches_composition_sum(seed):
         assert star_commutator(f, g) == star - _ref_moyal_star(g, f)
         for k in range(7):
             assert bidifferential_power(f, g, k) == _ref_bidifferential_power(f, g, k)
+
+
+# -- hostile denominators ------------------------------------------------------
+
+_HOSTILE_DENOMINATORS = (1, 3, 11, 997, 2**31 - 1, 10**9 + 7, 10**9 + 9)
+
+
+def _hostile_symbol_pairs():
+    """Two hbar-carrying Q(i) symbols of one dimension n <= 3, degree <= 3,
+    with large coprime coefficient denominators."""
+    part = st.builds(
+        Fraction,
+        st.one_of(st.integers(-12, 12), st.integers(-(10**12), 10**12)),
+        st.sampled_from(_HOSTILE_DENOMINATORS),
+    )
+    coefficient = st.builds(QQi, part, part).filter(lambda c: not c.is_zero())
+
+    def pair(n):
+        exps = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(lambda e: sum(e) <= 3)
+        keys = st.tuples(st.integers(0, 2), exps.map(tuple), exps.map(tuple))
+        symbol = st.dictionaries(keys, coefficient, min_size=1, max_size=4).map(
+            lambda terms: PolySymbol(n, terms)
+        )
+        return st.tuples(symbol, symbol)
+
+    return st.integers(1, 3).flatmap(pair)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_hostile_symbol_pairs(), st.sampled_from(["drawn", "sum and difference", "equal"]))
+def test_products_match_references_on_hostile_denominators(fg, shape):
+    f, g = fg
+    if shape == "sum and difference":  # (f + g)(f - g): the cross terms of the plain product cancel
+        f, g = f + g, f - g
+    elif shape == "equal":  # f * f - f * f: every term of the commutator cancels
+        g = f
+    got = {
+        "product": f * g,
+        "star": moyal_star(f, g),
+        "commutator": star_commutator(f, g),
+        "P^2": bidifferential_power(f, g, 2),
+    }
+    want = {
+        "product": _ref_product(f, g),
+        "star": _ref_moyal_star(f, g),
+        "commutator": _ref_moyal_star(f, g) - _ref_moyal_star(g, f),
+        "P^2": _ref_bidifferential_power(f, g, 2),
+    }
+    assert got == want
+    for symbol in got.values():
+        for c in symbol.terms.values():
+            assert not c.is_zero()
+            assert type(c.re) is Fraction and type(c.im) is Fraction
+    if shape == "equal":
+        assert got["commutator"].is_zero()

@@ -63,6 +63,30 @@ class TestRingOps:
         assert f.terms == {}
 
 
+class TestConstructor:
+    @pytest.mark.parametrize(
+        "key",
+        [
+            (0, (1.7, 0), (0, 0)),
+            (0, (1.0, 0), (0, 0)),
+            (0, (0, 0), (0, Fraction(1, 2))),
+            (0.5, (0, 0), (0, 0)),
+            (0, (True, False), (0, 0)),
+            (0, (0, 0), (np.True_, 0)),
+            (True, (0, 0), (0, 0)),
+        ],
+    )
+    def test_non_integer_exponents_rejected(self, key):
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            PolySymbol(2, {key: 1})
+
+    def test_numpy_integer_exponents_accepted(self):
+        key = (np.int64(1), (np.int32(1), np.int64(0)), (np.uint8(0), 2))
+        f = PolySymbol(2, {key: 3})
+        assert f == 3 * PolySymbol.hbar(2) * x(0) * xi(1) * xi(1)
+        assert all(type(e) is int for h, xe, xie in f.terms for e in (h, *xe, *xie))
+
+
 class TestPartial:
     def test_power_rule(self):
         f = x(0) * x(0) * xi(1)
@@ -278,6 +302,19 @@ class TestLiteralFormat:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             symbol_from_literal([{"re": "1", "x": [-1, 0], "xi": [0, 0]}], 2)
+
+    @pytest.mark.parametrize(
+        "record, field",
+        [
+            ({"re": "1", "hbar": True, "x": [0, 0], "xi": [0, 0]}, "hbar"),
+            ({"re": "1", "hbar": False, "x": [0, 0], "xi": [0, 0]}, "hbar"),
+            ({"re": "1", "x": [True, False], "xi": [0, 0]}, "x"),
+            ({"re": "1", "x": [0, 0], "xi": [0, True]}, "xi"),
+        ],
+    )
+    def test_boolean_exponents_rejected(self, record, field):
+        with pytest.raises(ValueError, match=rf"^{field} "):
+            symbol_from_literal([record], 2)
 
     def test_parse_rational(self):
         assert parse_rational("3/4") == 0.75
