@@ -5,11 +5,12 @@ Layers:
 - ``rational`` / ``symbols`` / ``moyal``: exact polynomial phase-space
   algebra over the Gaussian rationals, including the star product and
   star-basis expansions.
-- ``geometry``: level-set models, coarea densities, and induced
-  divergences of tangent vector fields.
+- ``geometry``: level-set models (``SphereFiber`` for circles and
+  2-spheres, ``LevelSetModel`` for implicit curves and lines), coarea
+  densities, and induced divergences of tangent vector fields.
 - ``dint``: the direct-integral decomposition (position and momentum
   sides), decomposable operators, and strong commutation checks.
-- ``fiber``: sphere fibers, midpoint-kernel quantization, generator
+- ``fiber``: midpoint-kernel quantization on sphere fibers, generator
   matrices, and the evolution group.
 - ``sweep``: semiclassical residual sweeps for separable circle symbols.
 - ``config`` / ``report`` / ``cli``: the verification harness.

@@ -331,19 +331,21 @@ def _run_unitarity(cfg: SuiteConfig, report: Report) -> None:
 
 def _run_commutation(cfg: SuiteConfig, report: Report) -> None:
     n = cfg.dimension
-    grid = build_grid(
-        cfg.hamiltonian,
-        cfg.fiber_kind,
-        max(cfg.lambda_range[0], 1e-6),
-        cfg.lambda_range[1],
-        min(cfg.n_lambda, 16),
-        cfg.fiber_nodes,
-        n_polar=cfg.n_polar,
-        n_azimuth=cfg.n_azimuth,
-    )
     suite = gaussian_poly_suite(n)
 
     def check():
+        # built inside the check: a level set the configured hamiltonian does
+        # not have (a non-radial phi on sphere2) fails this record by name
+        grid = build_grid(
+            cfg.hamiltonian,
+            cfg.fiber_kind,
+            max(cfg.lambda_range[0], 1e-6),
+            cfg.lambda_range[1],
+            min(cfg.n_lambda, 16),
+            cfg.fiber_nodes,
+            n_polar=cfg.n_polar,
+            n_azimuth=cfg.n_azimuth,
+        )
         res = strong_commutation_check(cfg.vector_field, suite[3], cfg.hbar_list[0], grid)
         return res, None, res < cfg.tolerance
 
@@ -497,7 +499,10 @@ def main(argv=None) -> int:
     paths = emit_report(report, out_dir, formats)
     for rec in report.records:
         status = "PASS" if rec.passed else "FAIL"
-        resid = "exact" if rec.residual is None else f"{rec.residual:.3e}"
+        if "error" in rec.params:
+            resid = rec.params["error"]
+        else:
+            resid = "exact" if rec.residual is None else f"{rec.residual:.3e}"
         print(f"[{status}] {rec.name}: {resid}")
     print(f"report: {', '.join(str(p) for p in paths)}")
     return 0 if report.verdict else 1

@@ -13,7 +13,7 @@ from typing import Callable, List
 
 import numpy as np
 
-from .fiber import FiberFunction, FiberOperator, SphereFiber, fiber_JX_apply
+from .fiber import FiberFunction, FiberOperator, fiber_JX_apply
 from .geometry import (
     ScalarHamiltonian,
     SingularPoint,
@@ -25,6 +25,8 @@ from .geometry import (
     jacobian_wedge_norm,
     line_level_set,
     rho as rho_at,
+    sphere2_level_set,
+    unit_sphere_grid,
     _radial_newton,
 )
 from .symbols import VectorField
@@ -89,47 +91,74 @@ def build_grid(
     down to very small regular levels (where integrands behave like
     fractional powers of lambda).
     """
-    if lam_max <= lam_min:
-        raise EmptyRange(f"empty lambda range [{lam_min}, {lam_max}]")
-    level_sets = {
-        "circle": lambda lam: circle_level_set(hamiltonian, lam, fiber_nodes),
-        "implicit-curve": lambda lam: implicit_curve_level_set(hamiltonian, lam, fiber_nodes),
-        "line": lambda lam: line_level_set(hamiltonian, lam, box, fiber_nodes),
-    }
-    if fiber_kind not in level_sets and fiber_kind != "sphere2":
-        raise ValueError(f"unknown fiber kind {fiber_kind!r}")
-    radial = fiber_kind in ("circle", "sphere2")
-    use_radial_sub = substitution == "radial" or (substitution == "auto" and radial)
-    t, wt = np.polynomial.legendre.leggauss(n_lambda)
-    e1 = np.zeros(hamiltonian.dimension)
-    e1[0] = 1.0
-    try:
-        if use_radial_sub:
+
+    def gauss_levels():
+        t, wt = np.polynomial.legendre.leggauss(n_lambda)
+        radial = fiber_kind in ("circle", "sphere2")
+        if substitution == "radial" or (substitution == "auto" and radial):
+            e1 = np.eye(hamiltonian.dimension)[0]
             r_lo = _radial_newton(hamiltonian, e1, lam_min, max(math.sqrt(abs(lam_min)), 1e-3))
             r_hi = _radial_newton(hamiltonian, e1, lam_max, max(math.sqrt(abs(lam_max)), 1e-3))
             r_nodes = 0.5 * (r_hi - r_lo) * t + 0.5 * (r_hi + r_lo)
             r_w = 0.5 * (r_hi - r_lo) * wt
-            lam_nodes = hamiltonian.value(r_nodes[:, None] * e1)
             jac = hamiltonian.grad(r_nodes[:, None] * e1) @ e1
-            lam_weights = r_w * jac
-        else:
-            lam_nodes = 0.5 * (lam_max - lam_min) * t + 0.5 * (lam_max + lam_min)
-            lam_weights = 0.5 * (lam_max - lam_min) * wt
-        if fiber_kind == "sphere2":
-            unit = SphereFiber.sphere(1.0, n_polar, n_azimuth)
-        fibers: List[object] = []
-        rho_list: List[np.ndarray] = []
-        for lam in lam_nodes:
-            lam = float(lam)
-            if fiber_kind == "sphere2":
-                r = _radial_newton(hamiltonian, e1, lam, max(math.sqrt(abs(lam)), 1e-3))
-                fiber = unit.scaled(r)
-                rho_values = rho_at([hamiltonian], fiber.nodes)
-            else:
-                fiber = level_sets[fiber_kind](lam)
-                rho_values = fiber.rho_values
-            fibers.append(fiber)
-            rho_list.append(rho_values)
+            return hamiltonian.value(r_nodes[:, None] * e1), r_w * jac
+        return (
+            0.5 * (lam_max - lam_min) * t + 0.5 * (lam_max + lam_min),
+            0.5 * (lam_max - lam_min) * wt,
+        )
+
+    return _fill_grid(
+        hamiltonian, fiber_kind, lam_min, lam_max, gauss_levels,
+        fiber_nodes, n_polar, n_azimuth, box,
+    )
+
+
+def uniform_grid(
+    hamiltonian: ScalarHamiltonian,
+    fiber_kind: str,
+    lam_min: float,
+    lam_max: float,
+    n_lambda: int,
+    fiber_nodes: int = 256,
+    *,
+    n_polar: int = 24,
+    n_azimuth: int = 48,
+    box: float = 8.0,
+) -> LambdaGrid:
+    """Uniformly spaced lambda nodes (trapezoid weights) for probes that
+    need equispaced levels rather than Gauss nodes."""
+
+    def uniform_levels():
+        w = np.full(n_lambda, (lam_max - lam_min) / (n_lambda - 1))
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        return np.linspace(lam_min, lam_max, n_lambda), w
+
+    return _fill_grid(
+        hamiltonian, fiber_kind, lam_min, lam_max, uniform_levels,
+        fiber_nodes, n_polar, n_azimuth, box,
+    )
+
+
+def _fill_grid(
+    hamiltonian, fiber_kind, lam_min, lam_max, levels, fiber_nodes, n_polar, n_azimuth, box
+) -> LambdaGrid:
+    """One fiber, and rho on its nodes, per lambda node from `levels()` -> (nodes, weights)."""
+    level_set = {
+        "circle": lambda lam: circle_level_set(hamiltonian, lam, fiber_nodes),
+        "sphere2": lambda lam: sphere2_level_set(hamiltonian, lam, n_polar, n_azimuth),
+        "implicit-curve": lambda lam: implicit_curve_level_set(hamiltonian, lam, fiber_nodes),
+        "line": lambda lam: line_level_set(hamiltonian, lam, box, fiber_nodes),
+    }.get(fiber_kind)
+    if level_set is None:
+        raise ValueError(f"unknown fiber kind {fiber_kind!r}")
+    if lam_max <= lam_min:
+        raise EmptyRange(f"empty lambda range [{lam_min}, {lam_max}]")
+    try:
+        lam_nodes, lam_weights = levels()
+        fibers = [level_set(float(lam)) for lam in lam_nodes]
+        rho_list = [rho_at([hamiltonian], fiber.nodes) for fiber in fibers]
     except SingularPoint as exc:
         raise SingularLevel(str(exc)) from exc
     return LambdaGrid([hamiltonian], lam_nodes, lam_weights, fibers, rho_list)
@@ -199,38 +228,22 @@ def ambient_integral(
 ) -> float:
     """Polar/spherical quadrature of a rapidly decaying ambient field.
 
-    Radial Gauss-Legendre on [0, box] crossed with uniform angles (n=2) or
-    Gauss-Legendre in cos(polar) x uniform azimuth (n=3); smooth for
-    integrands of the form (smooth) * |x| that defeat Cartesian grids.
+    Radial Gauss-Legendre on [0, box] crossed with the unit sphere grid:
+    uniform angles (n=2) or Gauss-Legendre in cos(polar) x uniform azimuth
+    (n=3); smooth for integrands of the form (smooth) * |x| that defeat
+    Cartesian grids.
     """
+    if dimension == 2:
+        unit = unit_sphere_grid(2, n_ang)
+    elif dimension == 3:
+        unit = unit_sphere_grid(3, max(n_ang // 2, 8), n_ang)
+    else:
+        raise ValueError("ambient quadrature implemented for n = 2, 3")
     r, wr = np.polynomial.legendre.leggauss(n_r)
     r = 0.5 * (box - r_min) * (r + 1) + r_min
     wr = 0.5 * (box - r_min) * wr
-    if dimension == 2:
-        th = 2 * math.pi * np.arange(n_ang) / n_ang
-        R, T = np.meshgrid(r, th, indexing="ij")
-        pts = np.stack([(R * np.cos(T)).ravel(), (R * np.sin(T)).ravel()], axis=1)
-        W = np.outer(wr * r, np.full(n_ang, 2 * math.pi / n_ang)).ravel()
-    elif dimension == 3:
-        mu, wmu = np.polynomial.legendre.leggauss(max(n_ang // 2, 8))
-        th = 2 * math.pi * np.arange(n_ang) / n_ang
-        R, M, T = np.meshgrid(r, mu, th, indexing="ij")
-        S = np.sqrt(1 - M**2)
-        pts = np.stack(
-            [
-                (R * S * np.cos(T)).ravel(),
-                (R * S * np.sin(T)).ravel(),
-                (R * M).ravel(),
-            ],
-            axis=1,
-        )
-        W = (
-            (wr * r * r)[:, None, None]
-            * wmu[None, :, None]
-            * np.full(n_ang, 2 * math.pi / n_ang)[None, None, :]
-        ).ravel()
-    else:
-        raise ValueError("ambient quadrature implemented for n = 2, 3")
+    pts = (r[:, None, None] * unit.nodes[None, :, :]).reshape(-1, dimension)
+    W = np.outer(wr * r ** (dimension - 1), unit.weights).ravel()
     vals = call_on_nodes(func, pts)
     return float(np.real(np.sum(W * vals)))
 
@@ -419,39 +432,3 @@ def gaussian_poly_suite(n: int) -> List[TestFunction]:
         ),
     ]
     return suite
-
-
-def uniform_grid(
-    hamiltonian: ScalarHamiltonian,
-    fiber_kind: str,
-    lam_min: float,
-    lam_max: float,
-    n_lambda: int,
-    fiber_nodes: int = 256,
-    **kwargs,
-) -> LambdaGrid:
-    """Uniformly spaced lambda nodes (trapezoid weights) for probes that
-    need equispaced levels rather than Gauss nodes."""
-    if lam_max <= lam_min:
-        raise EmptyRange(f"empty lambda range [{lam_min}, {lam_max}]")
-    lam = np.linspace(lam_min, lam_max, n_lambda)
-    w = np.full(n_lambda, (lam_max - lam_min) / (n_lambda - 1))
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    fibers = []
-    rho_list = []
-    try:
-        for value in lam:
-            if fiber_kind == "circle":
-                m = circle_level_set(hamiltonian, float(value), fiber_nodes)
-            elif fiber_kind == "implicit-curve":
-                m = implicit_curve_level_set(hamiltonian, float(value), fiber_nodes)
-            elif fiber_kind == "line":
-                m = line_level_set(hamiltonian, float(value), kwargs.get("box", 8.0), fiber_nodes)
-            else:
-                raise ValueError("uniform_grid supports planar fiber kinds")
-            fibers.append(m)
-            rho_list.append(m.rho_values)
-    except SingularPoint as exc:
-        raise SingularLevel(str(exc)) from exc
-    return LambdaGrid([hamiltonian], lam, w, fibers, rho_list)

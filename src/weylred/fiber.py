@@ -3,21 +3,22 @@
 Geodesic midpoint map, stereographic charts with their metric density, the
 explicit midpoint kernel built from the vertical Fourier transform of a
 symbol, the fiber operator -i hbar (X + div X / 2), and the associated
-one-parameter flow propagator.
+one-parameter flow propagator. The sphere grids (`SphereFiber`) are
+defined in `geometry`, next to the other level-set models.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
 from .geometry import (
     LevelSetModel,
     NotTangent,
+    SphereFiber,
     call_on_nodes,
     induced_divergence,
     tangency_residual,
@@ -31,145 +32,12 @@ class AntipodalPair(ValueError):
     """The midpoint map is undefined for antipodal points."""
 
 
-@dataclass(frozen=True)
-class SphereFiber:
-    """Quadrature model of the sphere of radius r in R^n (n = 2 or 3).
-
-    Circle grids are uniform in angle (trapezoid rule, spectral for smooth
-    periodic data); 2-sphere grids are Gauss-Legendre in cos(polar) times a
-    uniform azimuth grid, stored polar-major.
-    """
-
-    ambient_dim: int
-    radius: float
-    nodes: np.ndarray
-    weights: np.ndarray
-    thetas: Optional[np.ndarray] = None  # circle angle per node (n=2)
-    mu: Optional[np.ndarray] = None  # cos(polar) Gauss nodes (n=3)
-    n_azimuth: Optional[int] = None
-
-    def __post_init__(self):
-        r = self.radius
-        norms = np.linalg.norm(self.nodes, axis=1)
-        if np.max(np.abs(norms - r)) > 1e-12 * max(1.0, r):
-            raise ValueError("fiber nodes are off the sphere")
-        target = 2 * math.pi * r if self.ambient_dim == 2 else 4 * math.pi * r * r
-        if abs(self.weights.sum() - target) > 1e-10 * target:
-            raise ValueError("quadrature weights do not reproduce the volume")
-        if self.thetas is not None:
-            # the offset pair geometry of `kernel_pairs` relies on this grid
-            n = self.n_nodes
-            uniform = 2 * math.pi * np.arange(n) / n
-            if (
-                self.ambient_dim != 2
-                or np.shape(self.thetas) != (n,)
-                or np.max(np.abs(self.thetas - uniform)) > 1e-12
-                or np.max(np.abs(self.nodes - r * _unit_circle(uniform))) > 1e-12 * r
-            ):
-                raise ValueError("circle nodes must be r (cos, sin)(2 pi k / N) in order k = 0..N-1")
-
-    @classmethod
-    def circle(cls, radius: float, n_nodes: int = 256) -> "SphereFiber":
-        thetas = 2 * math.pi * np.arange(n_nodes) / n_nodes
-        nodes = radius * _unit_circle(thetas)
-        weights = np.full(n_nodes, 2 * math.pi * radius / n_nodes)
-        return cls(2, radius, nodes, weights, thetas=thetas)
-
-    @classmethod
-    def sphere(cls, radius: float, n_polar: int = 24, n_azimuth: int = 48) -> "SphereFiber":
-        mu, wmu = np.polynomial.legendre.leggauss(n_polar)
-        betas = 2 * math.pi * np.arange(n_azimuth) / n_azimuth
-        M, B = np.meshgrid(mu, betas, indexing="ij")  # polar-major
-        S = np.sqrt(1 - M**2)
-        nodes = np.stack([S * np.cos(B), S * np.sin(B), M], axis=-1).reshape(-1, 3)
-        weights = np.repeat(wmu * 2 * math.pi / n_azimuth, n_azimuth)
-        unit = cls(3, 1.0, nodes, weights, mu=mu, n_azimuth=n_azimuth)
-        return unit if radius == 1.0 else unit.scaled(radius)
-
-    def scaled(self, radius: float) -> "SphereFiber":
-        """The same grid on the sphere of the given radius (from a unit-radius grid)."""
-        if self.radius != 1.0:
-            raise ValueError("only a unit-radius grid can be scaled")
-        factor = radius ** (self.ambient_dim - 1)
-        return replace(
-            self, radius=radius, nodes=radius * self.nodes, weights=factor * self.weights
-        )
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.nodes)
-
-    @cached_property
-    def pair_angles(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Angle between every node pair (N, N) and the antipodal mask |z + w| <= 1e-9 r.
-
-        Built on first use and kept in the instance dict, outside the fields:
-        `scaled` and `dataclasses.replace` make a new instance without it.
-        """
-        Z = self.nodes
-        r = self.radius
-        theta = np.arccos(np.clip((Z @ Z.T) / (r * r), -1.0, 1.0))
-        anti = np.linalg.norm(Z[:, None, :] + Z[None, :, :], axis=2) <= 1e-9 * r
-        return theta, anti
-
-    def kernel_pairs(self, reach: float):
-        """Midpoint geometry of the non-antipodal node pairs within geodesic distance reach.
-
-        Returns (rows, cols, arc, M, U): the pair indices, the geodesic
-        distance r theta, the geodesic midpoint and the unit chord direction
-        (z_row - z_col)/|z_row - z_col| (0 on the diagonal), one entry per pair.
-
-        On a uniform circle the geometry of a pair depends only on its node
-        offset d = row - col: theta = 2 pi |d| / N, and the midpoint sits at
-        the angle phi = theta_col + pi d / N with chord direction
-        (-sin phi, cos phi). Offsets 1 <= d < N/2 are built directly, the
-        mirrored pair (col, row) reuses the midpoint with the negated
-        direction, and antipodes (d = N/2) never enter. Other grids use
-        `pair_angles`.
-        """
-        if self.thetas is None:
-            return self._kernel_pairs_from_angles(reach)
-        r, n = self.radius, self.n_nodes
-        offsets = np.arange(1, (n + 1) // 2)
-        arcs = r * (2 * math.pi * offsets / n)
-        keep = arcs <= reach
-        offsets, arcs = offsets[keep], arcs[keep]
-        cols = np.broadcast_to(np.arange(n), (len(offsets), n)).ravel()
-        rows = (cols + np.repeat(offsets, n)) % n
-        phi = self.thetas[cols] + np.repeat(math.pi * offsets / n, n)
-        cos, sin = np.cos(phi), np.sin(phi)
-        mid = r * np.stack([cos, sin], axis=1)
-        chord = np.stack([-sin, cos], axis=1)
-        arc = np.repeat(arcs, n)
-        diag = np.arange(n)
-        return (
-            np.concatenate([diag, rows, cols]),
-            np.concatenate([diag, cols, rows]),
-            np.concatenate([np.zeros(n), arc, arc]),
-            np.concatenate([self.nodes, mid, mid]),
-            np.concatenate([np.zeros((n, 2)), chord, -chord]),
-        )
-
-    def _kernel_pairs_from_angles(self, reach: float):
-        Z, r = self.nodes, self.radius
-        theta, anti = self.pair_angles
-        keep = ~anti & (r * theta <= reach)
-        rows, cols = np.nonzero(keep)
-        S = Z[rows] + Z[cols]
-        M = r * S / np.linalg.norm(S, axis=1)[:, None]
-        D = Z[rows] - Z[cols]
-        nd = np.linalg.norm(D, axis=1)
-        U = D / np.where(nd < 1e-15, 1.0, nd)[:, None]
-        return rows, cols, r * theta[keep], M, U
-
-
-def _unit_circle(angles: np.ndarray) -> np.ndarray:
-    return np.stack([np.cos(angles), np.sin(angles)], axis=1)
-
-
 @dataclass
 class FiberFunction:
-    """Node values of a function on a fiber (SphereFiber or LevelSetModel).
+    """Node values of a function on a fiber.
+
+    The fiber is a `SphereFiber` (circles and 2-spheres, the level sets of a
+    radial phi) or a `LevelSetModel` (implicit curves and lines).
 
     `gradients` (ambient gradient per node) and `func` (ambient callable,
     called once on an (N, n) point array and giving (N,)) are optional

@@ -2,15 +2,16 @@
 
 Densities from the Gram determinant of the gradients, projections onto the
 tangent spaces, induced divergence on fibers, the ambient J_Y operator, and
-quadrature models of single level sets (circles, 2-spheres, implicit planar
-curves, affine lines).
+quadrature models of single level sets: `SphereFiber` for circles and
+2-spheres, `LevelSetModel` for implicit planar curves and affine lines.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -314,13 +315,176 @@ def moment_map_eval(generators: Sequence[VectorField], x, xi) -> np.ndarray:
 # -- level set models --------------------------------------------------
 
 
+@dataclass(frozen=True)
+class SphereFiber:
+    """Quadrature model of the sphere of radius r in R^n (n = 2 or 3).
+
+    The one model of the level sets of a radial phi (`circle_level_set`,
+    `sphere2_level_set`). Circle grids are uniform in angle (trapezoid rule,
+    spectral for smooth periodic data); 2-sphere grids are Gauss-Legendre in
+    cos(polar) times a uniform azimuth grid, stored polar-major.
+    """
+
+    ambient_dim: int
+    radius: float
+    nodes: np.ndarray
+    weights: np.ndarray
+    thetas: Optional[np.ndarray] = None  # circle angle per node (n=2)
+    mu: Optional[np.ndarray] = None  # cos(polar) Gauss nodes (n=3)
+    n_azimuth: Optional[int] = None
+
+    def __post_init__(self):
+        r = self.radius
+        norms = np.sqrt(np.einsum("ia,ia->i", self.nodes, self.nodes))
+        if np.max(np.abs(norms - r)) > 1e-12 * max(1.0, r):
+            raise ValueError("fiber nodes are off the sphere")
+        target = 2 * math.pi * r if self.ambient_dim == 2 else 4 * math.pi * r * r
+        if abs(self.weights.sum() - target) > 1e-10 * target:
+            raise ValueError("quadrature weights do not reproduce the volume")
+        if self.thetas is not None:
+            # the offset pair geometry of `kernel_pairs` relies on this grid
+            n = self.n_nodes
+            uniform = 2 * math.pi * np.arange(n) / n
+            if (
+                self.ambient_dim != 2
+                or np.shape(self.thetas) != (n,)
+                or np.max(np.abs(self.thetas - uniform)) > 1e-12
+                or np.max(np.abs(self.nodes - r * _unit_circle(uniform))) > 1e-12 * r
+            ):
+                raise ValueError("circle nodes must be r (cos, sin)(2 pi k / N) in order k = 0..N-1")
+
+    @classmethod
+    def circle(cls, radius: float, n_nodes: int = 256) -> "SphereFiber":
+        thetas = 2 * math.pi * np.arange(n_nodes) / n_nodes
+        nodes = radius * _unit_circle(thetas)
+        weights = np.full(n_nodes, 2 * math.pi * radius / n_nodes)
+        return cls(2, radius, nodes, weights, thetas=thetas)
+
+    @classmethod
+    def sphere(cls, radius: float, n_polar: int = 24, n_azimuth: int = 48) -> "SphereFiber":
+        mu, wmu = np.polynomial.legendre.leggauss(n_polar)
+        betas = 2 * math.pi * np.arange(n_azimuth) / n_azimuth
+        M, B = np.meshgrid(mu, betas, indexing="ij")  # polar-major
+        S = np.sqrt(1 - M**2)
+        nodes = np.stack([S * np.cos(B), S * np.sin(B), M], axis=-1).reshape(-1, 3)
+        weights = np.repeat(wmu * 2 * math.pi / n_azimuth, n_azimuth)
+        unit = cls(3, 1.0, nodes, weights, mu=mu, n_azimuth=n_azimuth)
+        return unit if radius == 1.0 else unit.scaled(radius)
+
+    def scaled(self, radius: float) -> "SphereFiber":
+        """The same grid on the sphere of the given radius (from a unit-radius grid)."""
+        if self.radius != 1.0:
+            raise ValueError("only a unit-radius grid can be scaled")
+        factor = radius ** (self.ambient_dim - 1)
+        return replace(
+            self, radius=radius, nodes=radius * self.nodes, weights=factor * self.weights
+        )
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.nodes)
+
+    @cached_property
+    def pair_angles(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Angle between every node pair (N, N) and the antipodal mask |z + w| <= 1e-9 r.
+
+        Built on first use and kept in the instance dict, outside the fields:
+        `scaled` and `dataclasses.replace` make a new instance without it.
+        """
+        Z = self.nodes
+        r = self.radius
+        theta = np.arccos(np.clip((Z @ Z.T) / (r * r), -1.0, 1.0))
+        anti = np.linalg.norm(Z[:, None, :] + Z[None, :, :], axis=2) <= 1e-9 * r
+        return theta, anti
+
+    def kernel_pairs(self, reach: float):
+        """Midpoint geometry of the non-antipodal node pairs within geodesic distance reach.
+
+        Returns (rows, cols, arc, M, U): the pair indices, the geodesic
+        distance r theta, the geodesic midpoint and the unit chord direction
+        (z_row - z_col)/|z_row - z_col| (0 on the diagonal), one entry per pair.
+
+        On a uniform circle the geometry of a pair depends only on its node
+        offset d = row - col: theta = 2 pi |d| / N, and the midpoint sits at
+        the angle phi = theta_col + pi d / N with chord direction
+        (-sin phi, cos phi). Offsets 1 <= d < N/2 are built directly, the
+        mirrored pair (col, row) reuses the midpoint with the negated
+        direction, and antipodes (d = N/2) never enter. Other grids use
+        `pair_angles`.
+        """
+        if self.thetas is None:
+            return self._kernel_pairs_from_angles(reach)
+        r, n = self.radius, self.n_nodes
+        offsets = np.arange(1, (n + 1) // 2)
+        arcs = r * (2 * math.pi * offsets / n)
+        keep = arcs <= reach
+        offsets, arcs = offsets[keep], arcs[keep]
+        cols = np.broadcast_to(np.arange(n), (len(offsets), n)).ravel()
+        rows = (cols + np.repeat(offsets, n)) % n
+        phi = self.thetas[cols] + np.repeat(math.pi * offsets / n, n)
+        cos, sin = np.cos(phi), np.sin(phi)
+        mid = r * np.stack([cos, sin], axis=1)
+        chord = np.stack([-sin, cos], axis=1)
+        arc = np.repeat(arcs, n)
+        diag = np.arange(n)
+        return (
+            np.concatenate([diag, rows, cols]),
+            np.concatenate([diag, cols, rows]),
+            np.concatenate([np.zeros(n), arc, arc]),
+            np.concatenate([self.nodes, mid, mid]),
+            np.concatenate([np.zeros((n, 2)), chord, -chord]),
+        )
+
+    def _kernel_pairs_from_angles(self, reach: float):
+        Z, r = self.nodes, self.radius
+        theta, anti = self.pair_angles
+        keep = ~anti & (r * theta <= reach)
+        rows, cols = np.nonzero(keep)
+        S = Z[rows] + Z[cols]
+        M = r * S / np.linalg.norm(S, axis=1)[:, None]
+        D = Z[rows] - Z[cols]
+        nd = np.linalg.norm(D, axis=1)
+        U = D / np.where(nd < 1e-15, 1.0, nd)[:, None]
+        return rows, cols, r * theta[keep], M, U
+
+
+def _unit_circle(angles: np.ndarray) -> np.ndarray:
+    return np.stack([np.cos(angles), np.sin(angles)], axis=1)
+
+
+@lru_cache(maxsize=32)
+def unit_sphere_grid(dimension: int, *sizes: int) -> SphereFiber:
+    """The unit-radius circle (sizes: n_nodes) or 2-sphere (n_polar, n_azimuth) grid.
+
+    Built once per size and shared, so its arrays are read-only; callers
+    scale it (`SphereFiber.scaled` copies the nodes and weights and shares
+    `thetas` and `mu`).
+    """
+    unit = SphereFiber.circle(1.0, *sizes) if dimension == 2 else SphereFiber.sphere(1.0, *sizes)
+    for array in (unit.nodes, unit.weights, unit.thetas, unit.mu):
+        if array is not None:
+            array.flags.writeable = False
+    return unit
+
+
+def _require_on_level(hams, level, nodes: np.ndarray) -> None:
+    """Raise ValueError naming the first node where some phi_j is off its level."""
+    for h, lam in zip(hams, level):
+        values = h.value(nodes)
+        off = np.flatnonzero(~(np.abs(values - lam) <= NODE_TOL * (1 + abs(lam))))
+        if off.size:
+            i = off[0]
+            raise ValueError(f"node {i} ({nodes[i]}) off the level set: phi={values[i]} vs {lam}")
+
+
 @dataclass
 class LevelSetModel:
-    """One fiber of the level-set foliation, with quadrature and density.
+    """A fiber of the level-set foliation that is not a sphere (implicit curve, line).
 
-    nodes carry weights discretizing the Riemannian measure eta_lambda and
-    rho at every node; `chart` exposes the parametrization used for the
-    finite-difference divergence oracle.
+    nodes carry weights discretizing the Riemannian measure eta_lambda;
+    `chart` exposes the parametrization used for curve derivatives and the
+    finite-difference divergence oracle. The density rho is not stored: the
+    lambda-grid builders compute it once per fiber.
     """
 
     hamiltonians: List[ScalarHamiltonian]
@@ -328,24 +492,12 @@ class LevelSetModel:
     fiber_kind: str
     nodes: np.ndarray
     weights: np.ndarray
-    rho_values: np.ndarray
     chart: Optional["FiberChart"] = None
 
     def __post_init__(self):
         self.level = np.atleast_1d(np.asarray(self.level, dtype=float))
-        values = np.stack(
-            [h.value(self.nodes) for h, _ in zip(self.hamiltonians, self.level)]
-        )
-        level = self.level[: len(values), None]
-        off = ~(np.abs(values - level) <= NODE_TOL * (1 + np.abs(level)))
-        if off.any():
-            i, j = np.unravel_index(np.argmax(off.T), off.T.shape)
-            raise ValueError(
-                f"node {i} off the level set: phi={values[j, i]} vs {level[j, 0]}"
-            )
-        if not np.all(np.isfinite(self.rho_values)) or np.any(self.rho_values <= 0):
-            raise SingularPoint("rho must be finite and positive at every node")
-        if np.any(self.weights <= 0):
+        _require_on_level(self.hamiltonians, self.level, self.nodes)
+        if not np.all(self.weights > 0):
             raise ValueError("quadrature weights must be positive")
 
     @property
@@ -358,22 +510,27 @@ class LevelSetModel:
 
 @dataclass
 class FiberChart:
-    """Parametrization data for the FD divergence oracle and curve derivatives.
+    """Parametrization of a curve fiber, for curve derivatives and the FD divergence oracle.
 
-    kind 'circle'/'implicit-curve': point(t), velocity(t) for t in [0, 2pi).
-    kind 'sphere2': ambient radius only; charts are built per-node.
+    kind 'implicit-curve' (t in [0, 2pi), uniform periodic parameters) or
+    'line' (Gauss-Legendre parameters): point(t) and velocity(t), with the
+    parameter and dz/dt at every node.
     """
 
     kind: str
     point: Optional[Callable[[float], np.ndarray]] = None
     velocity: Optional[Callable[[float], np.ndarray]] = None
-    radius: Optional[float] = None
     params: Optional[np.ndarray] = None  # chart parameter per node
     node_velocities: Optional[np.ndarray] = None  # dz/dt at each node, (N, n)
 
 
 def _radial_newton(phi: ScalarHamiltonian, direction: np.ndarray, lam: float, r0: float) -> float:
-    """Solve phi(r * direction) = lam for r > 0 by Newton iteration."""
+    """Solve phi(r * direction) = lam for r > 0 by Newton iteration.
+
+    The root must be regular: a radial derivative at or below
+    REGULARITY_THRESHOLD (|grad phi| there, for a radial phi) raises
+    SingularPoint, so a level on or next to the singular set fails by name.
+    """
     r = r0
     for _ in range(60):
         z = r * direction
@@ -389,30 +546,36 @@ def _radial_newton(phi: ScalarHamiltonian, direction: np.ndarray, lam: float, r0
         raise SingularPoint("radial Newton did not converge")
     if r <= 0:
         raise SingularPoint("level curve is not star-shaped around the origin")
+    if abs(df) <= REGULARITY_THRESHOLD:
+        raise SingularPoint(f"radial derivative {df:.3e} below threshold at level {lam} (r = {r:.3e})")
     return r
 
 
-def circle_level_set(
-    phi: ScalarHamiltonian, lam: float, n_nodes: int = 256
-) -> LevelSetModel:
+def _radial_level_set(phi: ScalarHamiltonian, lam: float, unit: SphereFiber) -> SphereFiber:
+    """The unit grid scaled to the regular radius where phi = lam on the first axis.
+
+    Every node must lie on the level: a non-radial phi fails here by name.
+    """
+    e1 = np.eye(unit.ambient_dim)[0]
+    fiber = unit.scaled(_radial_newton(phi, e1, lam, max(math.sqrt(abs(lam)) + 0.5, 0.5)))
+    _require_on_level([phi], [lam], fiber.nodes)
+    return fiber
+
+
+def circle_level_set(phi: ScalarHamiltonian, lam: float, n_nodes: int = 256) -> SphereFiber:
     """Circle fiber of a radial phi on R^2."""
     if phi.dimension != 2:
         raise ValueError("circle fibers need ambient dimension 2")
-    r = _radial_newton(phi, np.array([1.0, 0.0]), lam, max(math.sqrt(abs(lam)) + 0.5, 0.5))
-    thetas = 2 * math.pi * np.arange(n_nodes) / n_nodes
-    nodes = r * np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    weights = np.full(n_nodes, 2 * math.pi * r / n_nodes)
-    rho_values = rho([phi], nodes)
+    return _radial_level_set(phi, lam, unit_sphere_grid(2, n_nodes))
 
-    def point(t: float) -> np.ndarray:
-        return r * np.array([math.cos(t), math.sin(t)])
 
-    def velocity(t: float) -> np.ndarray:
-        return r * np.array([-math.sin(t), math.cos(t)])
-
-    tangents = np.stack([-nodes[:, 1], nodes[:, 0]], axis=1)
-    chart = FiberChart("circle", point, velocity, r, thetas, node_velocities=tangents)
-    return LevelSetModel([phi], np.array([lam]), "circle", nodes, weights, rho_values, chart)
+def sphere2_level_set(
+    phi: ScalarHamiltonian, lam: float, n_polar: int = 24, n_azimuth: int = 48
+) -> SphereFiber:
+    """2-sphere fiber of a radial phi on R^3 (Gauss-Legendre x trapezoid)."""
+    if phi.dimension != 3:
+        raise ValueError("sphere2 fibers need ambient dimension 3")
+    return _radial_level_set(phi, lam, unit_sphere_grid(3, n_polar, n_azimuth))
 
 
 def _star_curve_velocity(phi: ScalarHamiltonian, Z: np.ndarray) -> np.ndarray:
@@ -456,37 +619,11 @@ def implicit_curve_level_set(
     nodes = radii[:, None] * np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
     node_velocities = _star_curve_velocity(phi, nodes)
     weights = np.linalg.norm(node_velocities, axis=1) * (2 * math.pi / n_nodes)
-    rho_values = rho([phi], nodes)
     chart = FiberChart(
         kind="implicit-curve", point=point, velocity=velocity, params=thetas,
         node_velocities=node_velocities,
     )
-    return LevelSetModel(
-        [phi], np.array([lam]), "implicit-curve", nodes, weights, rho_values, chart
-    )
-
-
-def sphere2_level_set(
-    phi: ScalarHamiltonian,
-    lam: float,
-    n_polar: int = 24,
-    n_azimuth: int = 48,
-) -> LevelSetModel:
-    """2-sphere fiber of a radial phi on R^3 (Gauss-Legendre x trapezoid)."""
-    if phi.dimension != 3:
-        raise ValueError("sphere2 fibers need ambient dimension 3")
-    r = _radial_newton(phi, np.array([1.0, 0.0, 0.0]), lam, max(math.sqrt(abs(lam)) + 0.5, 0.5))
-    mu, wmu = np.polynomial.legendre.leggauss(n_polar)  # mu = cos(polar)
-    betas = 2 * math.pi * np.arange(n_azimuth) / n_azimuth
-    M, B = np.meshgrid(mu, betas, indexing="ij")  # polar-major
-    S = np.sqrt(1 - M * M)
-    nodes = r * np.stack([S * np.cos(B), S * np.sin(B), M], axis=-1).reshape(-1, 3)
-    weights = np.repeat(r * r * wmu * 2 * math.pi / n_azimuth, n_azimuth)
-    rho_values = rho([phi], nodes)
-    chart = FiberChart(kind="sphere2", radius=r)
-    return LevelSetModel(
-        [phi], np.array([lam]), "sphere2", nodes, weights, rho_values, chart
-    )
+    return LevelSetModel([phi], np.array([lam]), "implicit-curve", nodes, weights, chart)
 
 
 def line_level_set(
@@ -506,7 +643,6 @@ def line_level_set(
     t = t * box
     wt = wt * box
     nodes = x0[None, :] + t[:, None] * d[None, :]
-    rho_values = rho([phi], nodes)
     chart = FiberChart(
         kind="line",
         point=lambda s: x0 + s * d,
@@ -514,22 +650,19 @@ def line_level_set(
         params=t,
         node_velocities=np.tile(d, (n_nodes, 1)),
     )
-    return LevelSetModel(
-        [phi], np.array([lam]), "line", nodes, wt.copy(), rho_values, chart
-    )
+    return LevelSetModel([phi], np.array([lam]), "line", nodes, wt.copy(), chart)
 
 
 # -- finite-difference divergence oracle -------------------------------
 
 
-def _curve_divergence_fd(Y: VectorField, chart: FiberChart, t: float, h: float = 1e-5) -> float:
-    """(sigma v)'(t) / sigma(t) with sigma = |dz/dt|, v = <Y, dz/dt>/sigma^2."""
+def _curve_divergence_fd(Y: VectorField, point, velocity, t: float, h: float = 1e-5) -> float:
+    """(sigma v)'(t) / sigma(t) with sigma = |dz/dt|, v = <Y, dz/dt>/sigma^2 on the curve z(t)."""
 
     def sigma_v(s: float) -> Tuple[float, float]:
-        vel = chart.velocity(s)
+        vel = velocity(s)
         sig = float(np.linalg.norm(vel))
-        z = chart.point(s)
-        v = float(np.dot(Y.evaluate(z), vel)) / sig**2
+        v = float(np.dot(Y.evaluate(point(s)), vel)) / sig**2
         return sig, v
 
     sig_p, v_p = sigma_v(t + h)
@@ -581,23 +714,32 @@ def _sphere_divergence_fd(Y: VectorField, r: float, z: np.ndarray, h: float = 1e
     return (d_alpha + d_beta) / sg0
 
 
-def intrinsic_divergence_fd(Y: VectorField, model: LevelSetModel, z) -> float:
-    """Chart finite-difference divergence of the induced field at a node.
+def intrinsic_divergence_fd(Y: VectorField, fiber, z) -> float:
+    """Chart finite-difference divergence of the induced field at a fiber node.
 
     Independent oracle for `induced_divergence`; never uses the Hessian
-    closed form.
+    closed form. 2-spheres use a rotated spherical chart at z, circles their
+    angle, and `LevelSetModel` curves their `FiberChart`.
     """
-    chart = model.chart
-    if chart is None:
-        raise ParametrizationUnavailable(f"no chart for fiber kind {model.fiber_kind}")
     z = np.asarray(z, dtype=float)
-    if chart.kind in ("circle", "implicit-curve", "line"):
-        # locate the chart parameter of z
-        idx = int(np.argmin(np.linalg.norm(model.nodes - z, axis=1)))
-        t = float(chart.params[idx])
-        if np.linalg.norm(model.nodes[idx] - z) > 1e-9:
-            raise ParametrizationUnavailable("probe point is not a fiber node")
-        return _curve_divergence_fd(Y, chart, t)
-    if chart.kind == "sphere2":
-        return _sphere_divergence_fd(Y, chart.radius, z)
-    raise ParametrizationUnavailable(f"unsupported chart kind {chart.kind}")
+    if isinstance(fiber, SphereFiber) and fiber.ambient_dim == 3:
+        return _sphere_divergence_fd(Y, fiber.radius, z)
+    if isinstance(fiber, SphereFiber):
+        r = fiber.radius
+        params = fiber.thetas
+
+        def point(t):
+            return r * np.array([math.cos(t), math.sin(t)])
+
+        def velocity(t):
+            return r * np.array([-math.sin(t), math.cos(t)])
+
+    elif fiber.chart is not None:
+        point, velocity, params = fiber.chart.point, fiber.chart.velocity, fiber.chart.params
+    else:
+        raise ParametrizationUnavailable(f"no chart for fiber kind {fiber.fiber_kind}")
+    # locate the chart parameter of z
+    idx = int(np.argmin(np.linalg.norm(fiber.nodes - z, axis=1)))
+    if np.linalg.norm(fiber.nodes[idx] - z) > 1e-9:
+        raise ParametrizationUnavailable("probe point is not a fiber node")
+    return _curve_divergence_fd(Y, point, velocity, float(params[idx]))

@@ -1,6 +1,7 @@
 """Configuration parsing, report emission, and CLI exit-code contract."""
 
 import json
+import re
 
 import pytest
 
@@ -191,6 +192,24 @@ class TestCLI:
         assert code == 1
         payload = json.loads((tmp_path / "commutation.json").read_text())
         assert payload["verdict"] == "fail"
+
+    def test_off_level_sphere_grid_fails_by_name(self, tmp_path, capsys):
+        # a non-radial phi has no sphere levels: the record names the node
+        # instead of reporting a residual on the wrong fibers
+        ellipsoid = [
+            {"re": "1", "x": [2, 0, 0], "xi": [0, 0, 0]},
+            {"re": "2", "x": [0, 2, 0], "xi": [0, 0, 0]},
+            {"re": "1", "x": [0, 0, 2], "xi": [0, 0, 0]},
+        ]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 3, "fiber_kind": "sphere2", "hamiltonian": ellipsoid,
+                                   "n_lambda": 4, "n_polar": 6, "n_azimuth": 12}))
+        code = main(["commutation", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 1
+        (record,) = json.loads((tmp_path / "commutation.json").read_text())["records"]
+        assert record["pass"] is False and record["residual"] is None
+        assert re.match(r"ValueError: node \d+ \(.*\) off the level set", record["params"]["error"])
+        assert "off the level set" in capsys.readouterr().out
 
     def test_reports_are_byte_reproducible(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

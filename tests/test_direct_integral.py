@@ -24,9 +24,9 @@ from weylred.dint import (
 from weylred import geometry, symbols
 from weylred.fiber import multiplication_op
 from weylred.geometry import (
-    LevelSetModel,
     NotTangent,
     ScalarHamiltonian,
+    SphereFiber,
     TestFunction,
     radial_hamiltonian,
 )
@@ -62,7 +62,9 @@ class TestBuildGrid:
     def test_circle_grid_shape(self, half_r2):
         grid = build_grid(half_r2, "circle", 0.5, 2.0, 64, 64)
         assert grid.n_lambda == 64
-        assert all(isinstance(f, LevelSetModel) for f in grid.fibers)
+        assert all(isinstance(f, SphereFiber) and f.n_nodes == 64 for f in grid.fibers)
+        radii = np.array([f.radius for f in grid.fibers])
+        assert np.allclose(radii, np.sqrt(2 * grid.lambda_nodes), rtol=1e-14, atol=0)
         assert np.all(grid.lambda_nodes > 0.5 - 1e-12)
         assert np.all(grid.lambda_nodes < 2.0 + 1e-12)
 
@@ -110,6 +112,52 @@ class TestBuildGrid:
             counts.append(dict(calls))
         assert counts[0] == counts[1]
         assert counts[0]["kernel"] > 0
+
+
+class TestRadialLevels:
+    """Radial kinds scale one unit SphereFiber grid and check every node's level."""
+
+    @staticmethod
+    def _ellipsoid():
+        x0, x1, x2 = (PolySymbol.x(a, 3) for a in range(3))
+        return ScalarHamiltonian(x0 * x0 + 2 * (x1 * x1) + x2 * x2)
+
+    def test_nonradial_sphere2_grid_names_the_off_level_node(self):
+        # phi = lam on the first axis only: the sphere through that point
+        # misses the level everywhere else
+        with pytest.raises(ValueError, match=r"node \d+ \(.*\) off the level set: phi="):
+            build_grid(self._ellipsoid(), "sphere2", 0.5, 2.0, 4, n_polar=6, n_azimuth=12)
+
+    def test_fibers_share_one_unit_grid_per_size(self, monkeypatch):
+        built = []
+        original = geometry.SphereFiber.__dict__["sphere"]
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return original.__func__(cls, *args, **kwargs)
+
+        geometry.unit_sphere_grid.cache_clear()
+        monkeypatch.setattr(geometry.SphereFiber, "sphere", classmethod(counted))
+        h3 = radial_hamiltonian(3)
+        grid = build_grid(h3, "sphere2", 0.5, 4.0, 6, n_polar=7, n_azimuth=14)
+        uniform_grid(h3, "sphere2", 0.5, 4.0, 5, n_polar=7, n_azimuth=14)
+        geometry.unit_sphere_grid.cache_clear()
+        assert built == [(1.0, 7, 14)]
+        radii = np.array([f.radius for f in grid.fibers])
+        assert np.allclose(radii, np.sqrt(2 * grid.lambda_nodes), rtol=1e-14, atol=0)
+
+    def test_uniform_sphere2_grid(self):
+        grid = uniform_grid(radial_hamiltonian(3), "sphere2", 0.5, 2.0, 5, n_polar=6, n_azimuth=12)
+        assert np.array_equal(grid.lambda_nodes, np.linspace(0.5, 2.0, 5))
+        for lam, f, rho in zip(grid.lambda_nodes, grid.fibers, grid.rho):
+            r = math.sqrt(2 * lam)
+            assert isinstance(f, SphereFiber) and f.n_nodes == 72
+            assert f.weights.sum() == pytest.approx(4 * math.pi * r * r, rel=1e-12)
+            assert np.allclose(rho, 1 / r, rtol=1e-14, atol=0)
+
+    def test_uniform_grid_rejects_unknown_keywords(self, half_r2):
+        with pytest.raises(TypeError, match="bxo"):
+            uniform_grid(half_r2, "circle", 0.5, 2.0, 5, 16, n_polar=7, bxo=3)
 
 
 class TestApplyTx:

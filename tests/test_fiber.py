@@ -234,7 +234,8 @@ class TestKernelQuantize:
             kernel_quantize(bump_symbol(1.0), 0.0, SphereFiber.circle(1.0, 8))
 
     def test_level_set_fiber_rejected_by_name(self):
-        fiber = geometry.circle_level_set(geometry.radial_hamiltonian(2), 0.5, 32)
+        ellipse = geometry.ScalarHamiltonian(x(0) * x(0) + 2 * (x(1) * x(1)))
+        fiber = geometry.implicit_curve_level_set(ellipse, 0.5, 32)
         with pytest.raises(TypeError, match="needs a SphereFiber, got a LevelSetModel"):
             kernel_quantize(bump_symbol(1.0), 0.3, fiber)
 

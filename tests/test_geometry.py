@@ -7,10 +7,11 @@ import pytest
 from scipy.special import ellipe
 
 from weylred.geometry import (
-    LevelSetModel,
     NotTangent,
+    ParametrizationUnavailable,
     ScalarHamiltonian,
     SingularPoint,
+    SphereFiber,
     ambient_JY_apply,
     circle_level_set,
     implicit_curve_level_set,
@@ -184,6 +185,19 @@ class TestInducedDivergence:
             fd = intrinsic_divergence_fd(Y, model, z)
             assert fd == pytest.approx(closed, rel=1e-5, abs=1e-7)
 
+    def test_circle_nontrivial_field_vs_fd(self, half_r2):
+        # Y = x1 * rotation is tangent to every circle, with div Y = -x2
+        rot = rotation_generator(0, 1, 2)
+        Y = VectorField(2, tuple(x(0) * c for c in rot.components))
+        model = circle_level_set(half_r2, 2.0, n_nodes=64)
+        for idx in (0, 5, 21, 40):
+            z = model.nodes[idx]
+            closed = induced_divergence(Y, half_r2, z)
+            fd = intrinsic_divergence_fd(Y, model, z)
+            assert fd == pytest.approx(closed, rel=1e-5, abs=1e-7)
+        with pytest.raises(ParametrizationUnavailable, match="not a fiber node"):
+            intrinsic_divergence_fd(Y, model, 1.01 * model.nodes[3])
+
     def test_k2_joint_level(self, half_r3):
         # circles of fixed height on the sphere; axial rotation is
         # divergence-free for the induced measure
@@ -221,13 +235,15 @@ class TestMomentMap:
 class TestLevelSetModels:
     def test_circle_volume_and_density(self, half_r2):
         model = circle_level_set(half_r2, 2.0, n_nodes=64)
-        assert model.fiber_kind == "circle"
-        assert model.volume() == pytest.approx(2 * math.pi * 2.0)
-        assert np.allclose(model.rho_values, 0.5)
+        assert isinstance(model, SphereFiber) and model.ambient_dim == 2
+        assert model.radius == pytest.approx(2.0)
+        assert model.weights.sum() == pytest.approx(2 * math.pi * 2.0)
+        assert np.allclose(rho([half_r2], model.nodes), 0.5)
 
     def test_sphere_volume(self, half_r3):
         model = sphere2_level_set(half_r3, 2.0)
-        assert model.volume() == pytest.approx(4 * math.pi * 4.0, rel=1e-12)
+        assert isinstance(model, SphereFiber) and model.ambient_dim == 3
+        assert model.weights.sum() == pytest.approx(4 * math.pi * 4.0, rel=1e-12)
 
     def test_ellipse_circumference(self, ellipse):
         # [DERIVED] semi-axes sqrt(2 lam), sqrt(lam); C = 4 a E(1/2)
@@ -245,23 +261,26 @@ class TestLevelSetModels:
         phi = ScalarHamiltonian(x(0) + 2 * x(1))
         model = line_level_set(phi, 3.0, box=5.0, n_nodes=128)
         assert model.volume() == pytest.approx(10.0)
-        assert np.allclose(model.rho_values, 1 / math.sqrt(5.0))
+        assert np.allclose(rho([phi], model.nodes), 1 / math.sqrt(5.0))
         for z in model.nodes[::16]:
             assert phi.value(z) == pytest.approx(3.0, abs=1e-12)
 
-    def test_off_level_node_rejected(self, half_r2):
-        model = circle_level_set(half_r2, 2.0, n_nodes=16)
-        bad_nodes = model.nodes.copy()
-        bad_nodes[0] *= 1.01
-        with pytest.raises(ValueError):
-            LevelSetModel(
-                model.hamiltonians,
-                model.level,
-                "circle",
-                bad_nodes,
-                model.weights,
-                model.rho_values,
-            )
+    def test_off_level_node_rejected(self, ellipse):
+        # the radial constructors scale a unit grid to the Newton radius on
+        # the first axis; a non-radial phi leaves the other nodes off the level
+        with pytest.raises(ValueError, match=r"node \d+ .* off the level set"):
+            circle_level_set(ellipse, 2.0, n_nodes=16)
+        ellipsoid = ScalarHamiltonian(
+            PolySymbol.x(0, 3) ** 2 + 2 * PolySymbol.x(1, 3) ** 2 + PolySymbol.x(2, 3) ** 2
+        )
+        with pytest.raises(ValueError, match=r"node \d+ .* off the level set"):
+            sphere2_level_set(ellipsoid, 2.0, n_polar=6, n_azimuth=12)
+
+    def test_zero_level_singular_for_sphere_and_implicit_curve(self, half_r3, ellipse):
+        with pytest.raises(SingularPoint, match="radial derivative"):
+            sphere2_level_set(half_r3, 0.0, n_polar=6, n_azimuth=12)
+        with pytest.raises(SingularPoint, match="radial derivative"):
+            implicit_curve_level_set(ellipse, 0.0, n_nodes=16)
 
     def test_zero_level_circle_singular(self, half_r2):
         with pytest.raises(SingularPoint):

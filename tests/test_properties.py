@@ -14,8 +14,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylred.fiber import FiberFunction, PWSymbol, SphereFiber, evolve_group, kernel_quantize
-from weylred.geometry import SingularPoint, radial_hamiltonian, rho
+from weylred.fiber import (
+    FiberFunction,
+    PWSymbol,
+    SphereFiber,
+    evolve_group,
+    fiber_JX_apply,
+    kernel_quantize,
+)
+from weylred.geometry import (
+    ScalarHamiltonian,
+    SingularPoint,
+    circle_level_set,
+    induced_divergence,
+    radial_hamiltonian,
+    rho,
+    sphere2_level_set,
+)
 from weylred.moyal import (
     SingularSystemError,
     expand_power_in_star_basis,
@@ -281,3 +296,36 @@ def test_flow_group_law_on_circles(n_nodes, radius, tilt, s, t):
     once = evolve_group(X, s + t, 0.7, u, steps=256)
     assert np.max(np.abs(both.values - once.values)) <= 1e-8 * np.max(np.abs(once.values))
     assert once.norm() == pytest.approx(u.norm(), rel=1e-8)
+
+
+_positive = st.fractions(min_value=Fraction(1, 10), max_value=Fraction(2), max_denominator=16)
+_signed = st.fractions(min_value=Fraction(-1), max_value=Fraction(1), max_denominator=16)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([2, 3]),
+    _positive,
+    _positive,
+    _signed,
+    _signed,
+    st.floats(min_value=0.2, max_value=3.0),
+)
+def test_sphere_fiber_divergence_is_the_induced_one(n, a, b, c, d, lam):
+    # radial levels of phi = a|x|^2 + b|x|^4 are SphereFibers, whose JX uses
+    # the ambient div X; for X = (1 + c|x|^2 + d x0) * rotation (tangent to
+    # every sphere; d x0 makes div X nonzero) it must be the induced one
+    r2 = sum((PolySymbol.x(k, n) * PolySymbol.x(k, n) for k in range(n)), PolySymbol.zero(n))
+    phi = ScalarHamiltonian(r2 * a + r2 * r2 * b)
+    fiber = (
+        circle_level_set(phi, lam, 32)
+        if n == 2
+        else sphere2_level_set(phi, lam, n_polar=6, n_azimuth=12)
+    )
+    assert isinstance(fiber, SphereFiber)
+    scale = PolySymbol.one(n) + r2 * c + PolySymbol.x(0, n) * d
+    X = VectorField(n, tuple(scale * comp for comp in rotation_generator(0, 1, n).components))
+    ones = np.ones(fiber.n_nodes)
+    flat = FiberFunction(fiber, ones, gradients=np.zeros((fiber.n_nodes, n)))
+    div = (2j * fiber_JX_apply(X, 1.0, flat).values).real  # JX 1 = -i div X / 2
+    assert np.max(np.abs(div - induced_divergence(X, [phi], fiber.nodes))) <= 1e-10
