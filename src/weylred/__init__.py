@@ -5,13 +5,14 @@ Layers:
 - ``rational`` / ``symbols`` / ``moyal``: exact polynomial phase-space
   algebra over the Gaussian rationals, including the star product and
   star-basis expansions.
-- ``geometry``: level-set models (``SphereFiber`` for circles and
-  2-spheres, ``LevelSetModel`` for implicit curves and lines), coarea
-  densities, and induced divergences of tangent vector fields.
+- ``geometry``: the two fiber models (``SphereFiber`` for circles and
+  2-spheres, the level sets of a radial phi; ``LevelSetModel`` for
+  implicit curves and lines, which carries its own curve parametrization),
+  coarea densities, and induced divergences of tangent vector fields.
 - ``dint``: the direct-integral decomposition (position and momentum
   sides), decomposable operators, and strong commutation checks.
-- ``fiber``: midpoint-kernel quantization on sphere fibers, generator
-  matrices, and the evolution group.
+- ``fiber``: midpoint-kernel quantization on sphere fibers, and on both
+  fiber models the generator J_X, its matrix, and the evolution group.
 - ``sweep``: semiclassical residual sweeps for separable circle symbols.
 - ``config`` / ``report`` / ``cli``: the verification harness.
 """
@@ -36,7 +37,6 @@ from .moyal import (
     star_power,
 )
 from .geometry import (
-    FiberChart,
     LevelSetModel,
     NotTangent,
     ParametrizationUnavailable,

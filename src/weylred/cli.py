@@ -14,6 +14,7 @@ import math
 import random
 import sys
 import time
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -487,15 +488,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config) if args.config else SuiteConfig()
+        formats = tuple(s.strip() for s in args.format.split(",") if s.strip())
+        if any(f not in ("json", "csv") for f in formats):
+            raise ConfigError(f"unknown format in {args.format!r}")
+        out_dir = Path(args.out or cfg.out_dir)
+        # checked before any check runs: its nearest existing part must be a directory
+        existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"output directory {str(out_dir)!r}: {str(existing)!r} is not a directory")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    formats = tuple(s.strip() for s in args.format.split(",") if s.strip())
-    if any(f not in ("json", "csv") for f in formats):
-        print(f"config error: unknown format in {args.format!r}", file=sys.stderr)
-        return 2
     report = run_suite(cfg, args.subcommand)
-    out_dir = args.out or cfg.out_dir
     paths = emit_report(report, out_dir, formats)
     for rec in report.records:
         status = "PASS" if rec.passed else "FAIL"

@@ -81,21 +81,19 @@ def build_grid(
     n_polar: int = 24,
     n_azimuth: int = 48,
     box: float = 8.0,
-    substitution: str = "auto",
 ) -> LambdaGrid:
     """Gauss-Legendre lambda grid with one fiber per node.
 
-    For the radial kinds (circle, sphere2) `substitution='auto'` places the
-    Gauss nodes in the fiber radius and carries the Jacobian lambda'(r)
-    into the weights; this keeps the lambda integrals spectrally accurate
-    down to very small regular levels (where integrands behave like
-    fractional powers of lambda).
+    The radial kinds (circle, sphere2) place the Gauss nodes in the fiber
+    radius and carry the Jacobian lambda'(r) into the weights; this keeps
+    the lambda integrals spectrally accurate down to very small regular
+    levels (where integrands behave like fractional powers of lambda).
+    The other kinds place them in lambda.
     """
 
     def gauss_levels():
         t, wt = np.polynomial.legendre.leggauss(n_lambda)
-        radial = fiber_kind in ("circle", "sphere2")
-        if substitution == "radial" or (substitution == "auto" and radial):
+        if fiber_kind in ("circle", "sphere2"):
             e1 = np.eye(hamiltonian.dimension)[0]
             r_lo = _radial_newton(hamiltonian, e1, lam_min, max(math.sqrt(abs(lam_min)), 1e-3))
             r_hi = _radial_newton(hamiltonian, e1, lam_max, max(math.sqrt(abs(lam_max)), 1e-3))

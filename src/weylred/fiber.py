@@ -23,7 +23,7 @@ from .geometry import (
     induced_divergence,
     tangency_residual,
 )
-from .symbols import VectorField, evaluate_compiled
+from .symbols import VectorField
 
 TANGENCY_TOL = 1e-8
 
@@ -36,13 +36,16 @@ class AntipodalPair(ValueError):
 class FiberFunction:
     """Node values of a function on a fiber.
 
-    The fiber is a `SphereFiber` (circles and 2-spheres, the level sets of a
-    radial phi) or a `LevelSetModel` (implicit curves and lines).
+    The fiber is one of the two fiber models: a `SphereFiber` (circles and
+    2-spheres, the level sets of a radial phi) or a `LevelSetModel`
+    (implicit curves and lines).
 
     `gradients` (ambient gradient per node) and `func` (ambient callable,
     called once on an (N, n) point array and giving (N,)) are optional
     analytic enrichments; when present they are preferred over grid
-    differentiation/interpolation.
+    differentiation/interpolation. Without `func`, `evolve_group` can pull
+    the values back along the flow only on circles (trigonometric
+    interpolation).
     """
 
     fiber: object
@@ -217,32 +220,28 @@ def _poly_diff_matrix(x: np.ndarray) -> np.ndarray:
 
 
 def _directional_derivative(X: VectorField, fiber, values: np.ndarray) -> np.ndarray:
-    """(X u)(z) at the fiber nodes for each column u of an (N, m) block, X tangent."""
-    Z = np.asarray(fiber.nodes, dtype=float)
-    if isinstance(fiber, SphereFiber) and fiber.ambient_dim == 2:
-        r = fiber.radius
-        tau = np.stack([-Z[:, 1], Z[:, 0]], axis=1) / r
-        speed = np.einsum("ia,ia->i", X.evaluate_many(Z), tau)
-        du = _spectral_derivative_periodic(values)
-        return speed[:, None] * du / r
+    """(X u)(z) at the fiber nodes for each column u of an (N, m) block, X tangent.
+
+    2-spheres take the tensor-grid route; circles and `LevelSetModel` curves
+    z(t) take X u = <X, z'(t)> / |z'(t)|^2 * du/dt, a circle with
+    z'(theta) = (-y, x).
+    """
     if isinstance(fiber, SphereFiber) and fiber.ambient_dim == 3:
         return _sphere_tensor_derivative(X, fiber, values)
-    chart = fiber.chart if isinstance(fiber, LevelSetModel) else None
-    if chart is not None and chart.node_velocities is not None:
-        # X u = <X, z'(t)> / |z'(t)|^2 * du/dt
-        vel = chart.node_velocities
-        coef = np.einsum("ia,ia->i", X.evaluate_many(Z), vel) / np.einsum(
-            "ia,ia->i", vel, vel
-        )
-        if chart.kind == "line":
-            # Gauss-Legendre parameters: polynomial derivative on nodes scaled
-            # into [-1, 1], where the barycentric weights stay finite
-            scale = np.max(np.abs(chart.params))
-            du = (_poly_diff_matrix(chart.params / scale) @ values) / scale
-        else:
-            du = _spectral_derivative_periodic(values)  # uniform periodic grid
-        return coef[:, None] * du
-    raise ValueError("no differentiation route for this fiber")
+    Z = np.asarray(fiber.nodes, dtype=float)
+    if isinstance(fiber, SphereFiber):
+        vel = np.stack([-Z[:, 1], Z[:, 0]], axis=1)
+    else:
+        vel = fiber.node_velocities
+    coef = np.einsum("ia,ia->i", X.evaluate_many(Z), vel) / np.einsum("ia,ia->i", vel, vel)
+    if isinstance(fiber, LevelSetModel) and fiber.fiber_kind == "line":
+        # Gauss-Legendre parameters: polynomial derivative on nodes scaled
+        # into [-1, 1], where the barycentric weights stay finite
+        scale = np.max(np.abs(fiber.params))
+        du = (_poly_diff_matrix(fiber.params / scale) @ values) / scale
+    else:
+        du = _spectral_derivative_periodic(values)  # uniform periodic grid
+    return coef[:, None] * du
 
 
 def _sphere_tensor_derivative(X: VectorField, fiber: SphereFiber, values) -> np.ndarray:
@@ -305,11 +304,8 @@ def _fiber_divergence_values(X: VectorField, fiber, points: np.ndarray) -> np.nd
     if isinstance(fiber, SphereFiber):
         # radial case: the Hessian correction vanishes for tangent fields,
         # so the induced divergence equals the ambient one
-        div = X.divergence()
-        return np.real(div.evaluate_many(points))
-    if isinstance(fiber, LevelSetModel):
-        return induced_divergence(X, fiber.hamiltonians, points)
-    raise ValueError("unsupported fiber type")
+        return np.real(X.divergence().evaluate_many(points))
+    return induced_divergence(X, fiber.hamiltonians, points)
 
 
 def _check_tangent(X: VectorField, fiber, field_values: Optional[np.ndarray] = None) -> None:
@@ -385,19 +381,9 @@ def evolve_group(
         E = ((V * np.exp(-1j * t * lam)) @ V.conj().T).real
         return _pull_back(u, Z0 @ E.T, np.full(len(Z0), t * np.trace(A)))
     _check_tangent(X, fiber)
-    if isinstance(fiber, SphereFiber):
-        # the induced divergence is the ambient one (see _fiber_divergence_values),
-        # so X and div X run as one kernel per stage
-        kernel = X.kernel_with_divergence
 
-        def rhs(pts):
-            values = evaluate_compiled(*kernel, pts)
-            return values[:, :-1], values[:, -1]
-
-    else:
-
-        def rhs(pts):
-            return X.evaluate_many(pts), _fiber_divergence_values(X, fiber, pts)
+    def rhs(pts):
+        return X.evaluate_many(pts), _fiber_divergence_values(X, fiber, pts)
 
     pts = Z0.copy()
     acc = np.zeros(len(pts))

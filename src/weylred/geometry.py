@@ -479,12 +479,15 @@ def _require_on_level(hams, level, nodes: np.ndarray) -> None:
 
 @dataclass
 class LevelSetModel:
-    """A fiber of the level-set foliation that is not a sphere (implicit curve, line).
+    """A fiber of the level-set foliation that is not a sphere: an implicit curve or a line.
 
-    nodes carry weights discretizing the Riemannian measure eta_lambda;
-    `chart` exposes the parametrization used for curve derivatives and the
-    finite-difference divergence oracle. The density rho is not stored: the
-    lambda-grid builders compute it once per fiber.
+    nodes carry weights discretizing the Riemannian measure eta_lambda. The
+    fiber is a curve z(t): `params` holds t and `node_velocities` dz/dt at
+    every node (for curve derivatives), and `point` and `velocity` give z(t)
+    and dz/dt at any t (for the finite-difference divergence oracle).
+    fiber_kind 'implicit-curve' has uniform periodic parameters in
+    [0, 2 pi), 'line' Gauss-Legendre ones. The density rho is not stored:
+    the lambda-grid builders compute it once per fiber.
     """
 
     hamiltonians: List[ScalarHamiltonian]
@@ -492,36 +495,16 @@ class LevelSetModel:
     fiber_kind: str
     nodes: np.ndarray
     weights: np.ndarray
-    chart: Optional["FiberChart"] = None
+    params: np.ndarray
+    node_velocities: np.ndarray
+    point: Callable[[float], np.ndarray]
+    velocity: Callable[[float], np.ndarray]
 
     def __post_init__(self):
         self.level = np.atleast_1d(np.asarray(self.level, dtype=float))
         _require_on_level(self.hamiltonians, self.level, self.nodes)
         if not np.all(self.weights > 0):
             raise ValueError("quadrature weights must be positive")
-
-    @property
-    def dimension(self) -> int:
-        return self.nodes.shape[1]
-
-    def volume(self) -> float:
-        return float(self.weights.sum())
-
-
-@dataclass
-class FiberChart:
-    """Parametrization of a curve fiber, for curve derivatives and the FD divergence oracle.
-
-    kind 'implicit-curve' (t in [0, 2pi), uniform periodic parameters) or
-    'line' (Gauss-Legendre parameters): point(t) and velocity(t), with the
-    parameter and dz/dt at every node.
-    """
-
-    kind: str
-    point: Optional[Callable[[float], np.ndarray]] = None
-    velocity: Optional[Callable[[float], np.ndarray]] = None
-    params: Optional[np.ndarray] = None  # chart parameter per node
-    node_velocities: Optional[np.ndarray] = None  # dz/dt at each node, (N, n)
 
 
 def _radial_newton(phi: ScalarHamiltonian, direction: np.ndarray, lam: float, r0: float) -> float:
@@ -619,11 +602,10 @@ def implicit_curve_level_set(
     nodes = radii[:, None] * np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
     node_velocities = _star_curve_velocity(phi, nodes)
     weights = np.linalg.norm(node_velocities, axis=1) * (2 * math.pi / n_nodes)
-    chart = FiberChart(
-        kind="implicit-curve", point=point, velocity=velocity, params=thetas,
-        node_velocities=node_velocities,
+    return LevelSetModel(
+        [phi], np.array([lam]), "implicit-curve", nodes, weights,
+        thetas, node_velocities, point, velocity,
     )
-    return LevelSetModel([phi], np.array([lam]), "implicit-curve", nodes, weights, chart)
 
 
 def line_level_set(
@@ -643,14 +625,10 @@ def line_level_set(
     t = t * box
     wt = wt * box
     nodes = x0[None, :] + t[:, None] * d[None, :]
-    chart = FiberChart(
-        kind="line",
-        point=lambda s: x0 + s * d,
-        velocity=lambda s: d.copy(),
-        params=t,
-        node_velocities=np.tile(d, (n_nodes, 1)),
+    return LevelSetModel(
+        [phi], np.array([lam]), "line", nodes, wt.copy(),
+        t, np.tile(d, (n_nodes, 1)), lambda s: x0 + s * d, lambda s: d.copy(),
     )
-    return LevelSetModel([phi], np.array([lam]), "line", nodes, wt.copy(), chart)
 
 
 # -- finite-difference divergence oracle -------------------------------
@@ -719,7 +697,7 @@ def intrinsic_divergence_fd(Y: VectorField, fiber, z) -> float:
 
     Independent oracle for `induced_divergence`; never uses the Hessian
     closed form. 2-spheres use a rotated spherical chart at z, circles their
-    angle, and `LevelSetModel` curves their `FiberChart`.
+    angle, and `LevelSetModel` curves their own parametrization.
     """
     z = np.asarray(z, dtype=float)
     if isinstance(fiber, SphereFiber) and fiber.ambient_dim == 3:
@@ -734,10 +712,8 @@ def intrinsic_divergence_fd(Y: VectorField, fiber, z) -> float:
         def velocity(t):
             return r * np.array([-math.sin(t), math.cos(t)])
 
-    elif fiber.chart is not None:
-        point, velocity, params = fiber.chart.point, fiber.chart.velocity, fiber.chart.params
     else:
-        raise ParametrizationUnavailable(f"no chart for fiber kind {fiber.fiber_kind}")
+        point, velocity, params = fiber.point, fiber.velocity, fiber.params
     # locate the chart parameter of z
     idx = int(np.argmin(np.linalg.norm(fiber.nodes - z, axis=1)))
     if np.linalg.norm(fiber.nodes[idx] - z) > 1e-9:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -82,15 +82,21 @@ def bump_profile(support: float, ds: float = PROFILE_DS) -> Profile:
     return Profile.sample(f, support, ds)
 
 
-AngularPart = Tuple[Callable, Callable]  # (a(theta), a'(theta)), vectorized
+class NoAngularDerivative(ValueError):
+    """A Poisson bracket needs a'(theta) of a term that carries none."""
 
 
 @dataclass(frozen=True)
 class SeparableCircleSymbol:
-    """Sum of terms a_j(theta) (x) b_j on the circle fiber of radius r."""
+    """Sum of terms a_j(theta) (x) b_j on the circle fiber of radius r.
+
+    Each term is (a_j, a_j', b_j). Bracket outputs carry a_j' = None, and so
+    does every product term with such a factor: they can be quantized and
+    multiplied, but not bracketed again.
+    """
 
     radius: float
-    terms: Tuple[Tuple[Callable, Callable, Profile], ...]
+    terms: Tuple[Tuple[Callable, Optional[Callable], Profile], ...]
 
     @classmethod
     def single(cls, radius, a, aprime, profile) -> "SeparableCircleSymbol":
@@ -135,21 +141,18 @@ class SeparableCircleSymbol:
         terms = []
         for a, ap, p in self.terms:
             for c, cp, q in other.terms:
+                if ap is None or cp is None:
+                    raise NoAngularDerivative(
+                        "cannot bracket a term without an angular derivative "
+                        "(a bracket output, or a product with one)"
+                    )
                 # (a'/r) c  (x)  p * (-is q)
                 terms.append(
-                    (
-                        _mul_ang(_scale_ang(ap, 1 / r), c),
-                        _num_prime(_mul_ang(_scale_ang(ap, 1 / r), c)),
-                        p.convolve(q.times_minus_is()),
-                    )
+                    (_mul_ang(_scale_ang(ap, 1 / r), c), None, p.convolve(q.times_minus_is()))
                 )
                 # -(a c'/r)  (x)  (-is p) * q
                 terms.append(
-                    (
-                        _mul_ang(_scale_ang(a, -1 / r), cp),
-                        _num_prime(_mul_ang(_scale_ang(a, -1 / r), cp)),
-                        p.times_minus_is().convolve(q),
-                    )
+                    (_mul_ang(_scale_ang(a, -1 / r), cp), None, p.times_minus_is().convolve(q))
                 )
         return SeparableCircleSymbol(self.radius, tuple(terms))
 
@@ -159,6 +162,8 @@ def _mul_ang(a, c):
 
 
 def _mul_ang_prime(a, ap, c, cp):
+    if ap is None or cp is None:
+        return None
     return lambda t: np.asarray(ap(t)) * np.asarray(c(t)) + np.asarray(
         a(t)
     ) * np.asarray(cp(t))
@@ -166,12 +171,6 @@ def _mul_ang_prime(a, ap, c, cp):
 
 def _scale_ang(a, factor):
     return lambda t: factor * np.asarray(a(t))
-
-
-def _num_prime(a, h: float = 1e-6):
-    # angular derivatives of bracket outputs are never consumed downstream;
-    # a finite-difference stand-in keeps the term format uniform
-    return lambda t: (np.asarray(a(np.asarray(t) + h)) - np.asarray(a(np.asarray(t) - h))) / (2 * h)
 
 
 def default_sweep_pair(radius: float = 1.0, support: float = 4.0):

@@ -506,12 +506,6 @@ class VectorField:
         exponents, coefficients = compile_symbols(self.components)
         return exponents, coefficients.real.copy()
 
-    @cached_property
-    def kernel_with_divergence(self) -> Tuple[np.ndarray, np.ndarray]:
-        """One compiled kernel whose n + 1 columns are the components and div X."""
-        exponents, coefficients = compile_symbols(self.components + (self.divergence(),))
-        return exponents, coefficients.real.copy()
-
 
 def momentum_symbol(X: VectorField) -> PolySymbol:
     """J_X(x, xi) = <X(x), xi>; degree 1 in xi unless X = 0."""

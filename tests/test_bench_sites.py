@@ -5,9 +5,15 @@ global, an import alias, a class attribute). A site that a refactor renames
 or removes is skipped by the recorder, and the traced run then reports the
 layer as missing instead of failing. This module loads the recorder as it
 is and resolves each of its sites the way `Recorder.install` does.
+
+A site that resolves can still be dead: an import that no code of its
+module calls any more keeps resolving, and its layer then reads 0 with no
+warning. So each module site must also be defined or read in its module.
 """
 
+import ast
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -41,6 +47,25 @@ def test_lookup_site_resolves(owner, attr, name):
     raw = _resolve(owner, attr)
     assert raw is not None, f"{name}: {owner.__name__}.{attr} is gone"
     assert callable(raw) or isinstance(raw, classmethod), f"{owner.__name__}.{attr}"
+
+
+MODULE_SITES = [(o, a, n) for o, a, n in SITES if inspect.ismodule(o)]
+
+
+@pytest.mark.parametrize(
+    "owner,attr,name", MODULE_SITES, ids=[f"{o.__name__}.{a}" for o, a, _ in MODULE_SITES]
+)
+def test_module_site_is_defined_or_used(owner, attr, name):
+    tree = ast.parse(inspect.getsource(owner))
+    defined = any(
+        isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == attr
+        for node in tree.body
+    )
+    loaded = any(
+        isinstance(node, ast.Name) and node.id == attr and isinstance(node.ctx, ast.Load)
+        for node in ast.walk(tree)
+    )
+    assert defined or loaded, f"{name}: {owner.__name__}.{attr} is imported but never read"
 
 
 @pytest.mark.parametrize("attr", spans._QQI_OPS)

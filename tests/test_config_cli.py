@@ -183,6 +183,19 @@ class TestCLI:
     def test_bad_format_exit_two(self, tmp_path, capsys):
         assert main(["kernel", "--out", str(tmp_path), "--format", "xml"]) == 2
 
+    def test_out_naming_a_file_exit_two_before_any_check(self, tmp_path, capsys, monkeypatch):
+        taken = tmp_path / "taken"
+        taken.write_text("keep me\n")
+
+        def no_run(cfg, which):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr("weylred.cli.run_suite", no_run)
+        for out in (taken, taken / "sub"):
+            assert main(["kernel", "--out", str(out)]) == 2
+            assert "not a directory" in capsys.readouterr().err
+        assert taken.read_text() == "keep me\n"
+
     def test_check_failure_exit_one(self, tmp_path, capsys):
         # unreachable tolerance turns the commutation residual into a failure
         cfg = tmp_path / "cfg.json"

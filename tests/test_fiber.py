@@ -21,7 +21,6 @@ from weylred.fiber import (
     multiplication_op,
     stereo_charts,
 )
-from weylred import fiber as fiber_module
 from weylred import geometry, symbols
 from weylred.geometry import (
     NotTangent,
@@ -461,7 +460,7 @@ class TestLineJX:
         model = line_level_set(phi, 0.7, box=5.0, n_nodes=n_nodes)
         direction = np.array([-2.0, 1.0]) / math.sqrt(5)  # unit tangent of the line
         X = VectorField(2, (PolySymbol.constant(-2, 2), PolySymbol.constant(1, 2)))
-        s = model.chart.params  # arc length from the foot point along the line
+        s = model.params  # arc length from the foot point along the line
         vals = np.exp(-(s**2))
         grads = (-2 * s * vals)[:, None] * direction[None, :]
         grid = fiber_JX_apply(X, 1.0, FiberFunction(model, vals)).values
@@ -495,12 +494,29 @@ class TestImplicitCurveJX:
 
     def test_matrix_matches_per_node_chart_velocities(self):
         model, X = self._ellipse_model(64)
-        chart = model.chart
-        per_node = np.array([chart.velocity(t) for t in chart.params])
-        old = replace(model, chart=replace(chart, node_velocities=per_node))
+        per_node = np.array([model.velocity(t) for t in model.params])
+        old = replace(model, node_velocities=per_node)
         G = fiber_JX_matrix(X, 0.5, model).matrix
         G_old = fiber_JX_matrix(X, 0.5, old).matrix
         assert np.max(np.abs(G - G_old)) < 1e-12
+
+
+class TestCircleModelsAgree:
+    """A circle of |x|^2/2 as a SphereFiber and as an implicit curve gives one JX."""
+
+    @pytest.mark.parametrize("lam", [0.3, 2.0])
+    @pytest.mark.parametrize("n_nodes", [32, 128])
+    @pytest.mark.parametrize("c", [0, 1])
+    def test_jx_matrices_agree(self, lam, n_nodes, c):
+        # X = (1 + c x0) * rotation: the rotation, and a field with div X != 0
+        phi = geometry.radial_hamiltonian(2)
+        X = VectorField(2, tuple((1 + c * x(0)) * r for r in rotation_generator(0, 1, 2).components))
+        circle = geometry.circle_level_set(phi, lam, n_nodes)
+        curve = implicit_curve_level_set(phi, lam, n_nodes)
+        assert isinstance(circle, SphereFiber) and isinstance(curve, geometry.LevelSetModel)
+        A = fiber_JX_matrix(X, 0.5, circle).matrix
+        B = fiber_JX_matrix(X, 0.5, curve).matrix
+        assert np.max(np.abs(A - B)) <= 1e-12 * np.max(np.abs(A))
 
 
 class TestEvolveGroup:
@@ -544,14 +560,13 @@ class TestEvolveGroup:
     @staticmethod
     def _count_kernel_runs(monkeypatch):
         calls = []
-        for module in (symbols, fiber_module):
-            raw = module.evaluate_compiled
+        raw = symbols.evaluate_compiled
 
-            def counted(*args, raw=raw):
-                calls.append(len(args[2]))
-                return raw(*args)
+        def counted(*args):
+            calls.append(len(args[2]))
+            return raw(*args)
 
-            monkeypatch.setattr(module, "evaluate_compiled", counted)
+        monkeypatch.setattr(symbols, "evaluate_compiled", counted)
         return calls
 
     def test_linear_field_runs_no_compiled_kernel(self, monkeypatch):

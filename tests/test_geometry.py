@@ -250,7 +250,7 @@ class TestLevelSetModels:
         lam = 1.0
         model = implicit_curve_level_set(ellipse, lam, n_nodes=256)
         a = math.sqrt(2 * lam)
-        assert model.volume() == pytest.approx(4 * a * ellipe(0.5), rel=1e-10)
+        assert model.weights.sum() == pytest.approx(4 * a * ellipe(0.5), rel=1e-10)
 
     def test_implicit_nodes_on_level(self, ellipse):
         model = implicit_curve_level_set(ellipse, 0.7, n_nodes=64)
@@ -260,7 +260,7 @@ class TestLevelSetModels:
     def test_line_model(self):
         phi = ScalarHamiltonian(x(0) + 2 * x(1))
         model = line_level_set(phi, 3.0, box=5.0, n_nodes=128)
-        assert model.volume() == pytest.approx(10.0)
+        assert model.weights.sum() == pytest.approx(10.0)
         assert np.allclose(rho([phi], model.nodes), 1 / math.sqrt(5.0))
         for z in model.nodes[::16]:
             assert phi.value(z) == pytest.approx(3.0, abs=1e-12)

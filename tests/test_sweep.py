@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from weylred.fiber import FiberFunction, SphereFiber
 from weylred.sweep import (
+    NoAngularDerivative,
     Profile,
     SeparableCircleSymbol,
     bump_profile,
@@ -90,6 +91,16 @@ class TestSeparableSymbol:
             expected = dfq * dgp - dfp * dgq
             assert symbol_value(pb, theta, p) == pytest.approx(expected, rel=1e-5, abs=1e-8)
 
+    def test_bracket_output_carries_no_derivative(self):
+        f, g = default_sweep_pair()
+        pb = f.poisson(g)
+        assert all(ap is None for _, ap, _ in pb.terms)
+        assert all(ap is None for _, ap, _ in f.product(pb).terms)
+        with pytest.raises(NoAngularDerivative):
+            f.poisson(pb)
+        with pytest.raises(NoAngularDerivative):
+            f.product(pb).poisson(g)
+
 
 class TestSweep:
     def test_deviations_strictly_decrease(self):
@@ -99,6 +110,18 @@ class TestSweep:
         for key in ("product", "jordan", "commutator"):
             seq = [row[key] for row in rows]
             assert all(a > b for a, b in zip(seq, seq[1:])), (key, seq)
+
+    def test_default_pair_rows_unchanged(self):
+        # the kernels never read a term's angular derivative, so how bracket
+        # outputs carry one must not move a bit of these rows
+        f, g = default_sweep_pair()
+        rows = semiclassical_sweep(f, g, [0.5, 0.25], SphereFiber.circle(1.0, 128))
+        assert rows == [
+            {"hbar": 0.5, "product": 1.9536914961787282, "jordan": 0.8316495111045529,
+             "commutator": 1.1779867025256396},
+            {"hbar": 0.25, "product": 1.0298341489204235, "jordan": 0.3541307856830593,
+             "commutator": 0.3319471477750953},
+        ]
 
     def test_zero_symbol(self):
         fiber = SphereFiber.circle(1.0, 64)
