@@ -88,7 +88,9 @@ def build_grid(
     radius and carry the Jacobian lambda'(r) into the weights; this keeps
     the lambda integrals spectrally accurate down to very small regular
     levels (where integrands behave like fractional powers of lambda).
-    The other kinds place them in lambda.
+    Newton solves only the two end radii; every fiber is built at its Gauss
+    radius r_i, with lambda_i = phi(r_i e_1). The other kinds place the
+    Gauss nodes in lambda.
     """
 
     def gauss_levels():
@@ -100,10 +102,11 @@ def build_grid(
             r_nodes = 0.5 * (r_hi - r_lo) * t + 0.5 * (r_hi + r_lo)
             r_w = 0.5 * (r_hi - r_lo) * wt
             jac = hamiltonian.grad(r_nodes[:, None] * e1) @ e1
-            return hamiltonian.value(r_nodes[:, None] * e1), r_w * jac
+            return hamiltonian.value(r_nodes[:, None] * e1), r_w * jac, r_nodes.tolist()
         return (
             0.5 * (lam_max - lam_min) * t + 0.5 * (lam_max + lam_min),
             0.5 * (lam_max - lam_min) * wt,
+            [None] * n_lambda,
         )
 
     return _fill_grid(
@@ -131,7 +134,7 @@ def uniform_grid(
         w = np.full(n_lambda, (lam_max - lam_min) / (n_lambda - 1))
         w[0] *= 0.5
         w[-1] *= 0.5
-        return np.linspace(lam_min, lam_max, n_lambda), w
+        return np.linspace(lam_min, lam_max, n_lambda), w, [None] * n_lambda
 
     return _fill_grid(
         hamiltonian, fiber_kind, lam_min, lam_max, uniform_levels,
@@ -142,24 +145,55 @@ def uniform_grid(
 def _fill_grid(
     hamiltonian, fiber_kind, lam_min, lam_max, levels, fiber_nodes, n_polar, n_azimuth, box
 ) -> LambdaGrid:
-    """One fiber, and rho on its nodes, per lambda node from `levels()` -> (nodes, weights)."""
+    """One fiber, and rho on its nodes, per lambda node from `levels()`.
+
+    `levels()` gives (nodes, weights, radii); a radius is the known fiber
+    radius of a radial level, or None where the fiber must solve for it.
+    """
     level_set = {
-        "circle": lambda lam: circle_level_set(hamiltonian, lam, fiber_nodes),
-        "sphere2": lambda lam: sphere2_level_set(hamiltonian, lam, n_polar, n_azimuth),
-        "implicit-curve": lambda lam: implicit_curve_level_set(hamiltonian, lam, fiber_nodes),
-        "line": lambda lam: line_level_set(hamiltonian, lam, box, fiber_nodes),
+        "circle": lambda lam, r: circle_level_set(hamiltonian, lam, fiber_nodes, radius=r),
+        "sphere2": lambda lam, r: sphere2_level_set(
+            hamiltonian, lam, n_polar, n_azimuth, radius=r
+        ),
+        "implicit-curve": lambda lam, r: implicit_curve_level_set(hamiltonian, lam, fiber_nodes),
+        "line": lambda lam, r: line_level_set(hamiltonian, lam, box, fiber_nodes),
     }.get(fiber_kind)
     if level_set is None:
         raise ValueError(f"unknown fiber kind {fiber_kind!r}")
     if lam_max <= lam_min:
         raise EmptyRange(f"empty lambda range [{lam_min}, {lam_max}]")
+    if fiber_kind in ("circle", "sphere2"):
+        _require_monotone_ray(hamiltonian)
     try:
-        lam_nodes, lam_weights = levels()
-        fibers = [level_set(float(lam)) for lam in lam_nodes]
+        lam_nodes, lam_weights, radii = levels()
+        fibers = [level_set(float(lam), r) for lam, r in zip(lam_nodes, radii)]
         rho_list = [rho_at([hamiltonian], fiber.nodes) for fiber in fibers]
     except SingularPoint as exc:
         raise SingularLevel(str(exc)) from exc
     return LambdaGrid([hamiltonian], lam_nodes, lam_weights, fibers, rho_list)
+
+
+def _require_monotone_ray(hamiltonian: ScalarHamiltonian) -> None:
+    """Raise SingularLevel unless f(r) = phi(r e_1) is certified monotone for r > 0.
+
+    A radial grid takes one sphere per level, the one through f's root on
+    the ray; a level that crosses the ray twice would lose the other sphere.
+    Descartes' rule of signs on the exact coefficients of f' certifies that
+    f' has no positive root when they show no sign change. A sign change is
+    rejected even where f' has no positive root after all.
+    """
+    slope = {}  # r-power -> coefficient of f'(r)
+    for (_, xe, _), c in hamiltonian.phi.terms.items():
+        if xe[0] and not any(xe[1:]) and c.re:
+            slope[xe[0] - 1] = xe[0] * c.re
+    signs = [slope[d] > 0 for d in sorted(slope)]
+    changes = sum(a != b for a, b in zip(signs, signs[1:]))
+    if not signs or changes:
+        poly = " + ".join(f"({slope[d]}) r^{d}" for d in sorted(slope)) or "0"
+        raise SingularLevel(
+            f"phi(r e_1) is not certified monotone on the ray r > 0: its derivative "
+            f"{poly} has {changes} sign change(s), so a level may hold more than one sphere"
+        )
 
 
 @dataclass

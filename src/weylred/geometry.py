@@ -163,9 +163,13 @@ def gram_matrix(hams: Sequence[ScalarHamiltonian], x) -> np.ndarray:
 
 
 def jacobian_wedge_norm(hams: Sequence[ScalarHamiltonian], x):
-    """||wedge^k DJ(x)|| = sqrt(det Gram(grad phi_1, ..., grad phi_k))."""
-    det = np.linalg.det(gram_matrix(hams, x))
-    w = np.sqrt(np.maximum(det, 0.0))
+    """||wedge^k DJ(x)|| = sqrt(det Gram(grad phi_1, ..., grad phi_k)); |grad phi| for k = 1."""
+    hams = _as_ham_list(hams)
+    if len(hams) == 1:
+        g = hams[0].grad(x)
+        w = np.sqrt(np.sum(g * g, axis=-1))
+    else:
+        w = np.sqrt(np.maximum(np.linalg.det(gram_matrix(hams, x)), 0.0))
     return w if np.ndim(w) else float(w)
 
 
@@ -510,9 +514,8 @@ class LevelSetModel:
 def _radial_newton(phi: ScalarHamiltonian, direction: np.ndarray, lam: float, r0: float) -> float:
     """Solve phi(r * direction) = lam for r > 0 by Newton iteration.
 
-    The root must be regular: a radial derivative at or below
-    REGULARITY_THRESHOLD (|grad phi| there, for a radial phi) raises
-    SingularPoint, so a level on or next to the singular set fails by name.
+    The root must be regular (`_require_regular_root`), so a level on or
+    next to the singular set fails by name.
     """
     r = r0
     for _ in range(60):
@@ -529,36 +532,62 @@ def _radial_newton(phi: ScalarHamiltonian, direction: np.ndarray, lam: float, r0
         raise SingularPoint("radial Newton did not converge")
     if r <= 0:
         raise SingularPoint("level curve is not star-shaped around the origin")
-    if abs(df) <= REGULARITY_THRESHOLD:
-        raise SingularPoint(f"radial derivative {df:.3e} below threshold at level {lam} (r = {r:.3e})")
+    _require_regular_root(df, lam, r)
     return r
 
 
-def _radial_level_set(phi: ScalarHamiltonian, lam: float, unit: SphereFiber) -> SphereFiber:
+def _require_regular_root(df: float, lam: float, r: float) -> None:
+    """Raise SingularPoint unless the radial derivative df at the root r of phi = lam
+    is above REGULARITY_THRESHOLD (|grad phi| there, for a radial phi)."""
+    if not abs(df) > REGULARITY_THRESHOLD:
+        raise SingularPoint(f"radial derivative {df:.3e} below threshold at level {lam} (r = {r:.3e})")
+
+
+def _radial_level_set(
+    phi: ScalarHamiltonian, lam: float, unit: SphereFiber, radius: Optional[float]
+) -> SphereFiber:
     """The unit grid scaled to the regular radius where phi = lam on the first axis.
 
-    Every node must lie on the level: a non-radial phi fails here by name.
+    A given radius is used as it is (after the regular-root test); without
+    one, the radius is solved by Newton from sqrt(|lam|) + 0.5. Every node
+    must lie on the level: a non-radial phi, or a radius off the level,
+    fails here by name.
     """
     e1 = np.eye(unit.ambient_dim)[0]
-    fiber = unit.scaled(_radial_newton(phi, e1, lam, max(math.sqrt(abs(lam)) + 0.5, 0.5)))
+    if radius is None:
+        radius = _radial_newton(phi, e1, lam, max(math.sqrt(abs(lam)) + 0.5, 0.5))
+    elif not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"fiber radius {radius} is not a positive finite number")
+    else:
+        _require_regular_root(float(np.dot(phi.grad(radius * e1), e1)), lam, radius)
+    fiber = unit.scaled(radius)
     _require_on_level([phi], [lam], fiber.nodes)
     return fiber
 
 
-def circle_level_set(phi: ScalarHamiltonian, lam: float, n_nodes: int = 256) -> SphereFiber:
-    """Circle fiber of a radial phi on R^2."""
+def circle_level_set(
+    phi: ScalarHamiltonian, lam: float, n_nodes: int = 256, *, radius: Optional[float] = None
+) -> SphereFiber:
+    """Circle fiber of a radial phi on R^2, at `radius` when the caller knows it
+    (phi(radius e_1) = lam), else at the radius solved by Newton."""
     if phi.dimension != 2:
         raise ValueError("circle fibers need ambient dimension 2")
-    return _radial_level_set(phi, lam, unit_sphere_grid(2, n_nodes))
+    return _radial_level_set(phi, lam, unit_sphere_grid(2, n_nodes), radius)
 
 
 def sphere2_level_set(
-    phi: ScalarHamiltonian, lam: float, n_polar: int = 24, n_azimuth: int = 48
+    phi: ScalarHamiltonian,
+    lam: float,
+    n_polar: int = 24,
+    n_azimuth: int = 48,
+    *,
+    radius: Optional[float] = None,
 ) -> SphereFiber:
-    """2-sphere fiber of a radial phi on R^3 (Gauss-Legendre x trapezoid)."""
+    """2-sphere fiber of a radial phi on R^3 (Gauss-Legendre x trapezoid), at
+    `radius` when the caller knows it, else at the radius solved by Newton."""
     if phi.dimension != 3:
         raise ValueError("sphere2 fibers need ambient dimension 3")
-    return _radial_level_set(phi, lam, unit_sphere_grid(3, n_polar, n_azimuth))
+    return _radial_level_set(phi, lam, unit_sphere_grid(3, n_polar, n_azimuth), radius)
 
 
 def _star_curve_velocity(phi: ScalarHamiltonian, Z: np.ndarray) -> np.ndarray:

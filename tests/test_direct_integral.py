@@ -21,7 +21,7 @@ from weylred.dint import (
     strong_commutation_check,
     uniform_grid,
 )
-from weylred import geometry, symbols
+from weylred import dint, geometry, symbols
 from weylred.fiber import multiplication_op
 from weylred.geometry import (
     NotTangent,
@@ -154,6 +154,43 @@ class TestRadialLevels:
             assert isinstance(f, SphereFiber) and f.n_nodes == 72
             assert f.weights.sum() == pytest.approx(4 * math.pi * r * r, rel=1e-12)
             assert np.allclose(rho, 1 / r, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize(
+        "kind, n, sizes",
+        [("circle", 2, {"fiber_nodes": 16}), ("sphere2", 3, {"n_polar": 6, "n_azimuth": 12})],
+    )
+    def test_grid_solves_only_its_end_radii(self, monkeypatch, kind, n, sizes):
+        # every fiber is built at its Gauss radius; Newton runs for r_lo and r_hi
+        levels = []
+        solve = geometry._radial_newton
+
+        def counted(*args):
+            levels.append(args[2])
+            return solve(*args)
+
+        monkeypatch.setattr(geometry, "_radial_newton", counted)
+        monkeypatch.setattr(dint, "_radial_newton", counted)
+        build_grid(radial_hamiltonian(n), kind, 0.5, 4.0, 6, **sizes)
+        assert levels == [0.5, 4.0]
+
+    @staticmethod
+    def _double_well():
+        # phi = (|x|^2/2 - 1)^2: every level in (0, 1) is two circles
+        r2 = x(0) * x(0) + x(1) * x(1)
+        well = r2 * Fraction(1, 2) - PolySymbol.one(2)
+        return ScalarHamiltonian(well * well)
+
+    @pytest.mark.parametrize("lam_lo, lam_hi", [(0.1, 3.0), (0.5, 0.9), (0.3, 3.0), (0.05, 0.5)])
+    def test_nonmonotone_radial_phi_is_rejected(self, lam_lo, lam_hi):
+        with pytest.raises(ValueError):
+            build_grid(self._double_well(), "circle", lam_lo, lam_hi, 8, 16)
+
+    def test_nonmonotone_ray_is_named(self):
+        # a grid of the inner circles alone would pass every node's level check
+        with pytest.raises(SingularLevel, match=r"phi\(r e_1\) is not certified monotone"):
+            build_grid(self._double_well(), "circle", 0.5, 0.9, 8, 16)
+        with pytest.raises(SingularLevel, match="monotone"):
+            uniform_grid(self._double_well(), "circle", 0.5, 0.9, 8, 16)
 
     def test_uniform_grid_rejects_unknown_keywords(self, half_r2):
         with pytest.raises(TypeError, match="bxo"):

@@ -14,6 +14,7 @@ from weylred.geometry import (
     SphereFiber,
     ambient_JY_apply,
     circle_level_set,
+    gram_matrix,
     implicit_curve_level_set,
     induced_divergence,
     intrinsic_divergence_fd,
@@ -81,6 +82,19 @@ class TestWedgeNormAndDensity:
         linear = ScalarHamiltonian(PolySymbol.x(2, 3))
         w = jacobian_wedge_norm([half_r3, linear], [1.0, 2.0, 3.0])
         assert w == pytest.approx(math.sqrt(5.0))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_single_hamiltonian_is_the_gram_determinant(self, n):
+        # k = 1 takes |grad phi| directly; the Gram determinant is its oracle
+        xs = [PolySymbol.x(a, n) for a in range(n)]
+        phi = ScalarHamiltonian(
+            xs[0] * xs[0] + 3 * (xs[1] * xs[1]) - xs[0] * xs[-1] + xs[1] * Fraction(1, 2)
+        )
+        pts = np.random.default_rng(n).normal(size=(200, n))
+        w = jacobian_wedge_norm(phi, pts)
+        oracle = np.sqrt(np.linalg.det(gram_matrix([phi], pts)))
+        assert np.max(np.abs(w - oracle) / oracle) <= 1e-15
+        assert jacobian_wedge_norm(phi, pts[0]) == w[0]
 
     def test_singular_origin(self, half_r2):
         with pytest.raises(SingularPoint):
@@ -281,6 +295,22 @@ class TestLevelSetModels:
             sphere2_level_set(half_r3, 0.0, n_polar=6, n_azimuth=12)
         with pytest.raises(SingularPoint, match="radial derivative"):
             implicit_curve_level_set(ellipse, 0.0, n_nodes=16)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+    def test_given_radius_must_be_positive_and_finite(self, half_r2, half_r3, radius):
+        with pytest.raises(ValueError, match="not a positive finite number"):
+            circle_level_set(half_r2, 2.0, 16, radius=radius)
+        with pytest.raises(ValueError, match="not a positive finite number"):
+            sphere2_level_set(half_r3, 2.0, 6, 12, radius=radius)
+
+    def test_given_radius_keeps_the_level_and_regularity_checks(self, half_r2, half_r3):
+        assert circle_level_set(half_r2, 2.0, 16, radius=2.0).radius == 2.0
+        with pytest.raises(ValueError, match=r"node \d+ .* off the level set"):
+            circle_level_set(half_r2, 2.0, 16, radius=2.5)
+        with pytest.raises(ValueError, match=r"node \d+ .* off the level set"):
+            sphere2_level_set(half_r3, 2.0, 6, 12, radius=1.5)
+        with pytest.raises(SingularPoint, match="radial derivative"):
+            circle_level_set(half_r2, 5e-21, 16, radius=1e-10)
 
     def test_zero_level_circle_singular(self, half_r2):
         with pytest.raises(SingularPoint):

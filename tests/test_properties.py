@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylred.dint import build_grid
 from weylred.fiber import (
     FiberFunction,
     PWSymbol,
@@ -329,3 +330,36 @@ def test_sphere_fiber_divergence_is_the_induced_one(n, a, b, c, d, lam):
     flat = FiberFunction(fiber, ones, gradients=np.zeros((fiber.n_nodes, n)))
     div = (2j * fiber_JX_apply(X, 1.0, flat).values).real  # JX 1 = -i div X / 2
     assert np.max(np.abs(div - induced_divergence(X, [phi], fiber.nodes))) <= 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([2, 3]),
+    _positive,
+    _positive,
+    st.floats(min_value=0.05, max_value=6.0),
+    st.floats(min_value=0.05, max_value=6.0),
+)
+def test_radial_grid_fibers_match_the_newton_route(n, a, b, lam_a, lam_b):
+    # build_grid builds each fiber at its Gauss radius; the constructors
+    # without a radius solve phi(r e_1) = lam by Newton, as an oracle
+    lam_lo, lam_hi = sorted((lam_a, lam_b))
+    if lam_hi - lam_lo < 1e-3:
+        lam_hi = lam_lo + 1e-3
+    r2 = sum((PolySymbol.x(k, n) * PolySymbol.x(k, n) for k in range(n)), PolySymbol.zero(n))
+    phi = ScalarHamiltonian(r2 * a + r2 * r2 * b)
+    kind = "circle" if n == 2 else "sphere2"
+    grid = build_grid(phi, kind, lam_lo, lam_hi, 5, 16, n_polar=6, n_azimuth=12)
+    for lam, fiber, fiber_rho in zip(grid.lambda_nodes, grid.fibers, grid.rho):
+        oracle = (
+            circle_level_set(phi, float(lam), 16)
+            if n == 2
+            else sphere2_level_set(phi, float(lam), 6, 12)
+        )
+        assert abs(fiber.radius - oracle.radius) <= 1e-13 * oracle.radius
+        for got, want in (
+            (fiber.nodes, oracle.nodes),
+            (fiber.weights, oracle.weights),
+            (fiber_rho, rho([phi], oracle.nodes)),
+        ):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
