@@ -30,7 +30,6 @@ _KNOWN_KEYS = {
     "test_functions",
     "tolerance",
     "seed",
-    "box",
     "out",
 }
 
@@ -64,7 +63,6 @@ class SuiteConfig:
     test_functions: Tuple[int, ...] = (0, 1, 2, 3, 4)
     tolerance: float = 1e-6
     seed: int = 20240817
-    box: float = 8.0
     out_dir: str = "reports"
 
     def __post_init__(self):
@@ -165,7 +163,6 @@ def config_from_dict(raw: dict) -> SuiteConfig:
         ("n_azimuth", "n_azimuth", int),
         ("tolerance", "tolerance", float),
         ("seed", "seed", int),
-        ("box", "box", float),
         ("out", "out_dir", str),
     ):
         if json_key in raw:

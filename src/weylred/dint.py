@@ -82,7 +82,7 @@ def build_grid(
     n_azimuth: int = 48,
     box: float = 8.0,
 ) -> LambdaGrid:
-    """Gauss-Legendre lambda grid with one fiber per node.
+    """Gauss-Legendre lambda grid with one fiber, and rho on its nodes, per level.
 
     The radial kinds (circle, sphere2) place the Gauss nodes in the fiber
     radius and carry the Jacobian lambda'(r) into the weights; this keeps
@@ -90,65 +90,8 @@ def build_grid(
     levels (where integrands behave like fractional powers of lambda).
     Newton solves only the two end radii; every fiber is built at its Gauss
     radius r_i, with lambda_i = phi(r_i e_1). The other kinds place the
-    Gauss nodes in lambda.
-    """
-
-    def gauss_levels():
-        t, wt = np.polynomial.legendre.leggauss(n_lambda)
-        if fiber_kind in ("circle", "sphere2"):
-            e1 = np.eye(hamiltonian.dimension)[0]
-            r_lo = _radial_newton(hamiltonian, e1, lam_min, max(math.sqrt(abs(lam_min)), 1e-3))
-            r_hi = _radial_newton(hamiltonian, e1, lam_max, max(math.sqrt(abs(lam_max)), 1e-3))
-            r_nodes = 0.5 * (r_hi - r_lo) * t + 0.5 * (r_hi + r_lo)
-            r_w = 0.5 * (r_hi - r_lo) * wt
-            jac = hamiltonian.grad(r_nodes[:, None] * e1) @ e1
-            return hamiltonian.value(r_nodes[:, None] * e1), r_w * jac, r_nodes.tolist()
-        return (
-            0.5 * (lam_max - lam_min) * t + 0.5 * (lam_max + lam_min),
-            0.5 * (lam_max - lam_min) * wt,
-            [None] * n_lambda,
-        )
-
-    return _fill_grid(
-        hamiltonian, fiber_kind, lam_min, lam_max, gauss_levels,
-        fiber_nodes, n_polar, n_azimuth, box,
-    )
-
-
-def uniform_grid(
-    hamiltonian: ScalarHamiltonian,
-    fiber_kind: str,
-    lam_min: float,
-    lam_max: float,
-    n_lambda: int,
-    fiber_nodes: int = 256,
-    *,
-    n_polar: int = 24,
-    n_azimuth: int = 48,
-    box: float = 8.0,
-) -> LambdaGrid:
-    """Uniformly spaced lambda nodes (trapezoid weights) for probes that
-    need equispaced levels rather than Gauss nodes."""
-
-    def uniform_levels():
-        w = np.full(n_lambda, (lam_max - lam_min) / (n_lambda - 1))
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return np.linspace(lam_min, lam_max, n_lambda), w, [None] * n_lambda
-
-    return _fill_grid(
-        hamiltonian, fiber_kind, lam_min, lam_max, uniform_levels,
-        fiber_nodes, n_polar, n_azimuth, box,
-    )
-
-
-def _fill_grid(
-    hamiltonian, fiber_kind, lam_min, lam_max, levels, fiber_nodes, n_polar, n_azimuth, box
-) -> LambdaGrid:
-    """One fiber, and rho on its nodes, per lambda node from `levels()`.
-
-    `levels()` gives (nodes, weights, radii); a radius is the known fiber
-    radius of a radial level, or None where the fiber must solve for it.
+    Gauss nodes in lambda. A level that touches the singular set raises
+    SingularLevel.
     """
     level_set = {
         "circle": lambda lam, r: circle_level_set(hamiltonian, lam, fiber_nodes, radius=r),
@@ -162,10 +105,24 @@ def _fill_grid(
         raise ValueError(f"unknown fiber kind {fiber_kind!r}")
     if lam_max <= lam_min:
         raise EmptyRange(f"empty lambda range [{lam_min}, {lam_max}]")
-    if fiber_kind in ("circle", "sphere2"):
+    radial = fiber_kind in ("circle", "sphere2")
+    if radial:
         _require_monotone_ray(hamiltonian)
+    t, wt = np.polynomial.legendre.leggauss(n_lambda)
     try:
-        lam_nodes, lam_weights, radii = levels()
+        if radial:
+            e1 = np.eye(hamiltonian.dimension)[0]
+            r_lo = _radial_newton(hamiltonian, e1, lam_min, max(math.sqrt(abs(lam_min)), 1e-3))
+            r_hi = _radial_newton(hamiltonian, e1, lam_max, max(math.sqrt(abs(lam_max)), 1e-3))
+            r_nodes = 0.5 * (r_hi - r_lo) * t + 0.5 * (r_hi + r_lo)
+            jac = hamiltonian.grad(r_nodes[:, None] * e1) @ e1
+            lam_nodes = hamiltonian.value(r_nodes[:, None] * e1)
+            lam_weights = 0.5 * (r_hi - r_lo) * wt * jac
+            radii = r_nodes.tolist()
+        else:
+            lam_nodes = 0.5 * (lam_max - lam_min) * t + 0.5 * (lam_max + lam_min)
+            lam_weights = 0.5 * (lam_max - lam_min) * wt
+            radii = [None] * n_lambda
         fibers = [level_set(float(lam), r) for lam, r in zip(lam_nodes, radii)]
         rho_list = [rho_at([hamiltonian], fiber.nodes) for fiber in fibers]
     except SingularPoint as exc:
@@ -229,9 +186,7 @@ def apply_Tx(u: TestFunction, grid: LambdaGrid) -> DirectIntegralSection:
     return DirectIntegralSection(grid, parts)
 
 
-def apply_Tx_adjoint(
-    s: DirectIntegralSection, probes: np.ndarray, snap_tol: float = SNAP_TOL
-) -> np.ndarray:
+def apply_Tx_adjoint(s: DirectIntegralSection, probes: np.ndarray) -> np.ndarray:
     """rho^{-1/2} s(lambda(x))(x) at probe points on (or snapped to) fibers."""
     grid = s.grid
     ham = grid.hamiltonians[0]
@@ -239,28 +194,21 @@ def apply_Tx_adjoint(
     for k, p in enumerate(np.atleast_2d(probes)):
         lam = ham.value(p)
         i = int(np.argmin(np.abs(grid.lambda_nodes - lam)))
-        if abs(grid.lambda_nodes[i] - lam) > snap_tol * (1 + abs(lam)):
+        if abs(grid.lambda_nodes[i] - lam) > SNAP_TOL * (1 + abs(lam)):
             raise ValueError(f"probe {p} lies off every grid level")
         fiber = grid.fibers[i]
         d = np.linalg.norm(np.asarray(fiber.nodes) - p, axis=1)
         j = int(np.argmin(d))
-        if d[j] > snap_tol * (1 + np.linalg.norm(p)):
+        if d[j] > SNAP_TOL * (1 + np.linalg.norm(p)):
             raise ValueError(f"probe {p} is not near a fiber node")
         out[k] = s.parts[i][j] / math.sqrt(grid.rho[i][j])
     return out
 
 
-def ambient_integral(
-    func: Callable,
-    dimension: int,
-    box: float = 8.0,
-    n_r: int = 96,
-    n_ang: int = 64,
-    r_min: float = 0.0,
-) -> float:
+def ambient_integral(func: Callable, dimension: int, *, n_r: int = 96, n_ang: int = 64) -> float:
     """Polar/spherical quadrature of a rapidly decaying ambient field.
 
-    Radial Gauss-Legendre on [0, box] crossed with the unit sphere grid:
+    Radial Gauss-Legendre on [0, 8] crossed with the unit sphere grid:
     uniform angles (n=2) or Gauss-Legendre in cos(polar) x uniform azimuth
     (n=3); smooth for integrands of the form (smooth) * |x| that defeat
     Cartesian grids.
@@ -272,29 +220,21 @@ def ambient_integral(
     else:
         raise ValueError("ambient quadrature implemented for n = 2, 3")
     r, wr = np.polynomial.legendre.leggauss(n_r)
-    r = 0.5 * (box - r_min) * (r + 1) + r_min
-    wr = 0.5 * (box - r_min) * wr
+    r, wr = 4.0 * (r + 1), 4.0 * wr  # mapped to [0, 8]
     pts = (r[:, None, None] * unit.nodes[None, :, :]).reshape(-1, dimension)
     W = np.outer(wr * r ** (dimension - 1), unit.weights).ravel()
     vals = call_on_nodes(func, pts)
     return float(np.real(np.sum(W * vals)))
 
 
-def coarea_check(
-    f: TestFunction,
-    grid: LambdaGrid,
-    *,
-    box: float = 8.0,
-    n_r: int = 96,
-    n_ang: int = 64,
-) -> float:
+def coarea_check(f: TestFunction, grid: LambdaGrid, *, n_r: int = 96, n_ang: int = 64) -> float:
     """|integral of f * wedge-norm  -  sum over levels of the fiber integrals|."""
     hams = grid.hamiltonians
 
     def weighted(pts):
         return call_on_nodes(f.value, pts) * jacobian_wedge_norm(hams, pts)
 
-    lhs = ambient_integral(weighted, grid.dimension, box, n_r, n_ang)
+    lhs = ambient_integral(weighted, grid.dimension, n_r=n_r, n_ang=n_ang)
     rhs = 0.0
     for w, fiber in zip(grid.lambda_weights, grid.fibers):
         vals = call_on_nodes(f.value, np.asarray(fiber.nodes, dtype=float))
@@ -387,14 +327,20 @@ def slice_integrals(h: TestFunction, grid: LambdaGrid) -> np.ndarray:
 
 
 def slice_continuity_probe(h: TestFunction, grid: LambdaGrid) -> float:
-    """Max second divided difference of F(lambda) on a uniform lambda grid."""
+    """max_i |2 F[lam_i, lam_{i+1}, lam_{i+2}]| for F(lambda) = slice integral of h.
+
+    Twice a second divided difference equals F'' at some level between its
+    three nodes, so the probe reads the curvature of F on the grid's own
+    levels (Gauss or any other increasing nodes). On uniform nodes of step h
+    it is (F_{i+2} - 2 F_{i+1} + F_i) / h^2. Needs at least 3 levels.
+    """
     lam = grid.lambda_nodes
-    steps = np.diff(lam)
-    if len(lam) < 3 or np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
-        raise ValueError("continuity probe needs a uniform lambda refinement")
+    if len(lam) < 3:
+        raise ValueError(f"continuity probe needs at least 3 lambda levels, got {len(lam)}")
     F = slice_integrals(h, grid)
-    second = np.abs(F[2:] - 2 * F[1:-1] + F[:-2]) / steps[0] ** 2
-    return float(np.max(second)) if len(second) else 0.0
+    slopes = np.diff(F) / np.diff(lam)
+    second = 2 * np.diff(slopes) / (lam[2:] - lam[:-2])
+    return float(np.max(np.abs(second)))
 
 
 def gaussian_poly_suite(n: int) -> List[TestFunction]:

@@ -18,14 +18,13 @@ import numpy as np
 from .geometry import (
     LevelSetModel,
     NotTangent,
+    TANGENCY_TOL,
     SphereFiber,
     call_on_nodes,
     induced_divergence,
     tangency_residual,
 )
 from .symbols import VectorField
-
-TANGENCY_TOL = 1e-8
 
 
 class AntipodalPair(ValueError):

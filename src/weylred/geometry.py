@@ -8,6 +8,7 @@ quadrature models of single level sets: `SphereFiber` for circles and
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -19,6 +20,7 @@ import numpy as np
 from .symbols import PolySymbol, VectorField, compile_symbols, evaluate_compiled
 
 REGULARITY_THRESHOLD = 1e-8
+TANGENCY_TOL = 1e-8
 NODE_TOL = 1e-9
 
 
@@ -91,14 +93,12 @@ class ScalarHamiltonian:
         return self._run("hess", x, (n, n))
 
 
-def radial_hamiltonian(n: int, half: bool = True) -> ScalarHamiltonian:
-    """phi = |x|^2/2 (or |x|^2 when half=False)."""
+def radial_hamiltonian(n: int) -> ScalarHamiltonian:
+    """phi = |x|^2/2."""
     phi = PolySymbol.zero(n)
     for a in range(n):
         phi = phi + PolySymbol.x(a, n) * PolySymbol.x(a, n)
-    if half:
-        phi = phi * Fraction(1, 2)
-    return ScalarHamiltonian(phi)
+    return ScalarHamiltonian(phi * Fraction(1, 2))
 
 
 @dataclass
@@ -123,8 +123,9 @@ class TestFunction:
     fourier: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = ""
 
-    def check_gradient(self, probes: np.ndarray, h: float = 1e-6, rtol: float = 1e-6) -> float:
-        """Max relative deviation of the analytic gradient vs central FD."""
+    def check_gradient(self, probes: np.ndarray) -> float:
+        """Max relative deviation of the analytic gradient vs central FD (step 1e-6)."""
+        h = 1e-6
         worst = 0.0
         for p in np.atleast_2d(probes):
             g = np.asarray(self.gradient(p))
@@ -173,9 +174,10 @@ def jacobian_wedge_norm(hams: Sequence[ScalarHamiltonian], x):
     return w if np.ndim(w) else float(w)
 
 
-def _require_regular(w, x, threshold: float) -> None:
-    """Raise SingularPoint naming the first point whose wedge norm is not above threshold."""
-    bad = np.flatnonzero(~(np.atleast_1d(w) > threshold))
+def _require_regular(w, x) -> None:
+    """Raise SingularPoint naming the first point whose wedge norm is not above
+    REGULARITY_THRESHOLD."""
+    bad = np.flatnonzero(~(np.atleast_1d(w) > REGULARITY_THRESHOLD))
     if not bad.size:
         return
     if np.ndim(w) == 0:
@@ -184,17 +186,17 @@ def _require_regular(w, x, threshold: float) -> None:
     raise SingularPoint(f"wedge norm {w[i]:.3e} below threshold at node {i} ({x[i]})")
 
 
-def rho(hams, x, threshold: float = REGULARITY_THRESHOLD):
+def rho(hams, x):
     """Density rho(x) = ||wedge^k DJ(x)||^{-1} on the regular set."""
     w = jacobian_wedge_norm(hams, x)
-    _require_regular(w, np.asarray(x), threshold)
+    _require_regular(w, np.asarray(x))
     return 1.0 / w
 
 
-def project_qx(hams, x, xi, threshold: float = REGULARITY_THRESHOLD) -> np.ndarray:
+def project_qx(hams, x, xi) -> np.ndarray:
     """Orthogonal projection of xi onto <grad phi_1(x),...>^perp."""
     hams = _as_ham_list(hams)
-    if jacobian_wedge_norm(hams, x) <= threshold:
+    if jacobian_wedge_norm(hams, x) <= REGULARITY_THRESHOLD:
         raise SingularPoint(f"cannot project at singular point {x}")
     grads = np.array([h.grad(x) for h in hams])
     q, _ = np.linalg.qr(grads.T)
@@ -252,15 +254,11 @@ def _gram_det_symbol(hams: List[ScalarHamiltonian]) -> PolySymbol:
         ]
         for j in range(k)
     ]
-    import itertools
-
     det = PolySymbol.zero(n)
     for perm in itertools.permutations(range(k)):
-        sign = 1
-        seen = list(perm)
         # parity via inversion count
         inversions = sum(
-            1 for i in range(k) for j in range(i + 1, k) if seen[i] > seen[j]
+            1 for i in range(k) for j in range(i + 1, k) if perm[i] > perm[j]
         )
         sign = -1 if inversions % 2 else 1
         term = PolySymbol.one(n)
@@ -270,14 +268,7 @@ def _gram_det_symbol(hams: List[ScalarHamiltonian]) -> PolySymbol:
     return det
 
 
-def induced_divergence(
-    Y: VectorField,
-    hams,
-    z,
-    *,
-    threshold: float = REGULARITY_THRESHOLD,
-    tangency_tol: float = 1e-8,
-):
+def induced_divergence(Y: VectorField, hams, z):
     """div of the induced field Y^lambda on the level set through z.
 
     k=1 closed form: div Y + <Hess[phi] Y, grad phi> / ||grad phi||^2.
@@ -288,10 +279,10 @@ def induced_divergence(
     hams = _as_ham_list(hams)
     z = np.asarray(z, dtype=float)
     pts = np.atleast_2d(z)
-    _require_regular(jacobian_wedge_norm(hams, z), z, threshold)
+    _require_regular(jacobian_wedge_norm(hams, z), z)
     resid = tangency_residual(Y, hams, pts)
-    if np.any(resid > tangency_tol):
-        i = int(np.argmax(resid > tangency_tol))
+    if np.any(resid > TANGENCY_TOL):
+        i = int(np.argmax(resid > TANGENCY_TOL))
         where = f"node {i} ({pts[i]})" if z.ndim == 2 else f"{z}"
         raise NotTangent(f"field is not tangent at {where} (residual {resid[i]:.3e})")
     div_y = Y.divergence().evaluate_many(pts).real

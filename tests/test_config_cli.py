@@ -167,6 +167,13 @@ class TestCLI:
         assert main(["kernel", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_removed_box_key_exit_two(self, tmp_path, capsys):
+        # the line fibers of a config never read "box"; it is an unknown key now
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"box": 5}))
+        assert main(["kernel", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "box" in capsys.readouterr().err
+
     def test_unordered_hbar_ladder_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"hbar": [0.125, 0.5]}))
@@ -248,3 +255,10 @@ class TestCLI:
         assert "strong-commutation" in names
         assert "metric-density-exponent" in names
         assert report.verdict
+
+    def test_every_residual_is_judged_against_its_tolerance(self):
+        report = run_suite(SuiteConfig(), "all")
+        judged = [r for r in report.records if r.tolerance is not None and r.residual is not None]
+        assert len(judged) >= 15
+        for record in judged:
+            assert record.passed == (record.residual < record.tolerance), record.name

@@ -7,6 +7,7 @@ import pytest
 from weylred.dint import (
     DirectIntegralSection,
     EmptyRange,
+    LambdaGrid,
     SingularLevel,
     ambient_integral,
     apply_Tx,
@@ -19,7 +20,6 @@ from weylred.dint import (
     slice_continuity_probe,
     slice_integrals,
     strong_commutation_check,
-    uniform_grid,
 )
 from weylred import dint, geometry, symbols
 from weylred.fiber import multiplication_op
@@ -140,15 +140,16 @@ class TestRadialLevels:
         monkeypatch.setattr(geometry.SphereFiber, "sphere", classmethod(counted))
         h3 = radial_hamiltonian(3)
         grid = build_grid(h3, "sphere2", 0.5, 4.0, 6, n_polar=7, n_azimuth=14)
-        uniform_grid(h3, "sphere2", 0.5, 4.0, 5, n_polar=7, n_azimuth=14)
+        build_grid(h3, "sphere2", 0.3, 2.0, 5, n_polar=7, n_azimuth=14)
         geometry.unit_sphere_grid.cache_clear()
         assert built == [(1.0, 7, 14)]
         radii = np.array([f.radius for f in grid.fibers])
         assert np.allclose(radii, np.sqrt(2 * grid.lambda_nodes), rtol=1e-14, atol=0)
 
-    def test_uniform_sphere2_grid(self):
-        grid = uniform_grid(radial_hamiltonian(3), "sphere2", 0.5, 2.0, 5, n_polar=6, n_azimuth=12)
-        assert np.array_equal(grid.lambda_nodes, np.linspace(0.5, 2.0, 5))
+    def test_sphere2_grid_fibers(self):
+        grid = build_grid(radial_hamiltonian(3), "sphere2", 0.5, 2.0, 5, n_polar=6, n_azimuth=12)
+        assert np.all((grid.lambda_nodes > 0.5) & (grid.lambda_nodes < 2.0))
+        assert np.all(np.diff(grid.lambda_nodes) > 0)
         for lam, f, rho in zip(grid.lambda_nodes, grid.fibers, grid.rho):
             r = math.sqrt(2 * lam)
             assert isinstance(f, SphereFiber) and f.n_nodes == 72
@@ -189,12 +190,10 @@ class TestRadialLevels:
         # a grid of the inner circles alone would pass every node's level check
         with pytest.raises(SingularLevel, match=r"phi\(r e_1\) is not certified monotone"):
             build_grid(self._double_well(), "circle", 0.5, 0.9, 8, 16)
-        with pytest.raises(SingularLevel, match="monotone"):
-            uniform_grid(self._double_well(), "circle", 0.5, 0.9, 8, 16)
 
-    def test_uniform_grid_rejects_unknown_keywords(self, half_r2):
+    def test_grid_rejects_unknown_keywords(self, half_r2):
         with pytest.raises(TypeError, match="bxo"):
-            uniform_grid(half_r2, "circle", 0.5, 2.0, 5, 16, n_polar=7, bxo=3)
+            build_grid(half_r2, "circle", 0.5, 2.0, 5, 16, n_polar=7, bxo=3)
 
 
 class TestApplyTx:
@@ -444,7 +443,7 @@ class TestStrongCommutation:
 
 class TestSliceContinuity:
     def test_radial_gaussian_smoothness(self, half_r2):
-        grid = uniform_grid(half_r2, "circle", 0.5, 2.0, 41, 128)
+        grid = build_grid(half_r2, "circle", 0.5, 2.0, 41, 128)
         u = TestFunction(value=lambda p: np.exp(-sq(p)), gradient=None)
         probe = slice_continuity_probe(u, grid)
         # analytic F(lam) = 2 pi sqrt(2 lam) e^{-2 lam}; bound its second
@@ -455,7 +454,7 @@ class TestSliceContinuity:
         assert probe <= np.max(second) + 1e-4
 
     def test_matches_analytic_values(self, half_r2):
-        grid = uniform_grid(half_r2, "circle", 0.5, 2.0, 11, 64)
+        grid = build_grid(half_r2, "circle", 0.5, 2.0, 11, 64)
         u = TestFunction(value=lambda p: np.exp(-sq(p)), gradient=None)
         F = slice_integrals(u, grid)
         want = 2 * math.pi * np.sqrt(2 * grid.lambda_nodes) * np.exp(
@@ -464,14 +463,34 @@ class TestSliceContinuity:
         assert np.max(np.abs(F - want)) < 1e-12
 
     def test_zero_function(self, half_r2):
-        grid = uniform_grid(half_r2, "circle", 0.5, 2.0, 9, 32)
+        grid = build_grid(half_r2, "circle", 0.5, 2.0, 9, 32)
         z = TestFunction(value=lambda p: np.zeros(len(np.atleast_2d(p))), gradient=None)
         assert slice_continuity_probe(z, grid) == 0.0
 
-    def test_nonuniform_grid_rejected(self, half_r2):
-        grid = build_grid(half_r2, "circle", 0.5, 2.0, 9, 32)
+    @staticmethod
+    def _uniform_circle_grid(phi, lam):
+        # equispaced levels with trapezoid weights, built fiber by fiber
+        fibers = [geometry.circle_level_set(phi, float(l), 64) for l in lam]
+        weights = np.full(len(lam), lam[1] - lam[0])
+        weights[[0, -1]] *= 0.5
+        rho = [geometry.rho([phi], f.nodes) for f in fibers]
+        return LambdaGrid([phi], lam, weights, fibers, rho)
+
+    def test_matches_uniform_second_difference(self, half_r2):
+        # on equispaced levels the divided-difference probe is the classical
+        # (F_2 - 2 F_1 + F_0) / h^2
+        lam = np.linspace(0.5, 2.0, 9)
+        grid = self._uniform_circle_grid(half_r2, lam)
         u = TestFunction(value=lambda p: np.exp(-sq(p)), gradient=None)
-        with pytest.raises(ValueError):
+        F = slice_integrals(u, grid)
+        h = lam[1] - lam[0]
+        want = np.max(np.abs(F[2:] - 2 * F[1:-1] + F[:-2])) / h**2
+        assert slice_continuity_probe(u, grid) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_two_levels_rejected(self, half_r2):
+        grid = self._uniform_circle_grid(half_r2, np.array([0.5, 2.0]))
+        u = TestFunction(value=lambda p: np.exp(-sq(p)), gradient=None)
+        with pytest.raises(ValueError, match="at least 3"):
             slice_continuity_probe(u, grid)
 
 

@@ -221,6 +221,25 @@ class TestInducedDivergence:
         val = induced_divergence(Y, [half_r3, height], z)
         assert val == pytest.approx(0.0, abs=1e-12)
 
+    def test_k2_gram_correction_matches_k1(self, ellipse):
+        # [DERIVED] the joint levels of phi = (x1^2 + 2 x2^2)/2 and x3 are
+        # ellipses at fixed height; the Gram-determinant route for k = 2 must
+        # give the k = 1 Hessian value of the plane ellipse, which is
+        # 2 z1 z2 / (z1^2 + 4 z2^2) for Y = (-2 x2, x1, 0)
+        cylinder = ScalarHamiltonian((x(0, 3) * x(0, 3) + 2 * (x(1, 3) * x(1, 3))) * Fraction(1, 2))
+        height = ScalarHamiltonian(x(2, 3))
+        Y = VectorField(3, (-2 * x(1, 3), x(0, 3), PolySymbol.zero(3)))
+        Y2 = VectorField(2, (-2 * x(1), x(0)))
+        rng = np.random.default_rng(31)
+        pts = rng.uniform(-2.0, 2.0, size=(50, 3))
+        for q in pts:
+            p = q[:2]
+            val = induced_divergence(Y, [cylinder, height], q)
+            assert val == pytest.approx(induced_divergence(Y2, ellipse, p), rel=1e-12, abs=1e-15)
+            assert val == pytest.approx(2 * p[0] * p[1] / (p[0] ** 2 + 4 * p[1] ** 2), rel=1e-12)
+        batch = induced_divergence(Y, [cylinder, height], pts)
+        assert np.max(np.abs(batch)) > 0.1
+
 
 class TestMomentMap:
     def test_so2_generator_is_angular_momentum(self):
