@@ -19,8 +19,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import expm
 
 from .config import ConfigError, SuiteConfig, parse_config
 from .dint import (
@@ -333,6 +331,8 @@ def _run_evolve(cfg: SuiteConfig, report: Report) -> None:
     for hbar in (1.0, 0.1):
 
         def vs_expm(hbar=hbar):
+            from scipy.linalg import expm
+
             G = fiber_JX_matrix(X, hbar, fiber).matrix
             t = 2 * math.pi
             P = expm((1j * t / hbar) * G)
@@ -378,6 +378,8 @@ def _run_kernel(cfg: SuiteConfig, report: Report) -> None:
     _timed(report, "kernel-antipodal-zeros", {"nodes": 96}, None, antipodal)
 
     def density_decision():
+        from scipy.integrate import quad
+
         total = 0.0
         for r in (1.0, 1.9):
             _, _, density = stereo_charts(np.array([r, 0.0]), r)

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import (
     LevelSetModel,
@@ -71,13 +72,22 @@ class PWSymbol:
     fhat(m, v): base points m on the sphere, vertical vectors v in the
     tangent plane at m; must vanish for ||v|| > support_radius. The optional
     kappa is an even cutoff on the tangent bundle (kappa(m, v) = kappa(m, -v)).
-    `kernel_quantize` calls each once, on (K, n) batches that hold only the
-    K in-support, non-antipodal node pairs; both return shape (K,).
+
+    A circle symbol may also give fhat as separable terms ((a_1, b_1), ...):
+    fhat(m, v) = sum_j a_j(theta) b_j(m ^ v), with theta = arctan2(m_1, m_0)
+    in (-pi, pi] and m ^ v = m_0 v_1 - m_1 v_0; each factor takes and gives
+    arrays. `kernel_quantize` then picks the route from the input: on a
+    circle with uniform `thetas` and without kappa it evaluates each a_j
+    once on the 2N midpoint angles and each b_j once per signed node
+    offset, and gathers the entries; every other case calls fhat (and
+    kappa) once, on (K, n) batches that hold only the K in-support,
+    non-antipodal node pairs, and both return shape (K,).
     """
 
     fhat: Callable[[np.ndarray, np.ndarray], np.ndarray]
     support_radius: float
     kappa: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    terms: Optional[Tuple[Tuple[Callable, Callable], ...]] = None
 
 
 @dataclass(frozen=True)
@@ -172,14 +182,21 @@ def kernel_quantize(f: PWSymbol, hbar: float, fiber: SphereFiber) -> FiberOperat
     entries vanish; the optional cutoff kappa is evaluated at the geometric
     half-velocity (the midpoint-map tangent). The symbol is evaluated only
     on pairs with r theta/|hbar| <= support_radius; every other entry is 0.
-    The pair geometry comes from `SphereFiber.kernel_pairs`: circles build
-    it from node offsets, 2-spheres from their cached pair angles.
+
+    Two routes give the same entries. A symbol with separable `terms` and
+    no kappa, on a circle with uniform `thetas`, takes the offset route
+    (`_separable_circle_kernel`). Every other input calls fhat on the pair
+    geometry of `SphereFiber.kernel_pairs`: circles build it from node
+    offsets, 2-spheres from their cached pair angles.
     """
     if not isinstance(fiber, SphereFiber):
         raise TypeError(f"kernel_quantize needs a SphereFiber, got a {type(fiber).__name__}")
     if hbar == 0:
         raise ValueError("hbar must be nonzero")
-    rows, cols, arc, M, U = fiber.kernel_pairs(abs(hbar) * f.support_radius)
+    reach = abs(hbar) * f.support_radius
+    if f.terms is not None and f.kappa is None and fiber.thetas is not None:
+        return FiberOperator(fiber, _separable_circle_kernel(f.terms, hbar, fiber, reach))
+    rows, cols, arc, M, U = fiber.kernel_pairs(reach)
     values = hbar ** (1 - fiber.ambient_dim) * np.asarray(
         f.fhat(M, (arc / hbar)[:, None] * U), dtype=complex
     )
@@ -188,6 +205,40 @@ def kernel_quantize(f: PWSymbol, hbar: float, fiber: SphereFiber) -> FiberOperat
     K = np.zeros((fiber.n_nodes, fiber.n_nodes), dtype=complex)
     K[rows, cols] = values * fiber.weights[cols]
     return FiberOperator(fiber, K)
+
+
+def _separable_circle_kernel(terms, hbar: float, fiber: SphereFiber, reach: float) -> np.ndarray:
+    """K * diag(weights) of sum_j a_j(theta) b_j(m ^ v) on a uniform circle, by node offset.
+
+    The pair (col + d, col) has its midpoint at the angle pi (2 col + d) / N,
+    one of 2N angles (taken in arctan2's range), and m ^ v = r arc_d / hbar
+    with arc_d = 2 pi r d / N; the mirrored pair (col, col + d) shares the
+    midpoint and negates m ^ v. So each a_j is evaluated once on the 2N
+    angles and each b_j once on the 2 D + 1 signed offsets |d| <= D.
+    """
+    n, r = fiber.n_nodes, fiber.radius
+    offsets = np.concatenate([[0], fiber.reach_offsets(reach)])
+    k = len(offsets)
+    wedge = r * (r * (2 * math.pi * offsets / n)) / hbar
+    signed = np.concatenate([wedge, -wedge[1:]])  # d = 0..D, then -1..-D
+    slots = np.arange(2 * n)
+    angles = math.pi * np.where(slots > n, slots - 2 * n, slots) / n
+    forward = np.zeros((k, n), dtype=complex)
+    mirrored = np.zeros((k - 1, n), dtype=complex)
+    for a, b in terms:
+        a_mid = np.asarray(a(angles), dtype=complex)
+        # [d, col] -> a at the midpoint slot 2 col + d of the pair (col + d, col)
+        a_pairs = sliding_window_view(np.concatenate([a_mid, a_mid]), 2 * n)[:k, ::2]
+        b_signed = np.asarray(b(signed), dtype=complex)[:, None]
+        forward += a_pairs * b_signed[:k]
+        mirrored += a_pairs[1:] * b_signed[k:]
+    cols = np.arange(n)
+    rows = (cols + offsets[:, None]) % n
+    w = fiber.weights
+    K = np.zeros((n, n), dtype=complex)
+    K[rows, cols] = forward * (w / hbar)
+    K[cols, rows[1:]] = mirrored * (w[rows[1:]] / hbar)
+    return K
 
 
 def multiplication_op(a: Callable[[np.ndarray], np.ndarray], fiber) -> FiberOperator:

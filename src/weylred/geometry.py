@@ -410,10 +410,8 @@ class SphereFiber:
         if self.thetas is None:
             return self._kernel_pairs_from_angles(reach)
         r, n = self.radius, self.n_nodes
-        offsets = np.arange(1, (n + 1) // 2)
+        offsets = self.reach_offsets(reach)
         arcs = r * (2 * math.pi * offsets / n)
-        keep = arcs <= reach
-        offsets, arcs = offsets[keep], arcs[keep]
         cols = np.broadcast_to(np.arange(n), (len(offsets), n)).ravel()
         rows = (cols + np.repeat(offsets, n)) % n
         phi = self.thetas[cols] + np.repeat(math.pi * offsets / n, n)
@@ -429,6 +427,16 @@ class SphereFiber:
             np.concatenate([self.nodes, mid, mid]),
             np.concatenate([np.zeros((n, 2)), chord, -chord]),
         )
+
+    def reach_offsets(self, reach: float) -> np.ndarray:
+        """Node offsets 1 <= d < N/2 of a uniform circle whose arc r 2 pi d / N is within reach.
+
+        The in-reach offsets are 1..D for some D >= 0; the antipodal offset
+        N/2 never enters.
+        """
+        n = self.n_nodes
+        offsets = np.arange(1, (n + 1) // 2)
+        return offsets[self.radius * (2 * math.pi * offsets / n) <= reach]
 
     def _kernel_pairs_from_angles(self, reach: float):
         Z, r = self.nodes, self.radius

@@ -15,7 +15,6 @@ from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .fiber import FiberFunction, PWSymbol, SphereFiber, kernel_quantize
 
@@ -26,7 +25,10 @@ PROFILE_DS = 1.0 / 128.0
 class Profile:
     """Uniformly sampled compactly supported profile b(s).
 
-    s-grid: s0 + ds * arange(len(values)); zero outside the sampled window.
+    s-grid: s0 + ds * arange(len(values)). Calling it evaluates the
+    not-a-knot cubic spline through the samples (a line through 2 samples,
+    a parabola through 3), and 0 outside [s0, s_max]. The spline
+    coefficients are built once per profile.
     """
 
     s0: float
@@ -48,18 +50,30 @@ class Profile:
         return self.s0 + self.ds * np.arange(len(self.values))
 
     @cached_property
-    def _splines(self) -> Tuple[CubicSpline, CubicSpline]:
-        """Real and imaginary interpolants, built once per profile."""
-        grid = self.grid()
-        return (
-            CubicSpline(grid, self.values.real, extrapolate=False),
-            CubicSpline(grid, self.values.imag, extrapolate=False),
-        )
+    def _cubic(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per-interval coefficients (c3, c2, c1, c0) in powers of u = (s - s_i) / ds."""
+        y = np.asarray(self.values, dtype=complex)
+        delta = np.diff(y)
+        slopes = _not_a_knot_slopes(delta)  # ds * b'(s_i)
+        c3 = slopes[:-1] + slopes[1:] - 2 * delta
+        return c3, delta - slopes[:-1] - c3, slopes[:-1], y[:-1]
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
-        spline_re, spline_im = self._splines
-        return np.nan_to_num(spline_re(s)) + 1j * np.nan_to_num(spline_im(s))
+        flat = s.reshape(-1)
+        inside = (flat >= self.s0) & (flat <= self.s_max)
+        u = (np.where(inside, flat, self.s0) - self.s0) / self.ds
+        i = np.minimum(u.astype(np.intp), len(self.values) - 2)
+        u -= i
+        c3, c2, c1, c0 = self._cubic
+        out = c3[i] * u
+        out += c2[i]
+        out *= u
+        out += c1[i]
+        out *= u
+        out += c0[i]
+        out[~inside] = 0.0
+        return out.reshape(s.shape)
 
     def convolve(self, other: "Profile") -> "Profile":
         if abs(self.ds - other.ds) > 1e-15:
@@ -69,6 +83,37 @@ class Profile:
 
     def times_minus_is(self) -> "Profile":
         return Profile(self.s0, self.ds, -1j * self.grid() * self.values)
+
+
+def _not_a_knot_slopes(delta: np.ndarray) -> np.ndarray:
+    """Scaled knot slopes g_i = ds b'(s_i) of the not-a-knot spline with sample differences delta.
+
+    On a uniform grid the interior equations are g_{i-1} + 4 g_i + g_{i+1} =
+    3 (delta_{i-1} + delta_i), and the not-a-knot ends give
+    g_0 + 2 g_1 = (5 delta_0 + delta_1) / 2 and its mirror image.
+    """
+    if len(delta) == 1:
+        return np.array([delta[0], delta[0]])
+    if len(delta) == 2:
+        mid = (delta[0] + delta[1]) / 2
+        return np.array([2 * delta[0] - mid, mid, 2 * delta[1] - mid])
+    rhs = np.empty(len(delta) + 1, dtype=complex)
+    rhs[0] = (5 * delta[0] + delta[1]) / 2
+    rhs[1:-1] = 3 * (delta[:-1] + delta[1:])
+    rhs[-1] = (delta[-2] + 5 * delta[-1]) / 2
+    # tridiagonal (Thomas) elimination on Python scalars, rows (1, 2),
+    # (1, 4, 1) ... (1, 4, 1), (2, 1)
+    rhs = rhs.tolist()
+    upper = [2.0]
+    forward = [rhs[0]]
+    for r in rhs[1:-1]:
+        inv = 1.0 / (4.0 - upper[-1])
+        upper.append(inv)
+        forward.append((r - forward[-1]) * inv)
+    out = [(rhs[-1] - 2.0 * forward[-1]) / (1.0 - 2.0 * upper[-1])]
+    for f, u in zip(forward[::-1], upper[::-1]):
+        out.append(f - u * out[-1])
+    return np.array(out[::-1])
 
 
 def bump_profile(support: float, ds: float = PROFILE_DS) -> Profile:
@@ -84,6 +129,10 @@ def bump_profile(support: float, ds: float = PROFILE_DS) -> Profile:
 
 class NoAngularDerivative(ValueError):
     """A Poisson bracket needs a'(theta) of a term that carries none."""
+
+
+class NotUniformCircle(ValueError):
+    """Separable circle symbols need a circle fiber with uniform `thetas`."""
 
 
 @dataclass(frozen=True)
@@ -106,21 +155,26 @@ class SeparableCircleSymbol:
         return max(max(abs(p.s0), abs(p.s_max)) for _, _, p in self.terms)
 
     def to_pw(self) -> PWSymbol:
+        """The fiber symbol sum_j a_j(theta) b_j(s), s the tangent part of v scaled by |m| / r.
+
+        It carries its separable terms, for the offset route of
+        `kernel_quantize`, and `fhat`, the route of every other fiber.
+        """
         r = self.radius
-        terms = self.terms
+        terms = tuple((a, lambda wedge, prof=prof: prof(wedge / r)) for a, _, prof in self.terms)
 
         def fhat(m, v):
             m = np.asarray(m, dtype=float)
             v = np.asarray(v, dtype=float)
             theta = np.arctan2(m[..., 1], m[..., 0])
-            # signed tangent component of v at the base point
-            s = (-m[..., 1] * v[..., 0] + m[..., 0] * v[..., 1]) / r
+            # m ^ v: r times the signed tangent component of v at the base point
+            wedge = -m[..., 1] * v[..., 0] + m[..., 0] * v[..., 1]
             out = np.zeros(np.shape(theta), dtype=complex)
-            for a, _, prof in terms:
-                out = out + np.asarray(a(theta), dtype=complex) * prof(s)
+            for a, b in terms:
+                out = out + np.asarray(a(theta), dtype=complex) * b(wedge)
             return out
 
-        return PWSymbol(fhat=fhat, support_radius=self.support_radius())
+        return PWSymbol(fhat=fhat, support_radius=self.support_radius(), terms=terms)
 
     def product(self, other: "SeparableCircleSymbol") -> "SeparableCircleSymbol":
         terms = []
@@ -194,8 +248,15 @@ def semiclassical_sweep(
 ) -> List[dict]:
     """Vector-wise deviations of the quantized product, Jordan product and
     scaled commutator from the quantization of the classical counterparts,
-    for each hbar in the (decreasing) list.
+    for each hbar in the (decreasing) list. The fiber must be a
+    `SphereFiber` circle with uniform `thetas`; any other fiber raises
+    `NotUniformCircle` before a kernel is built.
     """
+    if not isinstance(fiber, SphereFiber) or fiber.thetas is None:
+        raise NotUniformCircle(
+            "the sweep needs a SphereFiber circle with uniform thetas, got a "
+            f"{type(fiber).__name__} of {len(fiber.nodes)} nodes in R^{np.shape(fiber.nodes)[1]}"
+        )
     if any(h <= 0 for h in hbars):
         raise ValueError("hbar values must be positive")
     if u is None:

@@ -47,6 +47,25 @@ def bump_symbol(r, support=4.0, kappa=None):
     return PWSymbol(fhat=fhat, support_radius=support, kappa=kappa)
 
 
+def separable_symbol(r, support=4.0):
+    """(1 + cos theta / 2) b(s) + i sin(2 theta) b(s) s / 4 with the tangent speed s, as terms."""
+
+    def b0(wedge):
+        return bump(wedge / r, support)
+
+    def b1(wedge):
+        return 0.25 * (wedge / r) * bump(wedge / r, support)
+
+    terms = ((lambda t: 1.0 + 0.5 * np.cos(t), b0), (lambda t: 1j * np.sin(2 * t), b1))
+
+    def fhat(m, v):
+        theta = np.arctan2(m[..., 1], m[..., 0])
+        wedge = m[..., 0] * v[..., 1] - m[..., 1] * v[..., 0]
+        return sum(a(theta) * b(wedge) for a, b in terms)
+
+    return PWSymbol(fhat=fhat, support_radius=support, terms=terms)
+
+
 def even_cutoff(m, v):
     return np.exp(-np.sum(v * v, axis=-1)) * (1.0 + 0.1 * m[..., 0])
 
@@ -301,6 +320,42 @@ class TestKernelQuantize:
             ("fhat", (expected, 2), (expected, 2)),
             ("kappa", (expected, 2), (expected, 2)),
         ]
+
+    @pytest.mark.parametrize("n_nodes", [31, 48])
+    @pytest.mark.parametrize("hbar", [0.45, -0.8, 2.5], ids=["band", "negative", "all-offsets"])
+    def test_separable_terms_match_per_entry_oracle(self, n_nodes, hbar):
+        # on a uniform circle, terms without kappa take the offset route and
+        # never call fhat
+        fiber = SphereFiber.circle(1.2, n_nodes)
+        pair_route = separable_symbol(fiber.radius)
+
+        def no_fhat(m, v):
+            raise AssertionError("fhat called on the offset route")
+
+        offset_route = replace(pair_route, fhat=no_fhat)
+        got = kernel_quantize(offset_route, hbar, fiber).matrix
+        want = midpoint_kernel_oracle(pair_route, hbar, fiber)
+        assert np.count_nonzero(got) == np.count_nonzero(want)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "fiber, kappa",
+        [
+            (SphereFiber.circle(1.0, 24), even_cutoff),
+            (SphereFiber.sphere(1.0, n_polar=4, n_azimuth=8), None),
+        ],
+        ids=["circle-kappa", "sphere"],
+    )
+    def test_separable_terms_with_kappa_or_off_circle_call_fhat(self, fiber, kappa):
+        calls = []
+        sym = separable_symbol(fiber.radius)
+
+        def fhat(m, v):
+            calls.append(m.shape)
+            return sym.fhat(m[..., :2], v[..., :2])
+
+        kernel_quantize(replace(sym, fhat=fhat, kappa=kappa), 0.5, fiber)
+        assert len(calls) == 1
 
     def test_scaled_fiber_does_not_reuse_unit_pair_angles(self):
         f = bump_symbol(1.0, support=3.0)

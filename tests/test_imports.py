@@ -1,0 +1,21 @@
+"""Importing the package loads no scipy: only the checks that use it do."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, weylred, weylred.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

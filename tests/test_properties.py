@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weylred.dint import build_grid
@@ -39,6 +39,7 @@ from weylred.moyal import (
     star_commutator,
 )
 from weylred.rational import QQi
+from weylred.sweep import SeparableCircleSymbol, bump_profile
 from weylred.symbols import PolySymbol, VectorField, rotation_generator
 
 
@@ -270,6 +271,52 @@ def test_kernel_is_hermitian_for_real_even_symbols(kind, radius, hbar, support, 
 
     K = kernel_quantize(PWSymbol(fhat, support), hbar, fiber).kernel_matrix()
     assert np.max(np.abs(K - K.conj().T)) <= 1e-10 * max(1.0, np.max(np.abs(K)))
+
+
+@st.composite
+def _separable_terms(draw):
+    """1-3 terms a(theta) (x) b: a trigonometric a, a scaled bump b or its -i s b."""
+    support = draw(st.floats(min_value=0.25, max_value=8.0))
+    terms = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        c0, c1, c2 = draw(st.lists(_unit, min_size=3, max_size=3))
+        k = draw(st.integers(min_value=0, max_value=3))
+        prof = bump_profile(support)
+        if draw(st.booleans()):
+            prof = prof.times_minus_is()
+        a = lambda t, c0=c0, c1=c1, c2=c2, k=k: c0 + c1 * np.cos(k * t) + 1j * c2 * np.sin(k * t)
+        terms.append((a, None, prof))
+    return tuple(terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=3, max_value=48),
+    st.floats(min_value=0.3, max_value=3.0),
+    st.floats(min_value=0.3, max_value=3.0),
+    st.floats(min_value=0.05, max_value=2.0),
+    st.booleans(),
+    _separable_terms(),
+)
+# odd and even N, with a reach past pi r: every offset is in band
+@example(7, 1.0, 0.5, 2.0, True, ((np.cos, None, bump_profile(4.0)),))
+@example(8, 1.5, 1.5, 1.9, False, ((np.sin, None, bump_profile(4.0).times_minus_is()),))
+def test_offset_route_matches_the_pair_route(n_nodes, radius, symbol_radius, hbar, negative, terms):
+    fiber = SphereFiber.circle(radius, n_nodes)
+    h = -hbar if negative else hbar
+    pw = SeparableCircleSymbol(symbol_radius, terms).to_pw()
+    assert pw.terms is not None
+    offsets = kernel_quantize(pw, h, fiber).matrix
+    pairs = kernel_quantize(PWSymbol(pw.fhat, pw.support_radius), h, fiber).matrix
+    # the routes round the tangent speed differently, which moves b by up to
+    # eps |s b'(s)|; so entries are compared on the scale of their terms,
+    # not on the largest entry (a kernel whose band ends on a steep flank of
+    # b can be tiny)
+    angles = np.linspace(-np.pi, np.pi, 257)
+    scale = max(fiber.weights) / hbar * sum(
+        np.max(np.abs(a(angles))) * np.max(np.abs(prof.values)) for a, _, prof in terms
+    )
+    assert np.max(np.abs(offsets - pairs)) <= 1e-14 * scale
 
 
 _tilt = st.fractions(min_value=Fraction(-3, 10), max_value=Fraction(3, 10), max_denominator=20)

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
-from weylred.fiber import FiberFunction, SphereFiber
+import weylred.sweep as sweep_module
+from weylred.fiber import FiberFunction, SphereFiber, kernel_quantize
 from weylred.sweep import (
     NoAngularDerivative,
+    NotUniformCircle,
     Profile,
     SeparableCircleSymbol,
     bump_profile,
@@ -58,6 +61,74 @@ class TestProfile:
             bump_profile(2.0, ds=0.01).convolve(bump_profile(2.0, ds=0.02))
 
 
+def scipy_profile(prof: Profile, s):
+    """The interpolant the profile had before: scipy not-a-knot splines, 0 outside."""
+    grid = prof.grid()
+    re = CubicSpline(grid, prof.values.real, extrapolate=False)
+    im = CubicSpline(grid, prof.values.imag, extrapolate=False)
+    return np.nan_to_num(re(s)) + 1j * np.nan_to_num(im(s))
+
+
+def _sweep_profiles():
+    f, g = default_sweep_pair()
+    return [p for sym in (f, f.product(g), f.poisson(g)) for _, _, p in sym.terms]
+
+
+def _random_profiles():
+    # dyadic s0 and ds make the grid exact, so both splines interpolate the
+    # same knots; the profiles of `Profile.sample` are built that way too
+    rng = np.random.default_rng(7)
+    out = []
+    for n in (2, 3, 4, 5, 6, 17, 300):
+        ds = 2.0 ** -int(rng.integers(0, 8))
+        values = rng.normal(size=n) + 1j * rng.normal(size=n)
+        out.append(Profile(ds * int(rng.integers(-n, 3)), ds, values))
+    return out
+
+
+class TestProfileSpline:
+    @pytest.mark.parametrize(
+        "prof, rel",
+        [(p, 1e-15) for p in _sweep_profiles()]
+        + [(p, 1e-14) for p in _random_profiles()]
+        # support <= ds: the 3-sample profile, a parabola
+        + [(Profile.sample(lambda s: np.cos(s) + 1j * s, 0.005), 1e-15)],
+    )
+    def test_matches_scipy_cubic_spline(self, prof, rel):
+        rng = np.random.default_rng(len(prof.values))
+        width = prof.s_max - prof.s0
+        s = np.concatenate(
+            [
+                rng.uniform(prof.s0 - 0.5 * width, prof.s_max + 0.5 * width, 2000),
+                prof.grid(),
+                [prof.s0, prof.s_max, np.nextafter(prof.s0, -np.inf),
+                 np.nextafter(prof.s_max, np.inf), np.inf, -np.inf, np.nan],
+            ]
+        )
+        got = prof(s)
+        assert got.shape == s.shape
+        scale = np.max(np.abs(prof.values))
+        assert np.max(np.abs(got - scipy_profile(prof, s))) <= rel * scale
+        outside = ~((s >= prof.s0) & (s <= prof.s_max))
+        assert np.all(got[outside] == 0)
+        for point in (prof.s0, 0.5 * (prof.s0 + prof.s_max), prof.s_max, prof.s_max + 1.0):
+            for arg in (point, np.float64(point), np.array(point)):
+                value = prof(arg)
+                assert np.shape(value) == ()
+                assert abs(complex(value) - complex(scipy_profile(prof, point))) <= rel * scale
+
+    def test_endpoints_reproduce_the_samples(self):
+        prof = _sweep_profiles()[2]
+        assert complex(prof(prof.s0)) == prof.values[0]
+        np.testing.assert_allclose(prof(prof.grid()), prof.values, rtol=0, atol=1e-16)
+
+    def test_keeps_the_shape_of_its_argument(self):
+        b = bump_profile(2.0)
+        s = np.linspace(-3.0, 3.0, 24).reshape(2, 3, 4)
+        assert b(s).shape == (2, 3, 4)
+        np.testing.assert_array_equal(b(s).ravel(), b(s.ravel()))
+
+
 class TestSeparableSymbol:
     def test_fhat_separates(self):
         f, _ = default_sweep_pair()
@@ -102,6 +173,10 @@ class TestSeparableSymbol:
             f.product(pb).poisson(g)
 
 
+def _without_prime(sym: SeparableCircleSymbol) -> SeparableCircleSymbol:
+    return SeparableCircleSymbol(sym.radius, tuple((a, None, p) for a, _, p in sym.terms))
+
+
 class TestSweep:
     def test_deviations_strictly_decrease(self):
         f, g = default_sweep_pair()
@@ -111,17 +186,34 @@ class TestSweep:
             seq = [row[key] for row in rows]
             assert all(a > b for a, b in zip(seq, seq[1:])), (key, seq)
 
-    def test_default_pair_rows_unchanged(self):
-        # the kernels never read a term's angular derivative, so how bracket
-        # outputs carry one must not move a bit of these rows
+    def test_default_pair_rows_unchanged(self, monkeypatch):
+        # the kernels never read a term's angular derivative, so whether the
+        # terms carry one must not move a bit of the kernels or of the rows
         f, g = default_sweep_pair()
-        rows = semiclassical_sweep(f, g, [0.5, 0.25], SphereFiber.circle(1.0, 128))
-        assert rows == [
+        fiber = SphereFiber.circle(1.0, 128)
+        for sym in (f, g, f.product(g)):
+            for hbar in (0.5, -0.25):
+                with_prime = kernel_quantize(sym.to_pw(), hbar, fiber).matrix
+                without = kernel_quantize(_without_prime(sym).to_pw(), hbar, fiber).matrix
+                assert np.array_equal(with_prime, without)
+        rows = semiclassical_sweep(f, g, [0.5, 0.25], fiber)
+        product = SeparableCircleSymbol.product
+        monkeypatch.setattr(
+            SeparableCircleSymbol, "product", lambda a, b: _without_prime(product(a, b))
+        )
+        assert semiclassical_sweep(f, g, [0.5, 0.25], fiber) == rows
+        # the rows recorded before the offset route and the numpy spline,
+        # which move their last bits
+        recorded = [
             {"hbar": 0.5, "product": 1.9536914961787282, "jordan": 0.8316495111045529,
              "commutator": 1.1779867025256396},
             {"hbar": 0.25, "product": 1.0298341489204235, "jordan": 0.3541307856830593,
              "commutator": 0.3319471477750953},
         ]
+        for row, want in zip(rows, recorded, strict=True):
+            assert row["hbar"] == want["hbar"]
+            for key in ("product", "jordan", "commutator"):
+                assert row[key] == pytest.approx(want[key], rel=1e-13, abs=0.0)
 
     def test_zero_symbol(self):
         fiber = SphereFiber.circle(1.0, 64)
@@ -138,6 +230,18 @@ class TestSweep:
         f, g = default_sweep_pair()
         with pytest.raises(ValueError):
             semiclassical_sweep(f, g, [0.5, -0.1], SphereFiber.circle(1.0, 16))
+
+    @pytest.mark.parametrize("with_vector", [False, True])
+    def test_sphere_fiber_rejected_before_any_kernel(self, monkeypatch, with_vector):
+        def no_kernel(*args):
+            raise AssertionError("a kernel was built")
+
+        monkeypatch.setattr(sweep_module, "kernel_quantize", no_kernel)
+        f, g = default_sweep_pair()
+        fiber = SphereFiber.sphere(1.0, 6, 12)
+        u = FiberFunction(fiber, np.ones(fiber.n_nodes)) if with_vector else None
+        with pytest.raises(NotUniformCircle, match="SphereFiber of 72 nodes in R\\^3"):
+            semiclassical_sweep(f, g, [0.5], fiber, u=u)
 
     def test_custom_vector(self):
         f, g = default_sweep_pair()
