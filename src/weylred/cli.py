@@ -282,10 +282,7 @@ def _run_unitarity(cfg: SuiteConfig, report: Report) -> None:
                                n_polar=cfg.n_polar, n_azimuth=cfg.n_azimuth)
             lhs = apply(lifted, small)
             base = apply(u, small)
-            res = max(
-                float(np.max(np.abs(a - lam * b)))
-                for lam, a, b in zip(small.lambda_nodes, lhs.parts, base.parts)
-            )
+            res = float(np.max(np.abs(lhs.parts - small.lambda_nodes[:, None] * base.parts)))
             return res, res < 1e-12, res < 1e-12
 
         _timed(report, name, {"n": n}, 1e-12, intertwining)

@@ -8,7 +8,8 @@ decomposable operators, and the strong-commutation residual.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, List
 
 import numpy as np
@@ -21,9 +22,11 @@ from .geometry import (
     ambient_JY_apply,
     call_on_nodes,
     circle_level_set,
+    gauss_legendre,
     implicit_curve_level_set,
     jacobian_wedge_norm,
     line_level_set,
+    radial_fiber_stack,
     rho as rho_at,
     sphere2_level_set,
     unit_sphere_grid,
@@ -42,24 +45,64 @@ class EmptyRange(ValueError):
     pass
 
 
-@dataclass
+@dataclass(eq=False)
 class LambdaGrid:
-    """Discretized direct integral: lambda nodes x one fiber per node.
+    """Discretized direct integral: L lambda levels x N fiber nodes, stacked.
 
     lambda_weights discretize Lebesgue measure on the regular range (the
-    spectral measure of the decomposition); rho holds the coarea density
-    at every fiber node.
+    spectral measure of the decomposition). One array per quantity holds
+    every level: `nodes` (L, N, n) the fiber nodes, `weights` (L, N) their
+    weights for the fiber measure and `rho` (L, N) the coarea density there;
+    every level has the same node count N. `fibers` gives the fiber model of
+    each level (SphereFiber or LevelSetModel), built by `fiber_at(i)` when it
+    is first read; a grid of given fibers is made by `from_fibers`.
     """
 
     hamiltonians: List[ScalarHamiltonian]
     lambda_nodes: np.ndarray
     lambda_weights: np.ndarray
-    fibers: List[object]
-    rho: List[np.ndarray]
+    nodes: np.ndarray
+    weights: np.ndarray
+    rho: np.ndarray
+    fiber_at: Callable[[int], object] = field(repr=False)
 
     def __post_init__(self):
         if np.any(self.lambda_weights <= 0):
             raise ValueError("lambda weights must be positive")
+        L = len(self.lambda_nodes)
+        shapes = (np.shape(self.nodes)[:2], np.shape(self.weights), np.shape(self.rho))
+        if np.ndim(self.nodes) != 3 or len(set(shapes)) != 1 or shapes[0][0] != L:
+            raise ValueError(
+                f"a lambda-grid of {L} levels needs nodes (L, N, n) and weights and rho "
+                f"(L, N); got {np.shape(self.nodes)}, {shapes[1]}, {shapes[2]}"
+            )
+
+    @classmethod
+    def from_fibers(
+        cls, hamiltonians, lambda_nodes, lambda_weights, fibers: List[object]
+    ) -> "LambdaGrid":
+        """Stack one given fiber per level; rho is computed once, on the stack.
+
+        Every fiber must have level 0's node count: a ragged list raises a
+        ValueError naming the first level that differs.
+        """
+        sizes = [len(f.nodes) for f in fibers]
+        for i, size in enumerate(sizes):
+            if size != sizes[0]:
+                raise ValueError(
+                    f"level {i} has {size} fiber nodes and level 0 has {sizes[0]}: "
+                    f"a lambda-grid needs one node count on every level"
+                )
+        nodes = np.stack([np.asarray(f.nodes, dtype=float) for f in fibers])
+        weights = np.stack([f.weights for f in fibers])
+        return cls(
+            hamiltonians, lambda_nodes, lambda_weights, nodes, weights,
+            rho_at(hamiltonians, nodes), fibers.__getitem__,
+        )
+
+    @cached_property
+    def fibers(self) -> List[object]:
+        return [self.fiber_at(i) for i in range(self.n_lambda)]
 
     @property
     def dimension(self) -> int:
@@ -68,6 +111,11 @@ class LambdaGrid:
     @property
     def n_lambda(self) -> int:
         return len(self.lambda_nodes)
+
+    def on_nodes(self, func: Callable) -> np.ndarray:
+        """func called once on the (L N, n) node stack, its values as (L, N)."""
+        L, N, n = self.nodes.shape
+        return call_on_nodes(func, self.nodes.reshape(L * N, n)).reshape(L, N)
 
 
 def build_grid(
@@ -82,15 +130,19 @@ def build_grid(
     n_azimuth: int = 48,
     box: float = 8.0,
 ) -> LambdaGrid:
-    """Gauss-Legendre lambda grid with one fiber, and rho on its nodes, per level.
+    """Gauss-Legendre lambda grid with stacked fiber nodes, weights and rho.
 
     The radial kinds (circle, sphere2) place the Gauss nodes in the fiber
     radius and carry the Jacobian lambda'(r) into the weights; this keeps
     the lambda integrals spectrally accurate down to very small regular
     levels (where integrands behave like fractional powers of lambda).
-    Newton solves only the two end radii; every fiber is built at its Gauss
-    radius r_i, with lambda_i = phi(r_i e_1). The other kinds place the
-    Gauss nodes in lambda. A level that touches the singular set raises
+    Newton solves only the two end radii, and lambda_i = phi(r_i e_1) at
+    the Gauss radii r_i. The unit grid is scaled to every r_i at once
+    (`radial_fiber_stack`: the regular-root test on every radius and the
+    level check on every node, in one call each), and rho is evaluated once
+    on the stack; the SphereFiber of a level is built only when `fibers` is
+    read. The other kinds place the Gauss nodes in lambda and build one
+    fiber per level. A level that touches the singular set raises
     SingularLevel.
     """
     level_set = {
@@ -108,26 +160,34 @@ def build_grid(
     radial = fiber_kind in ("circle", "sphere2")
     if radial:
         _require_monotone_ray(hamiltonian)
-    t, wt = np.polynomial.legendre.leggauss(n_lambda)
+    t, wt = gauss_legendre(n_lambda)
+    hams = [hamiltonian]
     try:
-        if radial:
-            e1 = np.eye(hamiltonian.dimension)[0]
-            r_lo = _radial_newton(hamiltonian, e1, lam_min, max(math.sqrt(abs(lam_min)), 1e-3))
-            r_hi = _radial_newton(hamiltonian, e1, lam_max, max(math.sqrt(abs(lam_max)), 1e-3))
-            r_nodes = 0.5 * (r_hi - r_lo) * t + 0.5 * (r_hi + r_lo)
-            jac = hamiltonian.grad(r_nodes[:, None] * e1) @ e1
-            lam_nodes = hamiltonian.value(r_nodes[:, None] * e1)
-            lam_weights = 0.5 * (r_hi - r_lo) * wt * jac
-            radii = r_nodes.tolist()
-        else:
+        if not radial:
             lam_nodes = 0.5 * (lam_max - lam_min) * t + 0.5 * (lam_max + lam_min)
             lam_weights = 0.5 * (lam_max - lam_min) * wt
-            radii = [None] * n_lambda
-        fibers = [level_set(float(lam), r) for lam, r in zip(lam_nodes, radii)]
-        rho_list = [rho_at([hamiltonian], fiber.nodes) for fiber in fibers]
+            fibers = [level_set(float(lam), None) for lam in lam_nodes]
+            return LambdaGrid.from_fibers(hams, lam_nodes, lam_weights, fibers)
+        e1 = np.eye(hamiltonian.dimension)[0]
+        r_lo = _radial_newton(hamiltonian, e1, lam_min, max(math.sqrt(abs(lam_min)), 1e-3))
+        r_hi = _radial_newton(hamiltonian, e1, lam_max, max(math.sqrt(abs(lam_max)), 1e-3))
+        r_nodes = 0.5 * (r_hi - r_lo) * t + 0.5 * (r_hi + r_lo)
+        jac = hamiltonian.grad(r_nodes[:, None] * e1) @ e1
+        lam_nodes = hamiltonian.value(r_nodes[:, None] * e1)
+        lam_weights = 0.5 * (r_hi - r_lo) * wt * jac
+        unit = (
+            unit_sphere_grid(2, fiber_nodes)
+            if fiber_kind == "circle"
+            else unit_sphere_grid(3, n_polar, n_azimuth)
+        )
+        nodes, weights = radial_fiber_stack(hamiltonian, lam_nodes, r_nodes, unit)
+        rho = rho_at(hams, nodes)
     except SingularPoint as exc:
         raise SingularLevel(str(exc)) from exc
-    return LambdaGrid([hamiltonian], lam_nodes, lam_weights, fibers, rho_list)
+    return LambdaGrid(
+        hams, lam_nodes, lam_weights, nodes, weights, rho,
+        lambda i: level_set(float(lam_nodes[i]), float(r_nodes[i])),
+    )
 
 
 def _require_monotone_ray(hamiltonian: ScalarHamiltonian) -> None:
@@ -155,54 +215,58 @@ def _require_monotone_ray(hamiltonian: ScalarHamiltonian) -> None:
 
 @dataclass
 class DirectIntegralSection:
+    """A section of the discretized direct integral, stacked like its grid.
+
+    parts (L, N): parts[i, j] is the value at node j of level i.
+    """
+
     grid: LambdaGrid
-    parts: List[np.ndarray]
+    parts: np.ndarray
 
     def __post_init__(self):
-        if len(self.parts) != self.grid.n_lambda:
-            raise ValueError("one part per lambda node required")
-        for p, f in zip(self.parts, self.grid.fibers):
-            if len(p) != len(f.nodes):
-                raise ValueError("part length does not match its fiber")
+        self.parts = np.asarray(self.parts)
+        if self.parts.shape != self.grid.weights.shape:
+            raise ValueError(
+                f"parts of shape {self.parts.shape} do not match the grid's "
+                f"(L, N) = {self.grid.weights.shape}"
+            )
 
     def norm(self) -> float:
         return math.sqrt(self.inner(self).real)
 
     def inner(self, other: "DirectIntegralSection") -> complex:
-        total = 0.0 + 0j
-        for w, f, p, q in zip(
-            self.grid.lambda_weights, self.grid.fibers, self.parts, other.parts
-        ):
-            total += w * complex(np.sum(f.weights * np.conj(p) * q))
-        return total
+        g = self.grid
+        fiberwise = np.sum(g.weights * np.conj(self.parts) * other.parts, axis=1)
+        return complex(np.sum(g.lambda_weights * fiberwise))
 
 
 def apply_Tx(u: TestFunction, grid: LambdaGrid) -> DirectIntegralSection:
-    """[T_x u](lambda)(z) = rho(z)^{1/2} u(z) sampled on the fibers."""
-    parts = []
-    for fiber, rho in zip(grid.fibers, grid.rho):
-        vals = call_on_nodes(u.value, np.asarray(fiber.nodes, dtype=float))
-        parts.append(np.sqrt(rho) * vals.astype(complex))
-    return DirectIntegralSection(grid, parts)
+    """[T_x u](lambda)(z) = rho(z)^{1/2} u(z) on the fibers.
+
+    u.value is called once, on the (L N, n) node stack.
+    """
+    return _density_weighted(u.value, grid)
+
+
+def _density_weighted(func: Callable, grid: LambdaGrid) -> DirectIntegralSection:
+    return DirectIntegralSection(grid, np.sqrt(grid.rho) * grid.on_nodes(func).astype(complex))
 
 
 def apply_Tx_adjoint(s: DirectIntegralSection, probes: np.ndarray) -> np.ndarray:
     """rho^{-1/2} s(lambda(x))(x) at probe points on (or snapped to) fibers."""
     grid = s.grid
-    ham = grid.hamiltonians[0]
-    out = np.empty(len(probes), dtype=complex)
-    for k, p in enumerate(np.atleast_2d(probes)):
-        lam = ham.value(p)
-        i = int(np.argmin(np.abs(grid.lambda_nodes - lam)))
-        if abs(grid.lambda_nodes[i] - lam) > SNAP_TOL * (1 + abs(lam)):
-            raise ValueError(f"probe {p} lies off every grid level")
-        fiber = grid.fibers[i]
-        d = np.linalg.norm(np.asarray(fiber.nodes) - p, axis=1)
-        j = int(np.argmin(d))
-        if d[j] > SNAP_TOL * (1 + np.linalg.norm(p)):
-            raise ValueError(f"probe {p} is not near a fiber node")
-        out[k] = s.parts[i][j] / math.sqrt(grid.rho[i][j])
-    return out
+    probes = np.atleast_2d(np.asarray(probes, dtype=float))
+    lam = grid.hamiltonians[0].value(probes)
+    i = np.argmin(np.abs(grid.lambda_nodes[None, :] - lam[:, None]), axis=1)
+    off = np.abs(grid.lambda_nodes[i] - lam) > SNAP_TOL * (1 + np.abs(lam))
+    if np.any(off):
+        raise ValueError(f"probe {probes[np.argmax(off)]} lies off every grid level")
+    d = np.linalg.norm(grid.nodes[i] - probes[:, None, :], axis=2)
+    j = np.argmin(d, axis=1)
+    far = d[np.arange(len(probes)), j] > SNAP_TOL * (1 + np.linalg.norm(probes, axis=1))
+    if np.any(far):
+        raise ValueError(f"probe {probes[np.argmax(far)]} is not near a fiber node")
+    return s.parts[i, j] / np.sqrt(grid.rho[i, j])
 
 
 def ambient_integral(func: Callable, dimension: int, *, n_r: int = 96, n_ang: int = 64) -> float:
@@ -219,8 +283,8 @@ def ambient_integral(func: Callable, dimension: int, *, n_r: int = 96, n_ang: in
         unit = unit_sphere_grid(3, max(n_ang // 2, 8), n_ang)
     else:
         raise ValueError("ambient quadrature implemented for n = 2, 3")
-    r, wr = np.polynomial.legendre.leggauss(n_r)
-    r, wr = 4.0 * (r + 1), 4.0 * wr  # mapped to [0, 8]
+    t, wt = gauss_legendre(n_r)
+    r, wr = 4.0 * (t + 1), 4.0 * wt  # mapped to [0, 8]
     pts = (r[:, None, None] * unit.nodes[None, :, :]).reshape(-1, dimension)
     W = np.outer(wr * r ** (dimension - 1), unit.weights).ravel()
     vals = call_on_nodes(func, pts)
@@ -235,10 +299,7 @@ def coarea_check(f: TestFunction, grid: LambdaGrid, *, n_r: int = 96, n_ang: int
         return call_on_nodes(f.value, pts) * jacobian_wedge_norm(hams, pts)
 
     lhs = ambient_integral(weighted, grid.dimension, n_r=n_r, n_ang=n_ang)
-    rhs = 0.0
-    for w, fiber in zip(grid.lambda_weights, grid.fibers):
-        vals = call_on_nodes(f.value, np.asarray(fiber.nodes, dtype=float))
-        rhs += w * float(np.real(np.sum(fiber.weights * vals)))
+    rhs = float(np.sum(grid.lambda_weights * slice_integrals(f, grid)))
     return abs(lhs - rhs)
 
 
@@ -251,11 +312,7 @@ def apply_Txi(u: TestFunction, grid: LambdaGrid) -> DirectIntegralSection:
     """
     if u.fourier is None:
         raise ValueError("apply_Txi needs analytic Fourier data on the test function")
-    parts = []
-    for fiber, rho in zip(grid.fibers, grid.rho):
-        vals = call_on_nodes(u.fourier, np.asarray(fiber.nodes, dtype=float))
-        parts.append(np.sqrt(rho) * vals.astype(complex))
-    return DirectIntegralSection(grid, parts)
+    return _density_weighted(u.fourier, grid)
 
 
 @dataclass
@@ -306,24 +363,19 @@ def strong_commutation_check(
     fiber grid, so the two routes are computationally independent.
     """
     tu = apply_Tx(u, grid)
-    worst = 0.0
-    for i, fiber in enumerate(grid.fibers):
-        nodes = np.asarray(fiber.nodes, dtype=float)
-        lhs = np.sqrt(grid.rho[i]) * ambient_JY_apply(Y, u, hbar, nodes)
-        rhs = fiber_JX_apply(Y, hbar, FiberFunction(fiber, tu.parts[i])).values
-        dist = math.sqrt(float(np.sum(fiber.weights * np.abs(lhs - rhs) ** 2)))
-        worst = max(worst, dist)
-    return worst
+    lhs = np.sqrt(grid.rho) * grid.on_nodes(lambda pts: ambient_JY_apply(Y, u, hbar, pts))
+    rhs = np.stack(
+        [
+            fiber_JX_apply(Y, hbar, FiberFunction(fiber, part)).values
+            for fiber, part in zip(grid.fibers, tu.parts)
+        ]
+    )
+    return float(np.max(np.sqrt(np.sum(grid.weights * np.abs(lhs - rhs) ** 2, axis=1))))
 
 
 def slice_integrals(h: TestFunction, grid: LambdaGrid) -> np.ndarray:
-    """F(lambda) = integral of h over the lambda fiber."""
-    return np.array(
-        [
-            float(np.real(np.sum(f.weights * call_on_nodes(h.value, np.asarray(f.nodes)))))
-            for f in grid.fibers
-        ]
-    )
+    """F(lambda) = integral of h over the lambda fiber, for every level from one call of h."""
+    return np.real(np.sum(grid.weights * grid.on_nodes(h.value), axis=1))
 
 
 def slice_continuity_probe(h: TestFunction, grid: LambdaGrid) -> float:
@@ -354,7 +406,8 @@ def gaussian_poly_suite(n: int) -> List[TestFunction]:
         raise ValueError("suite available for n = 2, 3")
 
     def sq(p):
-        return np.sum(np.asarray(p) ** 2, axis=-1)
+        p = np.asarray(p)
+        return np.einsum("...a,...a->...", p, p)
 
     def gauss(p, a=0.5):
         return np.exp(-a * sq(p))[..., None]

@@ -183,16 +183,22 @@ def kernel_quantize(f: PWSymbol, hbar: float, fiber: SphereFiber) -> FiberOperat
     half-velocity (the midpoint-map tangent). The symbol is evaluated only
     on pairs with r theta/|hbar| <= support_radius; every other entry is 0.
 
-    Two routes give the same entries. A symbol with separable `terms` and
-    no kappa, on a circle with uniform `thetas`, takes the offset route
-    (`_separable_circle_kernel`). Every other input calls fhat on the pair
-    geometry of `SphereFiber.kernel_pairs`: circles build it from node
-    offsets, 2-spheres from their cached pair angles.
+    Separable `terms` are planar: on a fiber with ambient_dim != 2 they
+    raise ValueError. Two routes give the same entries. A symbol with
+    separable `terms` and no kappa, on a circle with uniform `thetas`, takes
+    the offset route (`_separable_circle_kernel`). Every other input calls
+    fhat on the pair geometry of `SphereFiber.kernel_pairs`: circles build
+    it from node offsets, 2-spheres from their cached pair angles.
     """
     if not isinstance(fiber, SphereFiber):
         raise TypeError(f"kernel_quantize needs a SphereFiber, got a {type(fiber).__name__}")
     if hbar == 0:
         raise ValueError("hbar must be nonzero")
+    if f.terms is not None and fiber.ambient_dim != 2:
+        raise ValueError(
+            f"separable terms read the planar angle arctan2(m_1, m_0) and m ^ v; "
+            f"they need a circle fiber, not ambient dimension {fiber.ambient_dim}"
+        )
     reach = abs(hbar) * f.support_radius
     if f.terms is not None and f.kappa is None and fiber.thetas is not None:
         return FiberOperator(fiber, _separable_circle_kernel(f.terms, hbar, fiber, reach))

@@ -176,20 +176,32 @@ def jacobian_wedge_norm(hams: Sequence[ScalarHamiltonian], x):
 
 def _require_regular(w, x) -> None:
     """Raise SingularPoint naming the first point whose wedge norm is not above
-    REGULARITY_THRESHOLD."""
+    REGULARITY_THRESHOLD (on an (L, N) stack, by level and node)."""
     bad = np.flatnonzero(~(np.atleast_1d(w) > REGULARITY_THRESHOLD))
     if not bad.size:
         return
     if np.ndim(w) == 0:
         raise SingularPoint(f"wedge norm {w:.3e} below threshold at {x}")
+    if np.ndim(w) == 2:
+        i, j = np.unravel_index(bad[0], np.shape(w))
+        raise SingularPoint(
+            f"wedge norm {w[i, j]:.3e} below threshold at node {j} ({x[i, j]}) of level {i}"
+        )
     i = int(bad[0])
     raise SingularPoint(f"wedge norm {w[i]:.3e} below threshold at node {i} ({x[i]})")
 
 
 def rho(hams, x):
-    """Density rho(x) = ||wedge^k DJ(x)||^{-1} on the regular set."""
-    w = jacobian_wedge_norm(hams, x)
-    _require_regular(w, np.asarray(x))
+    """Density rho(x) = ||wedge^k DJ(x)||^{-1} on the regular set.
+
+    Also takes an (L, N, n) stack of fiber nodes, in one call, and gives (L, N).
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 3:
+        w = jacobian_wedge_norm(hams, x.reshape(-1, x.shape[-1])).reshape(x.shape[:2])
+    else:
+        w = jacobian_wedge_norm(hams, x)
+    _require_regular(w, x)
     return 1.0 / w
 
 
@@ -301,12 +313,6 @@ def induced_divergence(Y: VectorField, hams, z):
     return out if z.ndim == 2 else float(out[0])
 
 
-def moment_map_eval(generators: Sequence[VectorField], x, xi) -> np.ndarray:
-    """(<xi, zeta_a(x)>)_a for the given Lie algebra generators."""
-    xi = np.asarray(xi, dtype=float)
-    return np.array([float(np.dot(xi, Z.evaluate(x))) for Z in generators])
-
-
 # -- level set models --------------------------------------------------
 
 
@@ -357,7 +363,7 @@ class SphereFiber:
 
     @classmethod
     def sphere(cls, radius: float, n_polar: int = 24, n_azimuth: int = 48) -> "SphereFiber":
-        mu, wmu = np.polynomial.legendre.leggauss(n_polar)
+        mu, wmu = gauss_legendre(n_polar)
         betas = 2 * math.pi * np.arange(n_azimuth) / n_azimuth
         M, B = np.meshgrid(mu, betas, indexing="ij")  # polar-major
         S = np.sqrt(1 - M**2)
@@ -456,6 +462,18 @@ def _unit_circle(angles: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
+def gauss_legendre(order: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per order.
+
+    Shared between callers, so both arrays are read-only.
+    """
+    t, w = np.polynomial.legendre.leggauss(order)
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
+
+
+@lru_cache(maxsize=32)
 def unit_sphere_grid(dimension: int, *sizes: int) -> SphereFiber:
     """The unit-radius circle (sizes: n_nodes) or 2-sphere (n_polar, n_azimuth) grid.
 
@@ -471,13 +489,23 @@ def unit_sphere_grid(dimension: int, *sizes: int) -> SphereFiber:
 
 
 def _require_on_level(hams, level, nodes: np.ndarray) -> None:
-    """Raise ValueError naming the first node where some phi_j is off its level."""
+    """Raise ValueError naming the first node where some phi_j is off its level.
+
+    nodes is one fiber (N, n) or a stack of fibers (L, N, n); level holds one
+    entry per phi_j, a number or per-node levels that broadcast against
+    nodes.shape[:-1]. Each phi_j is evaluated once, on all nodes; a stack of
+    more than one level names the level and the node.
+    """
+    shape = nodes.shape[:-1]
     for h, lam in zip(hams, level):
-        values = h.value(nodes)
-        off = np.flatnonzero(~(np.abs(values - lam) <= NODE_TOL * (1 + abs(lam))))
-        if off.size:
-            i = off[0]
-            raise ValueError(f"node {i} ({nodes[i]}) off the level set: phi={values[i]} vs {lam}")
+        values = h.value(nodes.reshape(-1, nodes.shape[-1])).reshape(shape)
+        lam = np.broadcast_to(lam, shape)
+        off = np.argwhere(~(np.abs(values - lam) <= NODE_TOL * (1 + np.abs(lam))))
+        if len(off):
+            idx = tuple(off[0])
+            stacked = len(idx) == 2 and shape[0] > 1
+            where = f"node {idx[-1]} ({nodes[idx]}" + (f", level {idx[0]})" if stacked else ")")
+            raise ValueError(f"{where} off the level set: phi={values[idx]} vs {lam[idx]}")
 
 
 @dataclass
@@ -535,11 +563,53 @@ def _radial_newton(phi: ScalarHamiltonian, direction: np.ndarray, lam: float, r0
     return r
 
 
-def _require_regular_root(df: float, lam: float, r: float) -> None:
+def _require_regular_root(df, lam, r) -> None:
     """Raise SingularPoint unless the radial derivative df at the root r of phi = lam
-    is above REGULARITY_THRESHOLD (|grad phi| there, for a radial phi)."""
-    if not abs(df) > REGULARITY_THRESHOLD:
-        raise SingularPoint(f"radial derivative {df:.3e} below threshold at level {lam} (r = {r:.3e})")
+    is above REGULARITY_THRESHOLD (|grad phi| there, for a radial phi).
+
+    Takes numbers, or arrays with one entry per level; arrays name the first
+    failing level by its index.
+    """
+    df, lam, r = np.broadcast_arrays(np.atleast_1d(df), np.atleast_1d(lam), np.atleast_1d(r))
+    bad = np.flatnonzero(~(np.abs(df) > REGULARITY_THRESHOLD))
+    if bad.size:
+        i = bad[0]
+        raise SingularPoint(
+            f"radial derivative {df[i]:.3e} below threshold at {_level_name(lam, i)} "
+            f"(r = {r[i]:.3e})"
+        )
+
+
+def _level_name(levels: np.ndarray, i: int) -> str:
+    """Level i of a stack as errors name it; a stack of one level is named by its value."""
+    return f"level {levels[i]}" if len(levels) == 1 else f"level {i} (lambda = {levels[i]})"
+
+
+def radial_fiber_stack(
+    phi: ScalarHamiltonian, levels, radii, unit: SphereFiber
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The unit grid scaled to every radius r_i with phi(r_i e_1) = levels[i].
+
+    Returns the nodes (L, N, n) and weights (L, N) of the L scaled grids.
+    Every radius must be finite and positive, and a regular root (the
+    radial derivative above REGULARITY_THRESHOLD; one gradient call on the L
+    radii), and every node must lie on its level (one phi evaluation on the
+    L N nodes): a non-radial phi, or a radius off its level, fails here by
+    name, naming the level (and the node).
+    """
+    levels = np.asarray(levels, dtype=float)
+    radii = np.asarray(radii, dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(radii) & (radii > 0)))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            f"fiber radius {radii[i]} at {_level_name(levels, i)} is not a positive finite number"
+        )
+    e1 = np.eye(unit.ambient_dim)[0]
+    _require_regular_root(phi.grad(radii[:, None] * e1) @ e1, levels, radii)
+    nodes = radii[:, None, None] * unit.nodes
+    _require_on_level([phi], [levels[:, None]], nodes)
+    return nodes, radii[:, None] ** (unit.ambient_dim - 1) * unit.weights
 
 
 def _radial_level_set(
@@ -547,21 +617,15 @@ def _radial_level_set(
 ) -> SphereFiber:
     """The unit grid scaled to the regular radius where phi = lam on the first axis.
 
-    A given radius is used as it is (after the regular-root test); without
-    one, the radius is solved by Newton from sqrt(|lam|) + 0.5. Every node
-    must lie on the level: a non-radial phi, or a radius off the level,
-    fails here by name.
+    A given radius is used as it is; without one, the radius is solved by
+    Newton from sqrt(|lam|) + 0.5. Either way it passes the checks of
+    `radial_fiber_stack`, as a stack of one level.
     """
-    e1 = np.eye(unit.ambient_dim)[0]
     if radius is None:
+        e1 = np.eye(unit.ambient_dim)[0]
         radius = _radial_newton(phi, e1, lam, max(math.sqrt(abs(lam)) + 0.5, 0.5))
-    elif not (math.isfinite(radius) and radius > 0):
-        raise ValueError(f"fiber radius {radius} is not a positive finite number")
-    else:
-        _require_regular_root(float(np.dot(phi.grad(radius * e1), e1)), lam, radius)
-    fiber = unit.scaled(radius)
-    _require_on_level([phi], [lam], fiber.nodes)
-    return fiber
+    radial_fiber_stack(phi, [lam], [radius], unit)
+    return unit.scaled(radius)
 
 
 def circle_level_set(
@@ -649,12 +713,12 @@ def line_level_set(
     const = phi.value(np.zeros(2))
     x0 = (lam - const) * c / norm_c**2
     d = np.array([-c[1], c[0]]) / norm_c
-    t, wt = np.polynomial.legendre.leggauss(n_nodes)
+    t, wt = gauss_legendre(n_nodes)
     t = t * box
     wt = wt * box
     nodes = x0[None, :] + t[:, None] * d[None, :]
     return LevelSetModel(
-        [phi], np.array([lam]), "line", nodes, wt.copy(),
+        [phi], np.array([lam]), "line", nodes, wt,
         t, np.tile(d, (n_nodes, 1)), lambda s: x0 + s * d, lambda s: d.copy(),
     )
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -196,6 +197,128 @@ class TestRadialLevels:
             build_grid(half_r2, "circle", 0.5, 2.0, 5, 16, n_polar=7, bxo=3)
 
 
+class TestStackedGrid:
+    """A lambda-grid is one (L, N, n) node stack; fibers are built when read."""
+
+    @staticmethod
+    def _counting(calls, fn=None):
+        def wrapper(p):
+            calls.append(len(p))
+            return np.exp(-sq(p)) if fn is None else fn(p)
+
+        return wrapper
+
+    def test_one_integrand_call_per_grid(self, half_r2):
+        grid = build_grid(half_r2, "circle", 0.5, 2.0, 6, 16)
+        stack = 6 * 16
+        for run in (
+            lambda u: apply_Tx(u, grid),
+            lambda u: apply_Txi(u, grid),
+            lambda u: slice_integrals(u, grid),
+        ):
+            calls = []
+            u = TestFunction(
+                value=self._counting(calls), gradient=None, fourier=self._counting(calls)
+            )
+            run(u)
+            assert calls == [stack]
+        calls = []
+        coarea_check(TestFunction(value=self._counting(calls), gradient=None), grid, n_r=8, n_ang=8)
+        # one call for the ambient side, one for every fiber at once
+        assert sorted(calls) == sorted([8 * 8, stack])
+
+    @pytest.mark.parametrize(
+        "kind, n, sizes, size",
+        [
+            ("circle", 2, {"fiber_nodes": 16}, 16),
+            ("sphere2", 3, {"n_polar": 6, "n_azimuth": 12}, 72),
+        ],
+        ids=["circle", "sphere2"],
+    )
+    def test_radial_grid_checks_its_nodes_once_and_builds_fibers_on_read(
+        self, monkeypatch, kind, n, sizes, size
+    ):
+        phi = radial_hamiltonian(n)
+        # the shared unit grids are SphereFibers too: build them before counting
+        geometry.unit_sphere_grid(2, 16)
+        geometry.unit_sphere_grid(3, 6, 12)
+        rows, built = [], []
+        value = ScalarHamiltonian.value
+        post_init = SphereFiber.__post_init__
+
+        def counted_value(self, x):
+            rows.append(len(np.atleast_2d(x)))
+            return value(self, x)
+
+        def counted_post_init(self):
+            built.append(self.radius)
+            post_init(self)
+
+        monkeypatch.setattr(ScalarHamiltonian, "value", counted_value)
+        monkeypatch.setattr(SphereFiber, "__post_init__", counted_post_init)
+        grid = build_grid(phi, kind, 0.5, 4.0, 6, **sizes)
+        assert rows.count(6 * size) == 1  # the level check, on every node at once
+        assert max(rows) == 6 * size and size not in rows  # and never per level
+        assert built == []
+        radii = [f.radius for f in grid.fibers]
+        assert built == radii and len(radii) == 6
+        assert grid.fibers is grid.fibers
+
+    def test_ragged_fibers_are_named(self, half_r2):
+        fibers = [geometry.circle_level_set(half_r2, lam, n) for lam, n in ((0.5, 16), (1.0, 32))]
+        with pytest.raises(ValueError, match="level 1 has 32 fiber nodes and level 0 has 16"):
+            LambdaGrid.from_fibers([half_r2], np.array([0.5, 1.0]), np.ones(2), fibers)
+
+    def test_grid_arrays_must_share_one_stack_shape(self, half_r2):
+        grid = build_grid(half_r2, "circle", 0.5, 2.0, 4, 16)
+        for bad in ({"rho": grid.rho[:, :15]}, {"nodes": grid.nodes[:3]}):
+            with pytest.raises(ValueError, match="a lambda-grid of 4 levels needs"):
+                replace(grid, **bad)
+
+    def test_section_must_match_the_stack(self, half_r2):
+        grid = build_grid(half_r2, "circle", 0.5, 2.0, 4, 16)
+        with pytest.raises(ValueError, match=r"parts of shape \(4, 15\) do not match"):
+            DirectIntegralSection(grid, np.zeros((4, 15)))
+
+    LEVELS = np.array([0.5, 1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_stack_radius_must_be_positive_and_finite(self, half_r2, bad):
+        radii = np.sqrt(2 * self.LEVELS)
+        radii[2] = bad
+        unit = geometry.unit_sphere_grid(2, 16)
+        with pytest.raises(ValueError, match=r"radius .* at level 2 \(lambda = 2.0\) is not a positive"):
+            geometry.radial_fiber_stack(half_r2, self.LEVELS, radii, unit)
+
+    def test_stack_radius_off_its_level_names_level_and_node(self, half_r2):
+        radii = np.sqrt(2 * self.LEVELS)
+        radii[1] *= 1.01
+        unit = geometry.unit_sphere_grid(2, 16)
+        with pytest.raises(ValueError, match=r"node 0 \(.*, level 1\) off the level set: phi=.* vs 1.0"):
+            geometry.radial_fiber_stack(half_r2, self.LEVELS, radii, unit)
+        # a non-radial phi is on its level on the first axis only
+        x0, x1, x2 = (PolySymbol.x(a, 3) for a in range(3))
+        ellipsoid = ScalarHamiltonian((x0 * x0 + 2 * (x1 * x1) + x2 * x2) * Fraction(1, 2))
+        with pytest.raises(ValueError, match=r"node 1 \(.*, level 0\) off the level set"):
+            build_grid(ellipsoid, "sphere2", 0.5, 2.0, 4, n_polar=6, n_azimuth=12)
+
+    def test_stack_root_below_threshold_names_the_level(self, half_r2):
+        levels = np.array([0.5, 5e-21, 2.0])
+        radii = np.array([1.0, 1e-10, 2.0])
+        unit = geometry.unit_sphere_grid(2, 16)
+        with pytest.raises(
+            geometry.SingularPoint,
+            match=r"radial derivative 1.000e-10 below threshold at level 1 \(lambda = 5e-21",
+        ):
+            geometry.radial_fiber_stack(half_r2, levels, radii, unit)
+
+    def test_singular_node_of_a_stack_names_level_and_node(self, half_r2):
+        stack = np.ones((3, 4, 2))
+        stack[1, 3] = 0.0
+        with pytest.raises(geometry.SingularPoint, match=r"at node 3 \(\[0. 0.\]\) of level 1"):
+            geometry.rho([half_r2], stack)
+
+
 class TestApplyTx:
     def test_unitarity_suite(self, big_grid, suite2):
         for u in suite2:
@@ -231,7 +354,7 @@ class TestApplyTx:
         assert s.norm() == 0.0
 
     def test_scalar_only_callable_rejected(self, half_r2):
-        # callables get the whole (N, n) node array once; a scalar-only one
+        # callables get the whole (L N, n) node stack once; a scalar-only one
         # is reported by the shape it returned, not looped over point by point
         grid = build_grid(half_r2, "circle", 0.5, 2.0, 4, 16)
         shapes = []
@@ -241,9 +364,9 @@ class TestApplyTx:
             return math.exp(-0.5 * float(np.sum(np.square(p))))
 
         u = TestFunction(value=scalar_only, gradient=None)
-        with pytest.raises(ValueError, match=r"returned shape \(\) for an array of 16 points"):
+        with pytest.raises(ValueError, match=r"returned shape \(\) for an array of 64 points"):
             apply_Tx(u, grid)
-        assert shapes == [(16, 2)]
+        assert shapes == [(64, 2)]
 
 
 class TestAdjoint:
@@ -473,8 +596,7 @@ class TestSliceContinuity:
         fibers = [geometry.circle_level_set(phi, float(l), 64) for l in lam]
         weights = np.full(len(lam), lam[1] - lam[0])
         weights[[0, -1]] *= 0.5
-        rho = [geometry.rho([phi], f.nodes) for f in fibers]
-        return LambdaGrid([phi], lam, weights, fibers, rho)
+        return LambdaGrid.from_fibers([phi], lam, weights, fibers)
 
     def test_matches_uniform_second_difference(self, half_r2):
         # on equispaced levels the divided-difference probe is the classical

@@ -28,6 +28,7 @@ from weylred.geometry import (
     implicit_curve_level_set,
     line_level_set,
 )
+from weylred.sweep import default_sweep_pair
 from weylred.symbols import PolySymbol, VectorField, rotation_generator
 
 
@@ -342,9 +343,9 @@ class TestKernelQuantize:
         "fiber, kappa",
         [
             (SphereFiber.circle(1.0, 24), even_cutoff),
-            (SphereFiber.sphere(1.0, n_polar=4, n_azimuth=8), None),
+            (replace(SphereFiber.circle(1.0, 24), thetas=None), None),
         ],
-        ids=["circle-kappa", "sphere"],
+        ids=["circle-kappa", "circle-no-thetas"],
     )
     def test_separable_terms_with_kappa_or_off_circle_call_fhat(self, fiber, kappa):
         calls = []
@@ -356,6 +357,17 @@ class TestKernelQuantize:
 
         kernel_quantize(replace(sym, fhat=fhat, kappa=kappa), 0.5, fiber)
         assert len(calls) == 1
+
+    def test_separable_terms_on_a_sphere_raise(self):
+        # the terms read the planar angle arctan2(m_1, m_0) and m ^ v; on a
+        # 2-sphere they would silently drop the third coordinate
+        fiber = SphereFiber.sphere(1.0, 6, 12)
+        for sym in (default_sweep_pair()[0].to_pw(), separable_symbol(1.0)):
+            with pytest.raises(ValueError, match="need a circle fiber, not ambient dimension 3"):
+                kernel_quantize(sym, 0.5, fiber)
+        # without terms the same fhat is quantized on the pair route
+        plain = replace(separable_symbol(1.0), terms=None)
+        assert kernel_quantize(plain, 0.5, fiber).matrix.shape == (72, 72)
 
     def test_scaled_fiber_does_not_reuse_unit_pair_angles(self):
         f = bump_symbol(1.0, support=3.0)

@@ -20,7 +20,6 @@ from weylred.geometry import (
     intrinsic_divergence_fd,
     jacobian_wedge_norm,
     line_level_set,
-    moment_map_eval,
     project_qx,
     radial_hamiltonian,
     rho,
@@ -31,7 +30,6 @@ from weylred.geometry import (
 from weylred.symbols import (
     PolySymbol,
     VectorField,
-    angular_momentum,
     rotation_generator,
 )
 
@@ -239,30 +237,6 @@ class TestInducedDivergence:
             assert val == pytest.approx(2 * p[0] * p[1] / (p[0] ** 2 + 4 * p[1] ** 2), rel=1e-12)
         batch = induced_divergence(Y, [cylinder, height], pts)
         assert np.max(np.abs(batch)) > 0.1
-
-
-class TestMomentMap:
-    def test_so2_generator_is_angular_momentum(self):
-        gen = rotation_generator(0, 1, 2)
-        f12 = angular_momentum(0, 1, 2)
-        rng = random.Random(41)
-        for _ in range(10):
-            pt = [rng.uniform(-2, 2), rng.uniform(-2, 2)]
-            xi = [rng.uniform(-2, 2), rng.uniform(-2, 2)]
-            (val,) = moment_map_eval([gen], pt, xi)
-            assert val == pytest.approx(f12.evaluate(pt, xi).real)
-
-    def test_flow_invariance(self):
-        # the moment map of the rotation generator is constant along the
-        # rotation flow lifted to phase space
-        gen = rotation_generator(0, 1, 2)
-        pt = np.array([1.0, 0.4])
-        xi = np.array([-0.3, 0.9])
-        base = moment_map_eval([gen], pt, xi)
-        for t in (0.3, 1.1, 2.7):
-            c, s = math.cos(t), math.sin(t)
-            R = np.array([[c, -s], [s, c]])
-            assert np.allclose(moment_map_eval([gen], R @ pt, R @ xi), base)
 
 
 class TestLevelSetModels:

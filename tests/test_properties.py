@@ -14,7 +14,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weylred.dint import build_grid
+from weylred.dint import (
+    ambient_integral,
+    apply_Tx,
+    apply_Txi,
+    build_grid,
+    coarea_check,
+    gaussian_poly_suite,
+    slice_integrals,
+)
 from weylred.fiber import (
     FiberFunction,
     PWSymbol,
@@ -28,6 +36,7 @@ from weylred.geometry import (
     SingularPoint,
     circle_level_set,
     induced_divergence,
+    jacobian_wedge_norm,
     radial_hamiltonian,
     rho,
     sphere2_level_set,
@@ -379,34 +388,94 @@ def test_sphere_fiber_divergence_is_the_induced_one(n, a, b, c, d, lam):
     assert np.max(np.abs(div - induced_divergence(X, [phi], fiber.nodes))) <= 1e-10
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    st.sampled_from([2, 3]),
-    _positive,
-    _positive,
-    st.floats(min_value=0.05, max_value=6.0),
-    st.floats(min_value=0.05, max_value=6.0),
-)
-def test_radial_grid_fibers_match_the_newton_route(n, a, b, lam_a, lam_b):
-    # build_grid builds each fiber at its Gauss radius; the constructors
-    # without a radius solve phi(r e_1) = lam by Newton, as an oracle
+def _radial_grid(n, a, b, lam_a, lam_b, n_lambda=5):
+    """phi = a|x|^2 + b|x|^4 and its radial grid over the two levels' range."""
     lam_lo, lam_hi = sorted((lam_a, lam_b))
     if lam_hi - lam_lo < 1e-3:
         lam_hi = lam_lo + 1e-3
     r2 = sum((PolySymbol.x(k, n) * PolySymbol.x(k, n) for k in range(n)), PolySymbol.zero(n))
     phi = ScalarHamiltonian(r2 * a + r2 * r2 * b)
     kind = "circle" if n == 2 else "sphere2"
-    grid = build_grid(phi, kind, lam_lo, lam_hi, 5, 16, n_polar=6, n_azimuth=12)
-    for lam, fiber, fiber_rho in zip(grid.lambda_nodes, grid.fibers, grid.rho):
+    return phi, build_grid(phi, kind, lam_lo, lam_hi, n_lambda, 16, n_polar=6, n_azimuth=12)
+
+
+_levels = st.floats(min_value=0.05, max_value=6.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([2, 3]), _positive, _positive, _levels, _levels)
+def test_radial_grid_fibers_match_the_newton_route(n, a, b, lam_a, lam_b):
+    # build_grid stacks the unit grid scaled to every Gauss radius; on every
+    # level the stack must equal the fiber built on demand and the fiber of
+    # the constructor without a radius, which solves phi(r e_1) = lam by
+    # Newton, as an oracle
+    phi, grid = _radial_grid(n, a, b, lam_a, lam_b)
+    size = 16 if n == 2 else 72
+    assert grid.nodes.shape == (5, size, n)
+    assert grid.weights.shape == grid.rho.shape == (5, size)
+    for i, (lam, fiber) in enumerate(zip(grid.lambda_nodes, grid.fibers)):
         oracle = (
             circle_level_set(phi, float(lam), 16)
             if n == 2
             else sphere2_level_set(phi, float(lam), 6, 12)
         )
         assert abs(fiber.radius - oracle.radius) <= 1e-13 * oracle.radius
-        for got, want in (
-            (fiber.nodes, oracle.nodes),
-            (fiber.weights, oracle.weights),
-            (fiber_rho, rho([phi], oracle.nodes)),
+        for stacked, on_demand, want in (
+            (grid.nodes[i], fiber.nodes, oracle.nodes),
+            (grid.weights[i], fiber.weights, oracle.weights),
+            (grid.rho[i], rho([phi], fiber.nodes), rho([phi], oracle.nodes)),
         ):
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(stacked - on_demand)) <= 1e-13 * scale
+            assert np.max(np.abs(stacked - want)) <= 1e-13 * scale
+
+
+def _close(got, want, scale=None):
+    """|got - want| <= 1e-13 of scale (default: max |want|); sums pass the sum of
+    the absolute values of their terms, since orthogonal pairs and odd
+    integrands cancel to ~1e-20."""
+    scale = np.max(np.abs(want)) if scale is None else scale
+    return np.max(np.abs(np.asarray(got) - want)) <= 1e-13 * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([2, 3]),
+    _positive,
+    _positive,
+    _levels,
+    _levels,
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=4),
+)
+def test_stacked_operations_match_a_per_level_loop(n, a, b, lam_a, lam_b, iu, iv):
+    # the layout before stacking, as a reference: one integrand call, one rho
+    # and one fiber sum per level
+    phi, grid = _radial_grid(n, a, b, lam_a, lam_b, n_lambda=6)
+    suite = gaussian_poly_suite(n)
+    u, v = suite[iu], suite[iv]
+    tx, txi, tv, slices, slice_scales = [], [], [], [], []
+    for fiber in grid.fibers:
+        root = np.sqrt(rho([phi], fiber.nodes))
+        tx.append(root * u.value(fiber.nodes))
+        txi.append(root * u.fourier(fiber.nodes))
+        tv.append(root * v.value(fiber.nodes))
+        slices.append(np.sum(fiber.weights * u.value(fiber.nodes)))
+        slice_scales.append(np.sum(fiber.weights * np.abs(u.value(fiber.nodes))))
+    inner, inner_scale = 0j, 0.0
+    for w, fiber, p, q in zip(grid.lambda_weights, grid.fibers, tx, tv):
+        inner += w * np.sum(fiber.weights * np.conj(p) * q)
+        inner_scale += w * np.sum(fiber.weights * np.abs(p * q))
+    fiber_side = sum(w * f for w, f in zip(grid.lambda_weights, slices))
+    fiber_scale = sum(w * f for w, f in zip(grid.lambda_weights, slice_scales))
+
+    su = apply_Tx(u, grid)
+    assert _close(su.parts, np.stack(tx))
+    assert _close(apply_Txi(u, grid).parts, np.stack(txi))
+    assert _close(su.inner(apply_Tx(v, grid)), inner, inner_scale)
+    assert _close(slice_integrals(u, grid), np.array(slices), max(slice_scales))
+    lhs = ambient_integral(
+        lambda pts: u.value(pts) * jacobian_wedge_norm([phi], pts), n, n_r=32, n_ang=16
+    )
+    got = coarea_check(u, grid, n_r=32, n_ang=16)
+    assert _close(got, abs(lhs - fiber_side), fiber_scale)
