@@ -41,8 +41,8 @@ class ScalarHamiltonian:
     """A position-only Hamiltonian phi with cached exact derivatives.
 
     `value`, `grad` and `hess` take one point of shape (n,) or node arrays
-    of shape (N, n). Gradient and Hessian run compiled kernels built once
-    per Hamiltonian; the value runs the kernel cached on phi.
+    of shape (N, n). All three run real compiled kernels built once per
+    Hamiltonian.
     """
 
     phi: PolySymbol
@@ -61,7 +61,7 @@ class ScalarHamiltonian:
         )
         object.__setattr__(self, "hessian", hess)
         kernels = {}
-        for name, fs in (("grad", grads), ("hess", sum(hess, ()))):
+        for name, fs in (("value", (self.phi,)), ("grad", grads), ("hess", sum(hess, ()))):
             exponents, coefficients = compile_symbols(fs)
             kernels[name] = (exponents, coefficients.real.copy())
         object.__setattr__(self, "_kernels", kernels)
@@ -78,10 +78,7 @@ class ScalarHamiltonian:
 
     def value(self, x):
         """phi: a float for one point, shape (N,) for (N, n) nodes."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            return self.phi.evaluate_many(x).real
-        return self.phi.evaluate(x, np.zeros(self.dimension)).real
+        return self._run("value", x, ())
 
     def grad(self, x) -> np.ndarray:
         """Gradient: shape (n,) for one point, (N, n) for (N, n) nodes."""

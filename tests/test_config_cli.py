@@ -237,6 +237,16 @@ class TestCLI:
         assert main(["evolve", "--out", str(b)]) == 0
         assert (a / "evolve.json").read_bytes() == (b / "evolve.json").read_bytes()
 
+    def test_evolve_checks_run_the_fft_oracle(self):
+        report = run_suite(SuiteConfig(), "evolve")
+        assert [r.name for r in report.records] == [
+            "propagator-vs-expm-hbar-1.0",
+            "propagator-vs-expm-hbar-0.1",
+            "propagator-full-period",
+        ]
+        assert all(r.passed for r in report.records)
+        assert [r.params.get("oracle") for r in report.records[:2]] == ["fft-circulant"] * 2
+
     def test_errors_become_failed_records(self, tmp_path):
         # an unordered sweep hbar list, set past config validation (which
         # rejects it): deviations cannot decrease monotonically, but the run

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
+from weylred.cli import NotCirculant, circulant_propagator
 from weylred.fiber import (
     AntipodalPair,
     FiberFunction,
@@ -623,6 +624,22 @@ class TestEvolveGroup:
         u = FiberFunction(fiber, np.exp(np.sin(fiber.thetas)) + 0j)
         direct = evolve_group(X, t, hbar, u)
         assert np.max(np.abs(P @ u.values - direct.values)) < 1e-6
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.3, 0.1])
+    @pytest.mark.parametrize("t", [0.7, 2.0, 2 * math.pi])
+    def test_fft_oracle_matches_matrix_exponential(self, t, hbar):
+        fiber = SphereFiber.circle(1.0, 32)
+        G = fiber_JX_matrix(rotation_generator(0, 1, 2), hbar, fiber).matrix
+        u = np.exp(np.sin(fiber.thetas)) + 1j * np.cos(2 * fiber.thetas)
+        want = expm((1j * t / hbar) * G) @ u
+        assert np.max(np.abs(circulant_propagator(G, t, hbar, u) - want)) <= 1e-12
+
+    def test_fft_oracle_refuses_a_non_circulant_generator(self):
+        fiber = SphereFiber.circle(1.0, 32)
+        G = fiber_JX_matrix(rotation_generator(0, 1, 2), 1.0, fiber).matrix
+        G[3, 17] += 1e-9 * np.max(np.abs(G))
+        with pytest.raises(NotCirculant, match="from circulant"):
+            circulant_propagator(G, 0.7, 1.0, np.ones(32, dtype=complex))
 
     @staticmethod
     def _count_kernel_runs(monkeypatch):

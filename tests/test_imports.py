@@ -19,3 +19,18 @@ def test_import_loads_no_scipy():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_evolve_suite_loads_no_scipy_linalg():
+    code = (
+        "import sys; from weylred.cli import run_suite; "
+        "from weylred.config import SuiteConfig; "
+        "assert run_suite(SuiteConfig(), 'evolve').verdict; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

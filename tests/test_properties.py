@@ -223,6 +223,17 @@ def test_evaluate_many_matches_exact_sum(f, rows, hbar):
         assert abs(value - exact) <= 1e-12 * float(scale)
 
 
+def _position_symbols(n, max_degree=4, max_terms=6):
+    """xi- and hbar-free symbols: the phi of a ScalarHamiltonian."""
+    exps = st.lists(
+        st.integers(min_value=0, max_value=max_degree), min_size=n, max_size=n
+    ).filter(lambda e: sum(e) <= max_degree)
+    keys = exps.map(lambda e: (0, tuple(e), (0,) * n))
+    return st.dictionaries(keys, _coeffs(), min_size=1, max_size=max_terms).map(
+        lambda terms: PolySymbol(n, terms)
+    )
+
+
 def _regular_rows(n, min_norm):
     row = st.lists(
         st.floats(min_value=-5, max_value=5, allow_subnormal=False), min_size=n, max_size=n
@@ -250,6 +261,29 @@ def test_singular_row_is_named(rows, bad):
     x[bad] = 0.0
     with pytest.raises(SingularPoint, match=rf"at node {bad[0]} \("):
         rho(radial_hamiltonian(x.shape[1]), x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 3]).flatmap(
+        lambda n: st.tuples(_position_symbols(n), _regular_rows(n, 0.0))
+    )
+)
+def test_hamiltonian_value_is_the_real_part_of_phi(phi_rows):
+    phi, rows = phi_rows
+    x = np.array(rows)
+    ham = ScalarHamiltonian(phi)
+    got = ham.value(x)
+    assert got.dtype == np.float64 and got.shape == (len(x),)
+    # per row, the sum of the term magnitudes
+    scale = sum(
+        np.abs(PolySymbol(phi.dimension, {key: c}).evaluate_many(x))
+        for key, c in phi.terms.items()
+    )
+    assert np.all(np.abs(got - phi.evaluate_many(x).real) <= 1e-14 * scale)
+    one = ham.value(x[0])
+    assert isinstance(one, float)
+    assert abs(one - got[0]) <= 1e-14 * scale[0]
 
 
 # -- fiber kernel and flow ---------------------------------------------------
