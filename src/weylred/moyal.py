@@ -12,9 +12,9 @@ exp((i hbar/2) sum_a Pi_a) = prod_a exp((i hbar/2) Pi_a), so the star
 product of two monomials is the tensor product of n one-coordinate
 products, each a short cached table of integers 2^k k! r. The products
 themselves run in `symbols.integer_product`, the loop the plain product
-uses too: Gaussian-integer numerators over one common denominator, the kept
-orders weighted over the 2^K K! of the largest, and one division per output
-term. Since P^k(g, f) = (-1)^k P^k(f, g), f * g - g * f is twice the odd
+uses too: the symbols' stored Gaussian-integer numerators, the kept orders
+weighted over the 2^K K! of the largest, and one gcd reduction of the
+result, with no Fraction built per product. Since P^k(g, f) = (-1)^k P^k(f, g), f * g - g * f is twice the odd
 orders of f * g: the star commutator is one pass over the term pairs, not
 two star products and a subtraction.
 """
@@ -172,7 +172,7 @@ class StarExpansion:
 
 def _leading_key(f: PolySymbol) -> TermKey:
     """Leading monomial in the graded lex order: total degree, then x, then xi."""
-    return max(f.terms, key=lambda key: (sum(key[1]) + sum(key[2]), key[1], key[2]))
+    return max(f.num, key=lambda key: (sum(key[1]) + sum(key[2]), key[1], key[2]))
 
 
 def _as_polynomial_in(
@@ -192,7 +192,7 @@ def _as_polynomial_in(
             raise SingularSystemError(
                 "a slice of f^m - f^{*m} is not a polynomial in f"
             )
-        a = s.terms[key] / plain_powers[j].terms[key]
+        a = s.coefficient(key) / plain_powers[j].coefficient(key)
         out.append((j, a))
         s = s - plain_powers[j] * a
     return out

@@ -74,7 +74,7 @@ class QQi:
     # -- helpers --------------------------------------------------------
     @classmethod
     def _from_fractions(cls, re: Fraction, im: Fraction) -> "QQi":
-        """Wrap two Fractions unchecked; the exact product loop builds its terms so."""
+        """Wrap two Fractions unchecked; the `terms` view of a PolySymbol builds its coefficients so."""
         out = object.__new__(cls)
         object.__setattr__(out, "re", re)
         object.__setattr__(out, "im", im)

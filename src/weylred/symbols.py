@@ -1,8 +1,12 @@
 """Exact phase-space polynomials in (x, xi) with a formal hbar grading.
 
 Coefficients live in Q(i) so that star products of real symbols stay exact.
-Terms are keyed by (hbar_power, x_exponents, xi_exponents); zero coefficients
-are never stored, which makes dict equality a canonical-form equality.
+A symbol stores them as Gaussian-integer numerators over one reduced
+denominator: `den >= 1` and `num = {(hbar_power, x_exponents, xi_exponents):
+(re, im)}`, with no (0, 0) entry and gcd(den, every numerator) = 1. That
+form is canonical, so equality and hashing compare (dimension, den, num),
+and every ring operation runs on Python ints. The `{key: QQi}` view `terms`
+is built from the numerators on first read.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, index
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
@@ -32,6 +36,11 @@ def _check_same_dim(f: "PolySymbol", g: "PolySymbol"):
         )
 
 
+def _check_dimension(n: int) -> None:
+    if n < 1:
+        raise ValueError("dimension must be a positive integer")
+
+
 def _exponent(e) -> int:
     """An exponent or hbar power as a Python int; bools and non-integers are refused."""
     if not isinstance(e, (bool, np.bool_)):
@@ -42,17 +51,28 @@ def _exponent(e) -> int:
     raise ValueError(f"exponents must be integers, got {e!r}")
 
 
+def _integer_form(coefficients: Mapping[TermKey, QQi]) -> Tuple[int, dict]:
+    """(den, num) of nonzero coefficients: den is the lcm of their reduced
+    denominators, so it shares no factor with all of the numerators."""
+    den = 1
+    for c in coefficients.values():
+        den = lcm(den, c.re.denominator, c.im.denominator)
+    return den, {
+        key: (c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator))
+        for key, c in coefficients.items()
+    }
+
+
 class PolySymbol:
     """Polynomial in x_0..x_{n-1}, xi_0..xi_{n-1} and hbar over Q(i).
 
     Immutable; all arithmetic returns new instances in canonical form.
     """
 
-    __slots__ = ("dimension", "terms", "_compiled")
+    __slots__ = ("dimension", "den", "num", "_terms", "_compiled")
 
     def __init__(self, dimension: int, terms: Mapping[TermKey, QQi] | None = None):
-        if dimension < 1:
-            raise ValueError("dimension must be a positive integer")
+        _check_dimension(dimension)
         clean: dict[TermKey, QQi] = {}
         for (h, xe, xie), c in (terms or {}).items():
             h = _exponent(h)
@@ -72,18 +92,35 @@ class PolySymbol:
                 clean.pop(key, None)
             else:
                 clean[key] = total
+        self._init(dimension, *_integer_form(clean))
+
+    def _init(self, dimension: int, den: int, num: dict) -> None:
         object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "_terms", None)
         object.__setattr__(self, "_compiled", None)
 
     @classmethod
-    def _canonical(cls, dimension: int, terms: dict) -> "PolySymbol":
-        """Wrap a term dict that is canonical by construction, unchecked."""
+    def _canonical(cls, dimension: int, den: int, num: dict) -> "PolySymbol":
+        """Wrap numerators that are canonical by construction, unchecked."""
         out = object.__new__(cls)
-        object.__setattr__(out, "dimension", dimension)
-        object.__setattr__(out, "terms", terms)
-        object.__setattr__(out, "_compiled", None)
+        out._init(dimension, den, num)
         return out
+
+    @classmethod
+    def _reduced(cls, dimension: int, den: int, sums: Mapping) -> "PolySymbol":
+        """Numerator sums over den made canonical: zero entries dropped, one gcd divided out."""
+        common = den
+        for re, im in sums.values():
+            if common == 1:
+                break
+            common = gcd(common, re, im)
+        if common == 1:
+            num = {key: (re, im) for key, (re, im) in sums.items() if re or im}
+        else:
+            num = {key: (re // common, im // common) for key, (re, im) in sums.items() if re or im}
+        return cls._canonical(dimension, den // common if num else 1, num)
 
     def __setattr__(self, *a):  # immutability guard
         raise AttributeError("PolySymbol is immutable")
@@ -92,61 +129,78 @@ class PolySymbol:
         # rebuild through the public constructor; the compiled kernel is not carried
         return (PolySymbol, (self.dimension, self.terms))
 
+    @property
+    def terms(self) -> dict:
+        """The coefficients as a read-only {key: QQi} view, built on first read."""
+        if self._terms is None:
+            den = self.den
+            view = {
+                key: QQi._from_fractions(Fraction(re, den), Fraction(im, den))
+                for key, (re, im) in self.num.items()
+            }
+            object.__setattr__(self, "_terms", view)
+        return self._terms
+
     # -- constructors ---------------------------------------------------
     @classmethod
     def zero(cls, n: int) -> "PolySymbol":
-        return cls(n)
+        _check_dimension(n)
+        return cls._canonical(n, 1, {})
 
     @classmethod
     def constant(cls, c, n: int) -> "PolySymbol":
+        _check_dimension(n)
+        c = QQi.coerce(c)
         z = (0,) * n
-        return cls(n, {(0, z, z): QQi.coerce(c)})
+        return cls._canonical(n, *_integer_form({(0, z, z): c} if c else {}))
 
     @classmethod
     def one(cls, n: int) -> "PolySymbol":
-        return cls.constant(1, n)
+        return cls.hbar(n, 0)
 
     @classmethod
     def x(cls, a: int, n: int) -> "PolySymbol":
         if not 0 <= a < n:
             raise IndexError(f"x index {a} out of range for dimension {n}")
         xe = tuple(1 if j == a else 0 for j in range(n))
-        return cls(n, {(0, xe, (0,) * n): QQi.coerce(1)})
+        return cls._canonical(n, 1, {(0, xe, (0,) * n): (1, 0)})
 
     @classmethod
     def xi(cls, a: int, n: int) -> "PolySymbol":
         if not 0 <= a < n:
             raise IndexError(f"xi index {a} out of range for dimension {n}")
         xie = tuple(1 if j == a else 0 for j in range(n))
-        return cls(n, {(0, (0,) * n, xie): QQi.coerce(1)})
+        return cls._canonical(n, 1, {(0, (0,) * n, xie): (1, 0)})
 
     @classmethod
     def hbar(cls, n: int, power: int = 1) -> "PolySymbol":
+        _check_dimension(n)
+        power = _exponent(power)
+        if power < 0:
+            raise ValueError("exponents must be non-negative")
         z = (0,) * n
-        return cls(n, {(power, z, z): QQi.coerce(1)})
+        return cls._canonical(n, 1, {(power, z, z): (1, 0)})
 
     # -- ring operations ------------------------------------------------
     def __add__(self, other) -> "PolySymbol":
         other = self._coerce(other)
         _check_same_dim(self, other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            prev = terms.get(k)
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        sums = dict(self.num) if s == 1 else {k: (re * s, im * s) for k, (re, im) in self.num.items()}
+        for k, (re, im) in other.num.items():
+            prev = sums.get(k)
             if prev is None:
-                terms[k] = c
-                continue
-            re, im = prev.re + c.re, prev.im + c.im
-            if re or im:
-                terms[k] = QQi._from_fractions(re, im)
+                sums[k] = (re * t, im * t)
             else:
-                del terms[k]
-        return PolySymbol._canonical(self.dimension, terms)
+                sums[k] = (prev[0] + re * t, prev[1] + im * t)
+        return PolySymbol._reduced(self.dimension, den, sums)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PolySymbol":
         return PolySymbol._canonical(
-            self.dimension, {k: QQi._from_fractions(-c.re, -c.im) for k, c in self.terms.items()}
+            self.dimension, self.den, {k: (-re, -im) for k, (re, im) in self.num.items()}
         )
 
     def __sub__(self, other) -> "PolySymbol":
@@ -178,13 +232,13 @@ class PolySymbol:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolySymbol):
             return NotImplemented
-        return self.dimension == other.dimension and self.terms == other.terms
+        return self.dimension == other.dimension and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.dimension, frozenset(self.terms.items())))
+        return hash((self.dimension, self.den, frozenset(self.num.items())))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     # -- calculus -------------------------------------------------------
     def partial(self, kind: str, a: int) -> "PolySymbol":
@@ -194,8 +248,8 @@ class PolySymbol:
         if not 0 <= a < self.dimension:
             raise IndexError(f"variable index {a} out of range")
         pos = 1 if kind == "x" else 2
-        out: dict[TermKey, QQi] = {}
-        for key, c in self.terms.items():
+        out: dict = {}
+        for key, (re, im) in self.num.items():
             exps = key[pos]
             e = exps[a]
             if e == 0:
@@ -203,8 +257,8 @@ class PolySymbol:
             new_exps = tuple(v - 1 if j == a else v for j, v in enumerate(exps))
             new_key = list(key)
             new_key[pos] = new_exps
-            out[tuple(new_key)] = QQi._from_fractions(c.re * e, c.im * e)  # type: ignore[index]
-        return PolySymbol._canonical(self.dimension, out)
+            out[tuple(new_key)] = (re * e, im * e)
+        return PolySymbol._reduced(self.dimension, self.den, out)
 
     def poisson(self, other: "PolySymbol") -> "PolySymbol":
         """{f,g} = sum_a (d_xi_a f d_x_a g - d_x_a f d_xi_a g).
@@ -223,40 +277,39 @@ class PolySymbol:
     # -- queries --------------------------------------------------------
     def total_degree(self) -> int:
         """Max combined degree in (x, xi); hbar does not count."""
-        if not self.terms:
+        if not self.num:
             return 0
-        return max(sum(xe) + sum(xie) for _, xe, xie in self.terms)
+        return max(sum(xe) + sum(xie) for _, xe, xie in self.num)
 
     def xi_degree(self) -> int:
-        if not self.terms:
+        if not self.num:
             return 0
-        return max(sum(xie) for _, _, xie in self.terms)
+        return max(sum(xie) for _, _, xie in self.num)
 
     def is_xi_free(self) -> bool:
-        return all(sum(xie) == 0 for _, _, xie in self.terms)
+        return all(sum(xie) == 0 for _, _, xie in self.num)
 
     def is_hbar_free(self) -> bool:
-        return all(h == 0 for h, _, _ in self.terms)
+        return all(h == 0 for h, _, _ in self.num)
 
     def coefficient(self, key: TermKey) -> QQi:
-        return self.terms.get(key, QQi())
+        re, im = self.num.get(key, (0, 0))
+        return QQi(Fraction(re, self.den), Fraction(im, self.den))
 
     def hbar_component(self, power: int) -> "PolySymbol":
         """The hbar^power slice, with the hbar factor stripped."""
-        return PolySymbol._canonical(
+        return PolySymbol._reduced(
             self.dimension,
-            {
-                (0, xe, xie): c
-                for (h, xe, xie), c in self.terms.items()
-                if h == power
-            },
+            self.den,
+            {(0, xe, xie): c for (h, xe, xie), c in self.num.items() if h == power},
         )
 
     def substitute_hbar_sign(self) -> "PolySymbol":
         """hbar -> -hbar."""
-        return PolySymbol(
+        return PolySymbol._canonical(
             self.dimension,
-            {k: (-c if k[0] % 2 else c) for k, c in self.terms.items()},
+            self.den,
+            {k: ((-re, -im) if k[0] % 2 else (re, im)) for k, (re, im) in self.num.items()},
         )
 
     def compile(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -297,21 +350,6 @@ class PolySymbol:
         return " + ".join(parts)
 
 
-_FRACTION_ZERO = Fraction(0)
-
-
-def _numerators(f: PolySymbol) -> Tuple[int, dict]:
-    """(D, {key: (re, im)}): the coefficients of f as Gaussian-integer numerators
-    over D, the lcm of their denominators."""
-    D = 1
-    for c in f.terms.values():
-        D = lcm(D, c.re.denominator, c.im.denominator)
-    return D, {
-        key: (c.re.numerator * (D // c.re.denominator), c.im.numerator * (D // c.im.denominator))
-        for key, c in f.terms.items()
-    }
-
-
 def integer_product(
     f: PolySymbol,
     g: PolySymbol,
@@ -322,24 +360,24 @@ def integer_product(
 ) -> PolySymbol:
     """The exact product loop: every product of symbols runs here, on integers.
 
-    Both factors enter as Gaussian-integer numerators over their common
-    denominators D_f, D_g. A pair of terms multiplies its numerators and
-    spreads them over the entries (K, x exponents, xi exponents, W) that
-    `monomial_product(xe1, xie1, xe2, xie2)` gives for its two monomials;
-    the plain product (None) has the one entry (0, xe1 + xe2, xie1 + xie2, 1).
-    An entry of order K adds W lift[K] times the numerator product; with
-    `phased` it also gains hbar^K and the phase i^K, applied as a swap and
-    sign. Only int multiply-adds run per pair: each surviving sum is divided
-    once, by D_f D_g den, into one reduced Fraction pair and one QQi.
+    Both factors enter as their stored Gaussian-integer numerators over
+    their denominators f.den, g.den. A pair of terms multiplies its
+    numerators and spreads them over the entries (K, x exponents, xi
+    exponents, W) that `monomial_product(xe1, xie1, xe2, xie2)` gives for its
+    two monomials; the plain product (None) has the one entry
+    (0, xe1 + xe2, xie1 + xie2, 1). An entry of order K adds W lift[K] times
+    the numerator product; with `phased` it also gains hbar^K and the phase
+    i^K, applied as a swap and sign. Only int multiply-adds run per pair;
+    the sums stay numerators over f.den g.den den, and one gcd over all of
+    them reduces the result. No Fraction is built.
     """
     _check_same_dim(f, g)
-    df, f_terms = _numerators(f)
-    dg, g_terms = _numerators(g)
     if phased:  # fold the sign of i^K into the weights; the swap stays below
         lift = [-w if K & 2 else w for K, w in enumerate(lift)]
     acc: dict = {}
-    for (h1, xe1, xie1), (a, b) in f_terms.items():
-        for (h2, xe2, xie2), (c, d) in g_terms.items():
+    g_terms = g.num.items()
+    for (h1, xe1, xie1), (a, b) in f.num.items():
+        for (h2, xe2, xie2), (c, d) in g_terms:
             re, im = a * c - b * d, a * d + b * c
             h = h1 + h2
             if monomial_product is None:
@@ -362,17 +400,7 @@ def integer_product(
                 else:
                     slot[0] += cre
                     slot[1] += cim
-    D = df * dg * den
-    return PolySymbol._canonical(
-        f.dimension,
-        {
-            key: QQi._from_fractions(
-                Fraction(re, D) if re else _FRACTION_ZERO, Fraction(im, D) if im else _FRACTION_ZERO
-            )
-            for key, (re, im) in acc.items()
-            if re or im
-        },
-    )
+    return PolySymbol._reduced(f.dimension, f.den * g.den * den, acc)
 
 
 def compile_symbols(symbols: Sequence[PolySymbol]) -> Tuple[np.ndarray, np.ndarray]:
@@ -385,15 +413,15 @@ def compile_symbols(symbols: Sequence[PolySymbol]) -> Tuple[np.ndarray, np.ndarr
     rows: dict[TermKey, int] = {}
     for f in symbols:
         _check_same_dim(symbols[0], f)
-        for key in f.terms:
+        for key in f.num:
             rows.setdefault(key, len(rows))
     exponents = np.zeros((len(rows), 1 + 2 * n), dtype=np.int64)
     for (h, xe, xie), t in rows.items():
         exponents[t] = (h, *xe, *xie)
     coefficients = np.zeros((len(rows), len(symbols)), dtype=complex)
     for j, f in enumerate(symbols):
-        for key, c in f.terms.items():
-            coefficients[rows[key], j] = complex(c)
+        for key, (re, im) in f.num.items():
+            coefficients[rows[key], j] = complex(re / f.den, im / f.den)
     return exponents, coefficients
 
 
@@ -470,10 +498,10 @@ class VectorField:
         n = self.dimension
         A = np.zeros((n, n))
         for a, comp in enumerate(self.components):
-            for (_, xe, _), c in comp.terms.items():
+            for (_, xe, _), (re, _) in comp.num.items():
                 if sum(xe) != 1:
                     return None
-                A[a, xe.index(1)] = float(c.re)
+                A[a, xe.index(1)] = re / comp.den
         return A
 
     def apply_to(self, a: PolySymbol) -> PolySymbol:

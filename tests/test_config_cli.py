@@ -233,9 +233,10 @@ class TestCLI:
 
     def test_reports_are_byte_reproducible(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["evolve", "--out", str(a)]) == 0
-        assert main(["evolve", "--out", str(b)]) == 0
-        assert (a / "evolve.json").read_bytes() == (b / "evolve.json").read_bytes()
+        for suite in ("evolve", "identities"):
+            assert main([suite, "--out", str(a)]) == 0
+            assert main([suite, "--out", str(b)]) == 0
+            assert (a / f"{suite}.json").read_bytes() == (b / f"{suite}.json").read_bytes()
 
     def test_evolve_checks_run_the_fft_oracle(self):
         report = run_suite(SuiteConfig(), "evolve")

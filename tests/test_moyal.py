@@ -7,7 +7,7 @@ from math import comb, factorial, perm
 import pytest
 
 from weylred.rational import QQi
-from weylred import moyal
+from weylred import moyal, symbols
 from weylred.moyal import (
     ExpansionBoundError,
     SingularSystemError,
@@ -128,6 +128,47 @@ class TestIntegerProductLoop:
         ]
         assert calls == Counter()
         assert all(not p.is_zero() for p in products)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            angular_momentum(0, 1, 3),
+            PolySymbol.x(0, 2) ** 2 * Fraction(1, 2) + PolySymbol.xi(0, 2) ** 2 * Fraction(1, 3),
+        ],
+        ids=["angular-momentum", "denominators-2-and-3"],
+    )
+    def test_product_loop_builds_no_fraction(self, monkeypatch, f):
+        # the loop reads the stored numerators and ends with one gcd reduction
+        raw_new, raw_product = Fraction.__new__, moyal.integer_product
+        loops, built, inside = [0], [], [False]
+
+        def counted_new(cls, *args, **kwargs):
+            if inside[0]:
+                built.append(args)
+            return raw_new(cls, *args, **kwargs)
+
+        def watched(*args, **kwargs):
+            loops[0] += 1
+            inside[0] = True
+            try:
+                return raw_product(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        n = f.dimension
+        g = f * f + PolySymbol.x(n - 1, n) * Fraction(-5, 6)
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+        monkeypatch.setattr(symbols, "integer_product", watched)
+        monkeypatch.setattr(moyal, "integer_product", watched)
+        product = f * g + g
+        star = moyal_star(f, g)
+        bracket = star_commutator(product, f)
+        expansion = expand_power_in_star_basis(f, 4)
+        monkeypatch.undo()
+        assert loops[0] > 10 and built == []
+        assert product == f * g + g and star == moyal_star(f, g)
+        assert bracket == moyal_star(product, f) - moyal_star(f, product)
+        assert expansion.residual().is_zero()
 
     def test_coordinate_tables_are_integer(self):
         # for all exponents <= 8: the stored R = 2^k k! r is an int, equal to the

@@ -7,7 +7,9 @@ or closed-form oracles; the fiber kernel and flow against the structure
 they must keep (hermiticity, the group law).
 """
 
+import pickle
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -179,6 +181,18 @@ def _revalidated(r):
     return PolySymbol(r.dimension, dict(r.terms))
 
 
+def _assert_stored_form(r):
+    """One reduced denominator over nonzero Gaussian-integer numerators, as the constructor builds."""
+    assert type(r.den) is int and r.den >= 1
+    assert all(type(v) is int for pair in r.num.values() for v in pair)
+    assert all(pair != (0, 0) for pair in r.num.values())
+    assert gcd(r.den, *(v for pair in r.num.values() for v in pair)) == 1
+    rebuilt = _revalidated(r)
+    assert r == rebuilt and hash(r) == hash(rebuilt)
+    clone = pickle.loads(pickle.dumps(r))
+    assert clone == r and hash(clone) == hash(r)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     symbols(max_degree=3, max_terms=5, max_hbar=2),
@@ -190,8 +204,9 @@ def _revalidated(r):
 def test_arithmetic_results_are_canonical(f, g, c, kind, a):
     # internal results skip revalidation; the public constructor must agree
     for r in (f + g, f - g, -f, f * g, f * c, c * f, f * 0, f.partial(kind, a),
-              f.hbar_component(1), f + (-f)):
-        assert r == _revalidated(r)
+              f.hbar_component(1), f + (-f), f.poisson(g), f.substitute_hbar_sign(),
+              moyal_star(f, g), star_commutator(f, g)):
+        _assert_stored_form(r)
     assert (f * 0).terms == {} and (f + (-f)).terms == {}
 
 

@@ -87,6 +87,60 @@ class TestConstructor:
         assert all(type(e) is int for h, xe, xie in f.terms for e in (h, *xe, *xie))
 
 
+class TestBasisConstructors:
+    """`zero`, `one`, `constant`, `x`, `xi` and `hbar` skip the validating loop."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_match_the_public_constructor(self, n):
+        z = (0,) * n
+        unit = tuple(int(j == n - 1) for j in range(n))
+        assert PolySymbol.zero(n) == PolySymbol(n)
+        assert PolySymbol.one(n) == PolySymbol(n, {(0, z, z): 1})
+        assert PolySymbol.x(n - 1, n) == PolySymbol(n, {(0, unit, z): 1})
+        assert PolySymbol.xi(n - 1, n) == PolySymbol(n, {(0, z, unit): 1})
+        assert PolySymbol.hbar(n, 3) == PolySymbol(n, {(3, z, z): 1})
+        for c in (2, -7, Fraction(-4, 6), QQi("1/2", "-2/3"), QQi(0, "5/3")):
+            f = PolySymbol.constant(c, n)
+            assert f == PolySymbol(n, {(0, z, z): c}) and hash(f) == hash(PolySymbol(n, {(0, z, z): c}))
+            assert f.terms == {(0, z, z): QQi.coerce(c)}
+
+    def test_constant_stores_one_reduced_denominator(self):
+        f = PolySymbol.constant(QQi("1/2", "-2/3"), 2)
+        assert (f.den, f.num) == (6, {(0, (0, 0), (0, 0)): (3, -4)})
+
+    @pytest.mark.parametrize("zero", [0, Fraction(0), QQi()])
+    def test_constant_zero_is_the_zero_symbol(self, zero):
+        f = PolySymbol.constant(zero, 2)
+        assert f.is_zero() and f == PolySymbol.zero(2) and (f.den, f.num) == (1, {})
+
+    def test_negative_hbar_power_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            PolySymbol.hbar(2, -1)
+
+    @pytest.mark.parametrize("power", [True, 2.0, np.True_, Fraction(1)])
+    def test_non_integer_hbar_power_rejected(self, power):
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            PolySymbol.hbar(2, power)
+
+    @pytest.mark.parametrize("make", [PolySymbol.x, PolySymbol.xi])
+    @pytest.mark.parametrize("a", [2, -1])
+    def test_basis_index_out_of_range(self, make, a):
+        with pytest.raises(IndexError):
+            make(a, 2)
+
+    @pytest.mark.parametrize("c", [1.5, 1j, None])
+    def test_constant_of_a_non_exact_value_rejected(self, c):
+        with pytest.raises(TypeError):
+            PolySymbol.constant(c, 2)
+
+    @pytest.mark.parametrize(
+        "make", [PolySymbol.zero, PolySymbol.one, PolySymbol.hbar, lambda n: PolySymbol.constant(2, n)]
+    )
+    def test_non_positive_dimension_rejected(self, make):
+        with pytest.raises(ValueError, match="dimension"):
+            make(0)
+
+
 class TestPartial:
     def test_power_rule(self):
         f = x(0) * x(0) * xi(1)
