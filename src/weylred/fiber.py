@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -79,9 +80,10 @@ class PWSymbol:
     arrays. `kernel_quantize` then picks the route from the input: on a
     circle with uniform `thetas` and without kappa it evaluates each a_j
     once on the 2N midpoint angles and each b_j once per signed node
-    offset, and gathers the entries; every other case calls fhat (and
-    kappa) once, on (K, n) batches that hold only the K in-support,
-    non-antipodal node pairs, and both return shape (K,).
+    offset, and applies the kernel by offset without building it; every
+    other case calls fhat (and kappa) once, on (K, n) batches that hold
+    only the K in-support, non-antipodal node pairs, and both return
+    shape (K,).
     """
 
     fhat: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -92,17 +94,37 @@ class PWSymbol:
 
 @dataclass(frozen=True)
 class FiberOperator:
-    """Dense operator on fiber node values: (Au)_i = sum_j matrix[i,j] u_j.
+    """Linear operator on fiber node values: (Au)_i = sum_j matrix[i,j] u_j.
 
-    For kernel constructions matrix = K * diag(weights); the quadrature-
-    stripped kernel is recovered by `kernel_matrix`.
+    It holds either its `dense` matrix or a matrix-free `block`, a map of
+    (N, m) value blocks to (N, m) blocks (the offset route of
+    `kernel_quantize`). `apply_block` uses whichever it holds; `matrix` is
+    the dense matrix, built for a matrix-free operator only when read, as
+    `block` applied to the identity. For kernel constructions matrix =
+    K * diag(weights); the quadrature-stripped kernel is recovered by
+    `kernel_matrix`.
     """
 
     fiber: object
-    matrix: np.ndarray
+    dense: Optional[np.ndarray] = None
+    block: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self):
+        if (self.dense is None) == (self.block is None):
+            raise ValueError("a FiberOperator holds exactly one of a dense matrix and a block map")
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        if self.dense is not None:
+            return self.dense
+        return self.block(np.eye(len(self.fiber.nodes), dtype=complex))
+
+    def apply_block(self, values: np.ndarray) -> np.ndarray:
+        """The operator on each column of an (N, m) block."""
+        return self.dense @ values if self.block is None else self.block(values)
 
     def apply(self, u: FiberFunction) -> FiberFunction:
-        return FiberFunction(self.fiber, self.matrix @ u.values)
+        return FiberFunction(self.fiber, self.apply_block(u.values[:, None])[:, 0])
 
     def kernel_matrix(self) -> np.ndarray:
         return self.matrix / self.fiber.weights[None, :]
@@ -186,9 +208,12 @@ def kernel_quantize(f: PWSymbol, hbar: float, fiber: SphereFiber) -> FiberOperat
     Separable `terms` are planar: on a fiber with ambient_dim != 2 they
     raise ValueError. Two routes give the same entries. A symbol with
     separable `terms` and no kappa, on a circle with uniform `thetas`, takes
-    the offset route (`_separable_circle_kernel`). Every other input calls
-    fhat on the pair geometry of `SphereFiber.kernel_pairs`: circles build
-    it from node offsets, 2-spheres from their cached pair angles.
+    the offset route: the operator is matrix-free and applies the kernel by
+    node offset (`_separable_circle_block`), in O(terms D N) per column for
+    a half-band of D nodes; its `matrix` is built only when read. Every
+    other input calls fhat on the pair geometry of `SphereFiber.kernel_pairs`
+    (circles build it from node offsets, 2-spheres from their cached pair
+    angles) and gives a dense operator.
     """
     if not isinstance(fiber, SphereFiber):
         raise TypeError(f"kernel_quantize needs a SphereFiber, got a {type(fiber).__name__}")
@@ -201,7 +226,7 @@ def kernel_quantize(f: PWSymbol, hbar: float, fiber: SphereFiber) -> FiberOperat
         )
     reach = abs(hbar) * f.support_radius
     if f.terms is not None and f.kappa is None and fiber.thetas is not None:
-        return FiberOperator(fiber, _separable_circle_kernel(f.terms, hbar, fiber, reach))
+        return FiberOperator(fiber, block=_separable_circle_block(f.terms, hbar, fiber, reach))
     rows, cols, arc, M, U = fiber.kernel_pairs(reach)
     values = hbar ** (1 - fiber.ambient_dim) * np.asarray(
         f.fhat(M, (arc / hbar)[:, None] * U), dtype=complex
@@ -213,38 +238,47 @@ def kernel_quantize(f: PWSymbol, hbar: float, fiber: SphereFiber) -> FiberOperat
     return FiberOperator(fiber, K)
 
 
-def _separable_circle_kernel(terms, hbar: float, fiber: SphereFiber, reach: float) -> np.ndarray:
-    """K * diag(weights) of sum_j a_j(theta) b_j(m ^ v) on a uniform circle, by node offset.
+def _separable_circle_block(terms, hbar: float, fiber: SphereFiber, reach: float) -> Callable:
+    """U -> K diag(weights) U for sum_j a_j(theta) b_j(m ^ v) on a uniform circle, by node offset.
 
-    The pair (col + d, col) has its midpoint at the angle pi (2 col + d) / N,
-    one of 2N angles (taken in arctan2's range), and m ^ v = r arc_d / hbar
-    with arc_d = 2 pi r d / N; the mirrored pair (col, col + d) shares the
-    midpoint and negates m ^ v. So each a_j is evaluated once on the 2N
-    angles and each b_j once on the 2 D + 1 signed offsets |d| <= D.
+    Row i pairs with column i + e (mod N) at the midpoint angle
+    pi (2 i + e) / N, one of 2N angles (taken in arctan2's range), with
+    m ^ v = -r arc_e / hbar for arc_e = 2 pi r e / N. So each a_j is
+    evaluated once on the 2N angles and each b_j once on the 2 D + 1 signed
+    offsets |e| <= D, and (K diag(w) u)_i = sum_e a_j(pi (2 i + e) / N)
+    b_j(-r arc_e / hbar) w_{i+e} u_{i+e} / hbar is one einsum per term and
+    column, over strided views of the midpoint values and of the weighted
+    vector extended by D nodes on each side. No N x N array is built.
     """
     n, r = fiber.n_nodes, fiber.radius
-    offsets = np.concatenate([[0], fiber.reach_offsets(reach)])
-    k = len(offsets)
-    wedge = r * (r * (2 * math.pi * offsets / n)) / hbar
-    signed = np.concatenate([wedge, -wedge[1:]])  # d = 0..D, then -1..-D
+    depth = len(fiber.reach_offsets(reach))
+    width = 2 * depth + 1
+    back = np.arange(depth, -depth - 1, -1)  # -e for e = -D..D
+    wedge = r * (r * (2 * math.pi * back / n)) / hbar
     slots = np.arange(2 * n)
     angles = math.pi * np.where(slots > n, slots - 2 * n, slots) / n
-    forward = np.zeros((k, n), dtype=complex)
-    mirrored = np.zeros((k - 1, n), dtype=complex)
-    for a, b in terms:
-        a_mid = np.asarray(a(angles), dtype=complex)
-        # [d, col] -> a at the midpoint slot 2 col + d of the pair (col + d, col)
-        a_pairs = sliding_window_view(np.concatenate([a_mid, a_mid]), 2 * n)[:k, ::2]
-        b_signed = np.asarray(b(signed), dtype=complex)[:, None]
-        forward += a_pairs * b_signed[:k]
-        mirrored += a_pairs[1:] * b_signed[k:]
-    cols = np.arange(n)
-    rows = (cols + offsets[:, None]) % n
-    w = fiber.weights
-    K = np.zeros((n, n), dtype=complex)
-    K[rows, cols] = forward * (w / hbar)
-    K[cols, rows[1:]] = mirrored * (w[rows[1:]] / hbar)
-    return K
+    # window i of the midpoint values starts at slot 2 i - D
+    ring = np.arange(-depth, 2 * n - 1 + depth) % (2 * n)
+    factors = [
+        (
+            sliding_window_view(np.asarray(a(angles), dtype=complex)[ring], width)[::2],
+            np.asarray(b(wedge), dtype=complex),
+        )
+        for a, b in terms
+    ]
+    around = np.arange(-depth, n + depth) % n
+    scale = fiber.weights / hbar
+
+    def block(values: np.ndarray) -> np.ndarray:
+        extended = (scale[:, None] * values)[around]
+        out = np.zeros(values.shape, dtype=complex)
+        for col in range(values.shape[1]):
+            window = sliding_window_view(extended[:, col], width)
+            for a_mid, b_off in factors:
+                out[:, col] += np.einsum("ie,e,ie->i", a_mid, b_off, window)
+        return out
+
+    return block
 
 
 def multiplication_op(a: Callable[[np.ndarray], np.ndarray], fiber) -> FiberOperator:
@@ -421,9 +455,13 @@ def evolve_group(
     hbar cancels in the closed form.
 
     A linear field X(x) = A x on a SphereFiber follows its exact orbit
-    Phi_t = e^{tA}, and its divergence integral is t tr A. Nonlinear fields
-    and level-set fibers integrate the flow and the divergence accumulator
-    jointly with `steps` fixed RK4 steps.
+    Phi_t = e^{tA}, and its divergence integral is t tr A. On a circle with
+    uniform `thetas` that orbit is a rotation by one angle alpha, read off
+    e^{tA}, and values without `func` are pulled back by the Fourier shift
+    ifft(e^{i k alpha} fft(u)); other circles evaluate their trigonometric
+    interpolant at the flowed angles. Nonlinear fields and level-set fibers
+    integrate the flow and the divergence accumulator jointly with `steps`
+    fixed RK4 steps.
     """
     fiber = u.fiber
     Z0 = np.asarray(fiber.nodes, dtype=float)
@@ -435,7 +473,8 @@ def evolve_group(
         # Hermitian eigendecomposition i A = V lam V^H
         lam, V = np.linalg.eigh(0.5j * (A - A.T))
         E = ((V * np.exp(-1j * t * lam)) @ V.conj().T).real
-        return _pull_back(u, Z0 @ E.T, np.full(len(Z0), t * np.trace(A)))
+        alpha = None if fiber.thetas is None else math.atan2(E[1, 0], E[0, 0])
+        return _pull_back(u, Z0 @ E.T, np.full(len(Z0), t * np.trace(A)), alpha)
     _check_tangent(X, fiber)
 
     def rhs(pts):
@@ -454,13 +493,23 @@ def evolve_group(
     return _pull_back(u, pts, acc)
 
 
-def _pull_back(u: FiberFunction, pts: np.ndarray, acc: np.ndarray) -> FiberFunction:
-    """sqrt(exp(acc)) * u(pts): u at the flowed nodes pts, times the flow density."""
+def _pull_back(
+    u: FiberFunction, pts: np.ndarray, acc: np.ndarray, alpha: Optional[float] = None
+) -> FiberFunction:
+    """sqrt(exp(acc)) * u(pts): u at the flowed nodes pts, times the flow density.
+
+    alpha, when given, is the angle by which the flow rotates a uniform
+    circle (pts are the nodes shifted by it): without `func` the values are
+    then pulled back by the Fourier shift ifft(e^{i k alpha} fft(u)).
+    """
     if not np.all(np.isfinite(pts)):
         raise FloatingPointError("flow integration broke down")
     fiber = u.fiber
     if u.func is not None:
         pulled = call_on_nodes(u.func, pts).astype(complex)
+    elif alpha is not None:
+        k = np.fft.fftfreq(len(u.values), d=1.0 / len(u.values))
+        pulled = np.fft.ifft(np.exp(1j * alpha * k) * np.fft.fft(u.values))
     elif isinstance(fiber, SphereFiber) and fiber.ambient_dim == 2:
         pulled = _trig_interpolate(u.values, np.arctan2(pts[:, 1], pts[:, 0]))
     else:

@@ -90,30 +90,58 @@ def _not_a_knot_slopes(delta: np.ndarray) -> np.ndarray:
 
     On a uniform grid the interior equations are g_{i-1} + 4 g_i + g_{i+1} =
     3 (delta_{i-1} + delta_i), and the not-a-knot ends give
-    g_0 + 2 g_1 = (5 delta_0 + delta_1) / 2 and its mirror image.
+    g_0 + 2 g_1 = (5 delta_0 + delta_1) / 2 and its mirror image. Each end
+    row is subtracted from its neighbour, which leaves the strictly
+    diagonally dominant rows (2, 1), (1, 4, 1) ... (1, 4, 1), (1, 2) in
+    g_1 .. g_{n-1}, solved by cyclic reduction; g_0 and g_n follow from the
+    end rows.
     """
     if len(delta) == 1:
         return np.array([delta[0], delta[0]])
     if len(delta) == 2:
         mid = (delta[0] + delta[1]) / 2
         return np.array([2 * delta[0] - mid, mid, 2 * delta[1] - mid])
-    rhs = np.empty(len(delta) + 1, dtype=complex)
-    rhs[0] = (5 * delta[0] + delta[1]) / 2
-    rhs[1:-1] = 3 * (delta[:-1] + delta[1:])
-    rhs[-1] = (delta[-2] + 5 * delta[-1]) / 2
-    # tridiagonal (Thomas) elimination on Python scalars, rows (1, 2),
-    # (1, 4, 1) ... (1, 4, 1), (2, 1)
-    rhs = rhs.tolist()
-    upper = [2.0]
-    forward = [rhs[0]]
-    for r in rhs[1:-1]:
-        inv = 1.0 / (4.0 - upper[-1])
-        upper.append(inv)
-        forward.append((r - forward[-1]) * inv)
-    out = [(rhs[-1] - 2.0 * forward[-1]) / (1.0 - 2.0 * upper[-1])]
-    for f, u in zip(forward[::-1], upper[::-1]):
-        out.append(f - u * out[-1])
-    return np.array(out[::-1])
+    first = (5 * delta[0] + delta[1]) / 2
+    last = (delta[-2] + 5 * delta[-1]) / 2
+    rhs = 3 * (delta[:-1] + delta[1:])
+    rhs[0] -= first
+    rhs[-1] -= last
+    diag = np.full(len(rhs), 4.0)
+    diag[0] = diag[-1] = 2.0
+    lower = np.ones(len(rhs))
+    lower[0] = 0.0
+    inner = _cyclic_reduction(lower, diag, lower[::-1], rhs)
+    return np.concatenate([[first - 2 * inner[0]], inner, [last - 2 * inner[-1]]])
+
+
+def _cyclic_reduction(lower, diag, upper, rhs):
+    """Solve lower_i x_{i-1} + diag_i x_i + upper_i x_{i+1} = rhs_i, with lower_0 = upper_{-1} = 0.
+
+    Each level eliminates the even-indexed unknowns from the odd-indexed
+    rows, which halves the system; the even unknowns then follow from their
+    own rows. An even length first gets a decoupled row x = 0. Exact
+    elimination, stable for diagonally dominant rows.
+    """
+    if len(diag) == 1:
+        return rhs / diag
+    if len(diag) % 2 == 0:
+        rows = zip((lower, diag, upper, rhs), (0.0, 1.0, 0.0, 0.0))
+        return _cyclic_reduction(*(np.append(v, pad) for v, pad in rows))[:-1]
+    alpha = -lower[1::2] / diag[:-1:2]
+    gamma = -upper[1::2] / diag[2::2]
+    odd = _cyclic_reduction(
+        alpha * lower[:-1:2],
+        diag[1::2] + alpha * upper[:-1:2] + gamma * lower[2::2],
+        gamma * upper[2::2],
+        rhs[1::2] + alpha * rhs[:-1:2] + gamma * rhs[2::2],
+    )
+    x = np.empty(len(diag), dtype=rhs.dtype)
+    x[1::2] = odd
+    x[::2] = rhs[::2]
+    x[2::2] -= lower[2::2] * odd
+    x[:-1:2] -= upper[:-1:2] * odd
+    x[::2] /= diag[::2]
+    return x
 
 
 def bump_profile(support: float, ds: float = PROFILE_DS) -> Profile:
@@ -250,7 +278,9 @@ def semiclassical_sweep(
     scaled commutator from the quantization of the classical counterparts,
     for each hbar in the (decreasing) list. The fiber must be a
     `SphereFiber` circle with uniform `thetas`; any other fiber raises
-    `NotUniformCircle` before a kernel is built.
+    `NotUniformCircle` before a kernel is built. The kernels take the
+    matrix-free offset route of `kernel_quantize` and are only applied, each
+    to at most a two-column block; no N x N array is built.
     """
     if not isinstance(fiber, SphereFiber) or fiber.thetas is None:
         raise NotUniformCircle(
@@ -264,25 +294,22 @@ def semiclassical_sweep(
     fg = f.product(g)
     pb = f.poisson(g)
     pw_f, pw_g, pw_fg, pw_pb = f.to_pw(), g.to_pw(), fg.to_pw(), pb.to_pw()
+    w = fiber.weights
+
+    def wnorm(vals):
+        return math.sqrt(float(np.sum(w * np.abs(vals) ** 2)))
+
+    uv = u.values[:, None]
     rows = []
     for hbar in hbars:
-        Kf = kernel_quantize(pw_f, hbar, fiber).matrix
-        Kg = kernel_quantize(pw_g, hbar, fiber).matrix
-        Kfg = kernel_quantize(pw_fg, hbar, fiber).matrix
-        Kpb = kernel_quantize(pw_pb, hbar, fiber).matrix
-        w = fiber.weights
-
-        def wnorm(vals):
-            return math.sqrt(float(np.sum(w * np.abs(vals) ** 2)))
-
-        uv = u.values
-        prod_dev = wnorm((Kf @ (Kg @ uv)) - Kfg @ uv)
-        jordan_dev = wnorm(
-            0.5 * (Kf @ (Kg @ uv) + Kg @ (Kf @ uv)) - Kfg @ uv
-        )
-        comm_dev = wnorm(
-            (Kf @ (Kg @ uv) - Kg @ (Kf @ uv)) / (1j * hbar) - Kpb @ uv
-        )
+        Kf, Kg, Kfg, Kpb = (kernel_quantize(pw, hbar, fiber) for pw in (pw_f, pw_g, pw_fg, pw_pb))
+        # one apply of Kg on the block [u, Kf u] gives Kg u and Kg Kf u
+        g_u, g_f_u = Kg.apply_block(np.hstack([uv, Kf.apply_block(uv)])).T
+        f_g_u = Kf.apply_block(g_u[:, None])[:, 0]
+        fg_u = Kfg.apply_block(uv)[:, 0]
+        prod_dev = wnorm(f_g_u - fg_u)
+        jordan_dev = wnorm(0.5 * (f_g_u + g_f_u) - fg_u)
+        comm_dev = wnorm((f_g_u - g_f_u) / (1j * hbar) - Kpb.apply_block(uv)[:, 0])
         rows.append(
             {
                 "hbar": hbar,

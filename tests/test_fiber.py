@@ -11,6 +11,7 @@ from weylred.cli import NotCirculant, circulant_propagator
 from weylred.fiber import (
     AntipodalPair,
     FiberFunction,
+    FiberOperator,
     PWSymbol,
     SphereFiber,
     _trig_interpolate,
@@ -22,6 +23,7 @@ from weylred.fiber import (
     multiplication_op,
     stereo_charts,
 )
+from weylred import fiber as fiber_module
 from weylred import geometry, symbols
 from weylred.geometry import (
     NotTangent,
@@ -72,11 +74,12 @@ def even_cutoff(m, v):
     return np.exp(-np.sum(v * v, axis=-1)) * (1.0 + 0.1 * m[..., 0])
 
 
-def midpoint_kernel_oracle(f, hbar, fiber):
-    """K(z, w) entry by entry from midpoint_map, then times the weights."""
+def midpoint_kernel_oracle(f, hbar, fiber, rows=None):
+    """K(z, w) entry by entry from midpoint_map, then times the weights (only `rows`, if given)."""
     r, n, N = fiber.radius, fiber.ambient_dim, fiber.n_nodes
-    K = np.zeros((N, N), dtype=complex)
-    for i, z in enumerate(fiber.nodes):
+    rows = range(N) if rows is None else rows
+    K = np.zeros((len(rows), N), dtype=complex)
+    for i, z in enumerate(fiber.nodes[rows]):
         for j, w in enumerate(fiber.nodes):
             try:
                 m, half = midpoint_map(z, w, r)
@@ -340,6 +343,42 @@ class TestKernelQuantize:
         assert np.count_nonzero(got) == np.count_nonzero(want)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("n_nodes", [31, 48, 384])
+    @pytest.mark.parametrize("hbar", [0.45, -0.8, 2.5], ids=["band", "negative", "all-offsets"])
+    def test_offset_apply_matches_per_entry_oracle(self, n_nodes, hbar):
+        # the offset route applies the kernel to a block without building it;
+        # on 384 nodes the per-entry oracle is built for every 16th row
+        fiber = SphereFiber.circle(1.2, n_nodes)
+        sym = separable_symbol(fiber.radius)
+        op = kernel_quantize(sym, hbar, fiber)
+        assert op.dense is None and "matrix" not in vars(op)
+        rows = np.arange(0, n_nodes, 1 if n_nodes < 100 else 16)
+        want_kernel = midpoint_kernel_oracle(sym, hbar, fiber, rows)
+        rng = np.random.default_rng(n_nodes)
+        block = rng.normal(size=(n_nodes, 2)) + 1j * rng.normal(size=(n_nodes, 2))
+        got = op.apply_block(block)
+        assert got.shape == (n_nodes, 2) and "matrix" not in vars(op)
+        want = want_kernel @ block
+        assert np.max(np.abs(got[rows] - want)) <= 1e-13 * np.max(np.abs(want))
+        u = FiberFunction(fiber, block[:, 1])
+        assert np.array_equal(op.apply(u).values, op.apply_block(block[:, 1:])[:, 0])
+
+    def test_offset_matrix_is_the_apply_on_the_identity(self):
+        fiber = SphereFiber.circle(1.0, 40)
+        op = kernel_quantize(separable_symbol(1.0), 0.6, fiber)
+        eye = np.eye(40, dtype=complex)
+        assert np.array_equal(op.matrix, op.apply_block(eye))
+        assert op.matrix is op.matrix  # built once per operator
+        dense = multiplication_op(lambda z: z[:, 0], fiber)
+        assert dense.block is None and dense.matrix is dense.dense
+
+    def test_operator_holds_one_representation(self):
+        fiber = SphereFiber.circle(1.0, 8)
+        with pytest.raises(ValueError, match="exactly one"):
+            FiberOperator(fiber)
+        with pytest.raises(ValueError, match="exactly one"):
+            FiberOperator(fiber, np.eye(8), block=lambda values: values)
+
     @pytest.mark.parametrize(
         "fiber, kappa",
         [
@@ -597,6 +636,40 @@ class TestEvolveGroup:
         k = np.fft.fftfreq(n_nodes, d=1.0 / n_nodes)
         loop = np.array([np.sum(coeffs * np.exp(1j * k * a)) for a in angles])
         assert np.array_equal(_trig_interpolate(values, angles), loop)
+
+    @pytest.mark.parametrize("n_nodes", [63, 64])
+    @pytest.mark.parametrize("t", [0.3, 1.0, 2 * math.pi, -1.0])
+    def test_exact_circle_orbit_is_a_fourier_shift(self, monkeypatch, n_nodes, t):
+        # a rotation at speed 3/2 turns the circle by alpha = 3 t / 2; values
+        # without `func` are pulled back by a Fourier shift, not by the dense
+        # interpolant sum
+        fiber = SphereFiber.circle(1.3, n_nodes)
+        R = rotation_generator(0, 1, 2)
+        X = VectorField(2, tuple(c * Fraction(3, 2) for c in R.components))
+        th = fiber.thetas
+        u = FiberFunction(fiber, np.exp(np.sin(th) + 0.5j * np.cos(3 * th)) + 0.2 * np.sin(5 * th))
+        want = _trig_interpolate(u.values, th + 1.5 * t)
+
+        def no_dense_sum(values, angles):
+            raise AssertionError("exact circle orbit took the dense interpolant")
+
+        monkeypatch.setattr(fiber_module, "_trig_interpolate", no_dense_sum)
+        got = evolve_group(X, t, 0.7, u).values
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_rk4_circle_orbit_keeps_the_interpolant(self, monkeypatch):
+        fiber = SphereFiber.circle(1.0, 32)
+        u = FiberFunction(fiber, np.exp(np.cos(fiber.thetas)) + 0j)
+        angles = []
+        raw = fiber_module._trig_interpolate
+
+        def recorded(values, at):
+            angles.append(at)
+            return raw(values, at)
+
+        monkeypatch.setattr(fiber_module, "_trig_interpolate", recorded)
+        evolve_group(_radial_rotation(), 0.7, 1.0, u, steps=8)
+        assert len(angles) == 1 and angles[0].shape == (32,)
 
     def test_full_period_rotation(self):
         fiber = SphereFiber.circle(1.0, 64)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 import weylred.sweep as sweep_module
-from weylred.fiber import FiberFunction, SphereFiber, kernel_quantize
+from weylred.fiber import FiberFunction, FiberOperator, SphereFiber, kernel_quantize
 from weylred.sweep import (
     NoAngularDerivative,
     NotUniformCircle,
@@ -74,12 +75,12 @@ def _sweep_profiles():
     return [p for sym in (f, f.product(g), f.poisson(g)) for _, _, p in sym.terms]
 
 
-def _random_profiles():
+def _random_profiles(sizes=(2, 3, 4, 5, 6, 17, 300), seed=7):
     # dyadic s0 and ds make the grid exact, so both splines interpolate the
     # same knots; the profiles of `Profile.sample` are built that way too
-    rng = np.random.default_rng(7)
+    rng = np.random.default_rng(seed)
     out = []
-    for n in (2, 3, 4, 5, 6, 17, 300):
+    for n in sizes:
         ds = 2.0 ** -int(rng.integers(0, 8))
         values = rng.normal(size=n) + 1j * rng.normal(size=n)
         out.append(Profile(ds * int(rng.integers(-n, 3)), ds, values))
@@ -92,7 +93,10 @@ class TestProfileSpline:
         [(p, 1e-15) for p in _sweep_profiles()]
         + [(p, 1e-14) for p in _random_profiles()]
         # support <= ds: the 3-sample profile, a parabola
-        + [(Profile.sample(lambda s: np.cos(s) + 1j * s, 0.005), 1e-15)],
+        + [(Profile.sample(lambda s: np.cos(s) + 1j * s, 0.005), 1e-15)]
+        # 7 and 8 samples end in a padded reduction level, 1025 and 2049
+        # reduce through odd lengths only
+        + [(p, 1e-14) for p in _random_profiles((7, 8, 1025, 2049), seed=8)],
     )
     def test_matches_scipy_cubic_spline(self, prof, rel):
         rng = np.random.default_rng(len(prof.values))
@@ -214,6 +218,25 @@ class TestSweep:
             assert row["hbar"] == want["hbar"]
             for key in ("product", "jordan", "commutator"):
                 assert row[key] == pytest.approx(want[key], rel=1e-13, abs=0.0)
+
+    def test_builds_no_dense_kernel(self, monkeypatch):
+        # the sweep applies its kernels by node offset: reading a dense
+        # matrix raises, and no allocation comes near one N x N complex array
+        def no_dense(op):
+            raise AssertionError("the sweep built a dense kernel")
+
+        monkeypatch.setattr(FiberOperator, "matrix", property(no_dense))
+        f, g = default_sweep_pair()
+        n_nodes = 768
+        fiber = SphereFiber.circle(1.0, n_nodes)
+        tracemalloc.start()
+        try:
+            rows = semiclassical_sweep(f, g, [0.5, 0.25], fiber)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [row["hbar"] for row in rows] == [0.5, 0.25]
+        assert peak < n_nodes * n_nodes * 16 / 4
 
     def test_zero_symbol(self):
         fiber = SphereFiber.circle(1.0, 64)
