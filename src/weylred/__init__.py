@@ -61,6 +61,7 @@ from .dint import (
     EmptyRange,
     LambdaGrid,
     SingularLevel,
+    UnsupportedRange,
     ambient_integral,
     apply_Tx,
     apply_Tx_adjoint,

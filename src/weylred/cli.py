@@ -191,31 +191,36 @@ def _random_field(rng: random.Random, n: int, degree: int):
     return VectorField(n, tuple(poly() for _ in range(n)))
 
 
+def _half_line_params(n_lambda: int) -> dict:
+    """Report params of a lambda-grid on (0, inf); the infinite end is the string
+    "inf", since json.dumps(math.inf) writes Infinity, which is not strict JSON."""
+    return {"lambda_range": [0.0, "inf"], "n_lambda": n_lambda}
+
+
 def _run_coarea(cfg: SuiteConfig, report: Report) -> None:
     # fixed oracle geometry: disc levels of |x|^2/2 in the plane
     ham = radial_hamiltonian(2)
     suite = gaussian_poly_suite(2)
     f = suite[2]  # exp(-|x|^2)
     kind = "circle"
-    lam_lo, lam_hi = 5e-9, 18.0
 
-    def residual_at(nl, nf):
-        grid = build_grid(ham, kind, lam_lo, lam_hi, nl, nf)
-        return coarea_check(f, grid)
+    def residual_at(lam_min, lam_max, nl, nf):
+        return coarea_check(f, build_grid(ham, kind, lam_min, lam_max, nl, nf))
 
-    def main_check():
-        return residual_at(max(cfg.n_lambda, 200), max(cfg.fiber_nodes, 256))
-
+    # the whole spectrum (0, inf) of phi, from phi(0) = 0
+    n_lambda = max(cfg.n_lambda, 64)
     _timed(
         report,
         "coarea-gaussian",
-        {"hamiltonian": "half-square-norm", "target": "pi^{3/2}/2"},
+        {"hamiltonian": "half-square-norm", "target": "pi^{3/2}/2",
+         **_half_line_params(n_lambda)},
         1e-8,
-        main_check,
+        lambda: residual_at(0.0, math.inf, n_lambda, max(cfg.fiber_nodes, 256)),
     )
 
     def ladder():
-        resids = [residual_at(nl, nf) for nl, nf in ((3, 8), (6, 16), (12, 32), (24, 64))]
+        ladder_sizes = ((3, 8), (6, 16), (12, 32), (24, 64))
+        resids = [residual_at(5e-9, 18.0, nl, nf) for nl, nf in ladder_sizes]
         ok = all(a > b for a, b in zip(resids, resids[1:]))
         return resids[-1], None, ok
 
@@ -231,15 +236,17 @@ def _run_coarea(cfg: SuiteConfig, report: Report) -> None:
 def _run_unitarity(cfg: SuiteConfig, report: Report) -> None:
     n = cfg.dimension
     # radial levels of |x|^2/2: the only geometry with analytic norms to
-    # compare against, independent of the configured hamiltonian
+    # compare against, independent of the configured hamiltonian; over the
+    # whole spectrum (0, inf), whose critical level phi(0) = 0 is a null set
     ham = radial_hamiltonian(n)
     kind = "circle" if n == 2 else "sphere2"
+    n_lambda = max(cfg.n_lambda, 64)
     grid = build_grid(
         ham,
         kind,
-        5e-9,
-        18.0,
-        max(cfg.n_lambda, 200),
+        0.0,
+        math.inf,
+        n_lambda,
         cfg.fiber_nodes,
         n_polar=cfg.n_polar,
         n_azimuth=cfg.n_azimuth,
@@ -255,7 +262,7 @@ def _run_unitarity(cfg: SuiteConfig, report: Report) -> None:
             _timed(
                 report,
                 f"unitarity-{side}-{u.name}",
-                {"n": n, "function": u.name},
+                {"n": n, "function": u.name, **_half_line_params(n_lambda)},
                 cfg.tolerance,
                 check,
             )

@@ -35,6 +35,8 @@ from .geometry import (
 from .symbols import VectorField
 
 SNAP_TOL = 1e-8
+# L of the half-line map r = r_lo + L (1 + t) / (1 - t) of a radial grid with lam_max = inf
+HALF_LINE_SCALE = 3.0
 
 
 class SingularLevel(ValueError):
@@ -43,6 +45,11 @@ class SingularLevel(ValueError):
 
 class EmptyRange(ValueError):
     pass
+
+
+class UnsupportedRange(ValueError):
+    """A lambda range with an end the grid cannot map: a lam_min that is not
+    finite, or an infinite lam_max on a kind without a half-line map."""
 
 
 @dataclass(eq=False)
@@ -136,14 +143,21 @@ def build_grid(
     radius and carry the Jacobian lambda'(r) into the weights; this keeps
     the lambda integrals spectrally accurate down to very small regular
     levels (where integrands behave like fractional powers of lambda).
-    Newton solves only the two end radii, and lambda_i = phi(r_i e_1) at
-    the Gauss radii r_i. The unit grid is scaled to every r_i at once
-    (`radial_fiber_stack`: the regular-root test on every radius and the
-    level check on every node, in one call each), and rho is evaluated once
-    on the stack; the SphereFiber of a level is built only when `fibers` is
-    read. The other kinds place the Gauss nodes in lambda and build one
-    fiber per level. A level that touches the singular set raises
-    SingularLevel.
+    Newton solves only the end radii, and lambda_i = phi(r_i e_1) at the
+    Gauss radii r_i. A radial grid may cover the whole half-line above
+    phi(0): lam_min = phi(0) gives r_lo = 0 exactly, with no Newton solve
+    (the Gauss nodes are interior, so no fiber sits on the singular level),
+    and lam_max = math.inf maps the Gauss nodes t by
+    r = r_lo + HALF_LINE_SCALE (1 + t) / (1 - t), with weights
+    2 HALF_LINE_SCALE / (1 - t)^2 (Boyd, Chebyshev and Fourier Spectral
+    Methods, 2nd ed., ch. 17). A lam_min below phi(0), where there are no
+    levels, raises SingularLevel. The unit grid is scaled to every r_i at
+    once (`radial_fiber_stack`: the regular-root test on every radius and
+    the level check on every node, in one call each), and rho is evaluated
+    once on the stack; the SphereFiber of a level is built only when
+    `fibers` is read. The other kinds place the Gauss nodes in lambda, need
+    a finite range (UnsupportedRange otherwise) and build one fiber per
+    level. A level that touches the singular set raises SingularLevel.
     """
     level_set = {
         "circle": lambda lam, r: circle_level_set(hamiltonian, lam, fiber_nodes, radius=r),
@@ -158,8 +172,13 @@ def build_grid(
     if lam_max <= lam_min:
         raise EmptyRange(f"empty lambda range [{lam_min}, {lam_max}]")
     radial = fiber_kind in ("circle", "sphere2")
+    if not (math.isfinite(lam_min) and (radial or math.isfinite(lam_max))):
+        raise UnsupportedRange(
+            f"lambda range [{lam_min}, {lam_max}] of a {fiber_kind} grid: only the radial "
+            f"kinds map an infinite end, lam_max = inf"
+        )
     if radial:
-        _require_monotone_ray(hamiltonian)
+        increasing = _require_monotone_ray(hamiltonian)
     t, wt = gauss_legendre(n_lambda)
     hams = [hamiltonian]
     try:
@@ -169,12 +188,27 @@ def build_grid(
             fibers = [level_set(float(lam), None) for lam in lam_nodes]
             return LambdaGrid.from_fibers(hams, lam_nodes, lam_weights, fibers)
         e1 = np.eye(hamiltonian.dimension)[0]
-        r_lo = _radial_newton(hamiltonian, e1, lam_min, max(math.sqrt(abs(lam_min)), 1e-3))
-        r_hi = _radial_newton(hamiltonian, e1, lam_max, max(math.sqrt(abs(lam_max)), 1e-3))
-        r_nodes = 0.5 * (r_hi - r_lo) * t + 0.5 * (r_hi + r_lo)
+        phi0 = hamiltonian.value(0 * e1)
+        if lam_min < phi0 if increasing else math.isinf(lam_max):
+            raise SingularLevel(
+                f"lambda range [{lam_min}, {lam_max}]: phi(r e_1) runs "
+                f"{'up' if increasing else 'down'} from phi(0) on r > 0, so there are no "
+                f"levels {'below' if increasing else 'above'} phi(0) = {phi0}"
+            )
+        if lam_min == phi0:
+            r_lo = 0.0
+        else:
+            r_lo = _radial_newton(hamiltonian, e1, lam_min, max(math.sqrt(abs(lam_min)), 1e-3))
+        if math.isinf(lam_max):
+            r_nodes = r_lo + HALF_LINE_SCALE * (1 + t) / (1 - t)
+            dr = 2 * HALF_LINE_SCALE / (1 - t) ** 2 * wt
+        else:
+            r_hi = _radial_newton(hamiltonian, e1, lam_max, max(math.sqrt(abs(lam_max)), 1e-3))
+            r_nodes = 0.5 * (r_hi - r_lo) * t + 0.5 * (r_hi + r_lo)
+            dr = 0.5 * (r_hi - r_lo) * wt
         jac = hamiltonian.grad(r_nodes[:, None] * e1) @ e1
         lam_nodes = hamiltonian.value(r_nodes[:, None] * e1)
-        lam_weights = 0.5 * (r_hi - r_lo) * wt * jac
+        lam_weights = dr * jac
         unit = (
             unit_sphere_grid(2, fiber_nodes)
             if fiber_kind == "circle"
@@ -190,8 +224,9 @@ def build_grid(
     )
 
 
-def _require_monotone_ray(hamiltonian: ScalarHamiltonian) -> None:
-    """Raise SingularLevel unless f(r) = phi(r e_1) is certified monotone for r > 0.
+def _require_monotone_ray(hamiltonian: ScalarHamiltonian) -> bool:
+    """Raise SingularLevel unless f(r) = phi(r e_1) is certified monotone for r > 0;
+    return whether it increases.
 
     A radial grid takes one sphere per level, the one through f's root on
     the ray; a level that crosses the ray twice would lose the other sphere.
@@ -211,6 +246,7 @@ def _require_monotone_ray(hamiltonian: ScalarHamiltonian) -> None:
             f"phi(r e_1) is not certified monotone on the ray r > 0: its derivative "
             f"{poly} has {changes} sign change(s), so a level may hold more than one sphere"
         )
+    return signs[0]
 
 
 @dataclass
@@ -337,15 +373,19 @@ def assemble_Opd(
     """Assemble T* [direct integral of per-fiber operators] T.
 
     `rule(lam, fiber, hbar)` must return a FiberOperator or a callable on
-    FiberFunctions for every grid level; failures are re-raised with the
-    offending lambda.
+    FiberFunctions for every grid level. A named error of this package
+    (SingularPoint, NotTangent, AntipodalPair, ...) raised by the rule is
+    re-raised as its own type with the offending lambda in the message;
+    any other exception, a bug in the rule, passes through unchanged.
     """
     ops = []
     for lam, fiber in zip(grid.lambda_nodes, grid.fibers):
         try:
             op = rule(float(lam), fiber, hbar)
         except Exception as exc:
-            raise RuntimeError(f"symbol rule failed at lambda={lam}") from exc
+            if not type(exc).__module__.startswith(__package__ + "."):
+                raise
+            raise type(exc)(f"symbol rule failed at lambda={lam}: {exc}") from exc
         if isinstance(op, FiberOperator):
             ops.append(op.apply)
         else:

@@ -90,9 +90,6 @@ class QQi:
     def i() -> "QQi":
         return QQi(Fraction(0), Fraction(1))
 
-    def conjugate(self) -> "QQi":
-        return QQi(self.re, -self.im)
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 

@@ -16,7 +16,7 @@ from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, index
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -470,11 +470,6 @@ class VectorField:
                 raise DimensionMismatch("component dimension mismatch")
             if not comp.is_xi_free() or not comp.is_hbar_free():
                 raise ValueError("vector field components must be xi- and hbar-free")
-
-    @classmethod
-    def from_symbols(cls, components: Iterable[PolySymbol]) -> "VectorField":
-        comps = tuple(components)
-        return cls(comps[0].dimension, comps)
 
     @classmethod
     def zero(cls, n: int) -> "VectorField":

@@ -233,10 +233,28 @@ class TestCLI:
 
     def test_reports_are_byte_reproducible(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        for suite in ("evolve", "identities"):
+
+        def no_constants(name):
+            raise AssertionError(f"{name} is not strict JSON")
+
+        for suite in ("evolve", "identities", "unitarity", "coarea"):
             assert main([suite, "--out", str(a)]) == 0
             assert main([suite, "--out", str(b)]) == 0
             assert (a / f"{suite}.json").read_bytes() == (b / f"{suite}.json").read_bytes()
+            json.loads((a / f"{suite}.json").read_text(), parse_constant=no_constants)
+
+    def test_whole_spectrum_records_carry_their_grid(self):
+        # the half-line end is written "inf": json.dumps(math.inf) gives Infinity
+        cfg = SuiteConfig()
+        records = run_suite(cfg, "unitarity").records + run_suite(cfg, "coarea").records
+        grids = {r.name: (r.params.get("lambda_range"), r.params.get("n_lambda")) for r in records}
+        whole = [name for name in grids if name.startswith("unitarity-")] + ["coarea-gaussian"]
+        assert len(whole) == 11
+        for name in whole:
+            assert grids[name] == ([0.0, "inf"], 64), name
+            assert next(r for r in records if r.name == name).residual < 1e-12
+        for name in ("coarea-refinement-monotone", "multiplication-intertwining"):
+            assert grids[name] == (None, None)
 
     def test_evolve_checks_run_the_fft_oracle(self):
         report = run_suite(SuiteConfig(), "evolve")

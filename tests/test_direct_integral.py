@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylred.dint import (
     DirectIntegralSection,
     EmptyRange,
     LambdaGrid,
     SingularLevel,
+    UnsupportedRange,
     ambient_integral,
     apply_Tx,
     apply_Tx_adjoint,
@@ -23,10 +26,11 @@ from weylred.dint import (
     strong_commutation_check,
 )
 from weylred import dint, geometry, symbols
-from weylred.fiber import multiplication_op
+from weylred.fiber import AntipodalPair, multiplication_op
 from weylred.geometry import (
     NotTangent,
     ScalarHamiltonian,
+    SingularPoint,
     SphereFiber,
     TestFunction,
     radial_hamiltonian,
@@ -195,6 +199,121 @@ class TestRadialLevels:
     def test_grid_rejects_unknown_keywords(self, half_r2):
         with pytest.raises(TypeError, match="bxo"):
             build_grid(half_r2, "circle", 0.5, 2.0, 5, 16, n_polar=7, bxo=3)
+
+def _scaled_square_norm(a: Fraction, n: int) -> ScalarHamiltonian:
+    """phi = a |x|^2 on R^n, so phi(0) = 0."""
+    square_norm = sum((PolySymbol.x(i, n) ** 2 for i in range(n)), PolySymbol.zero(n))
+    return ScalarHamiltonian(square_norm * a)
+
+
+class TestHalfLineGrid:
+    """Radial grids over the whole spectrum (phi(0), inf) by the map r = L (1 + t)/(1 - t)."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        a=st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=64),
+        n=st.sampled_from([2, 3]),
+    )
+    def test_suite_norms_on_the_half_line(self, a, n):
+        kind = "circle" if n == 2 else "sphere2"
+        grid = build_grid(_scaled_square_norm(a, n), kind, 0.0, math.inf, 64, 256)
+        for array in (grid.lambda_nodes, grid.lambda_weights, grid.weights, grid.rho):
+            assert np.all(np.isfinite(array)) and np.all(array > 0)
+        assert np.all(np.isfinite(grid.nodes))
+        for u in gaussian_poly_suite(n):
+            for apply in (apply_Tx, apply_Txi):
+                assert abs(apply(u, grid).norm() ** 2 - u.analytic_l2_norm**2) < 1e-10
+
+    def test_radii_follow_the_map(self, half_r2):
+        t, _ = np.polynomial.legendre.leggauss(16)
+        grid = build_grid(half_r2, "circle", 0.0, math.inf, 16, 8)
+        radii = np.linalg.norm(grid.nodes[:, 0], axis=1)
+        assert np.allclose(radii, dint.HALF_LINE_SCALE * (1 + t) / (1 - t), rtol=1e-14, atol=0)
+        assert np.allclose(grid.lambda_nodes, radii**2 / 2, rtol=1e-14, atol=0)
+
+    def test_lam_min_above_phi0_starts_at_its_radius(self, half_r2):
+        grid = build_grid(half_r2, "circle", 0.5, math.inf, 32, 64)
+        assert np.all(grid.lambda_nodes > 0.5) and np.all(np.diff(grid.lambda_nodes) > 0)
+        u = gaussian_poly_suite(2)[0]  # exp(-r^2/2): the disc r < 1 carries pi (1 - e^-1) of |u|^2
+        expected = u.analytic_l2_norm**2 - math.pi * (1 - math.exp(-1))
+        assert apply_Tx(u, grid).norm() ** 2 == pytest.approx(expected, abs=1e-12)
+
+    def test_lam_min_at_phi0_solves_no_low_radius(self, monkeypatch):
+        # phi = |x|^2/2 + 1: phi(0) = 1 gives r_lo = 0, and Newton runs for r_hi only
+        shifted = ScalarHamiltonian(radial_hamiltonian(2).phi + PolySymbol.one(2))
+        levels = []
+        solve = geometry._radial_newton
+
+        def counted(*args):
+            levels.append(args[2])
+            return solve(*args)
+
+        monkeypatch.setattr(dint, "_radial_newton", counted)
+        grid = build_grid(shifted, "circle", 1.0, 3.0, 8, 16)
+        assert levels == [3.0]
+        assert np.all(grid.lambda_nodes > 1.0)
+        build_grid(shifted, "circle", 1.0, math.inf, 8, 16)
+        assert levels == [3.0]
+
+    @pytest.mark.parametrize("lam_max", [2.0, math.inf])
+    def test_lam_min_below_phi0_is_named(self, half_r2, lam_max):
+        with pytest.raises(SingularLevel, match=r"no levels below phi\(0\)"):
+            build_grid(half_r2, "circle", -1e-3, lam_max, 8, 16)
+        shifted = ScalarHamiltonian(radial_hamiltonian(3).phi + PolySymbol.one(3))
+        with pytest.raises(SingularLevel, match=r"no levels below phi\(0\) = 1.0"):
+            build_grid(shifted, "sphere2", 0.5, lam_max, 4, n_polar=6, n_azimuth=12)
+
+    def test_decreasing_ray_has_no_levels_up_to_inf(self):
+        # phi = -|x|^2: its levels lie below phi(0) = 0, where a finite range still builds
+        falling = _scaled_square_norm(Fraction(-1), 2)
+        with pytest.raises(SingularLevel, match=r"no levels above phi\(0\)"):
+            build_grid(falling, "circle", -4.0, math.inf, 8, 16)
+        grid = build_grid(falling, "circle", -4.0, -1.0, 8, 16)
+        assert np.all(grid.lambda_weights > 0) and np.all(grid.lambda_nodes < -1.0)
+
+    @pytest.mark.parametrize(
+        "kind, phi, lam_min, lam_max",
+        [
+            ("line", ScalarHamiltonian(x(0)), -1.0, math.inf),
+            ("line", ScalarHamiltonian(x(0)), -math.inf, 1.0),
+            ("implicit-curve", ScalarHamiltonian(x(0) * x(0) + 2 * x(1) * x(1)), 0.5, math.inf),
+            ("circle", radial_hamiltonian(2), -math.inf, 1.0),
+        ],
+    )
+    def test_infinite_end_without_a_map_is_named(self, kind, phi, lam_min, lam_max):
+        with pytest.raises(UnsupportedRange, match="only the radial kinds map an infinite end"):
+            build_grid(phi, kind, lam_min, lam_max, 4, 16)
+
+    @pytest.mark.parametrize(
+        "kind, n, lam_min, lam_max, sizes",
+        [
+            ("circle", 2, 5e-9, 18.0, {"fiber_nodes": 64}),
+            ("circle", 2, 0.5, 2.0, {"fiber_nodes": 32}),
+            ("sphere2", 3, 0.3, 6.0, {"n_polar": 6, "n_azimuth": 12}),
+        ],
+    )
+    def test_finite_range_is_the_gauss_rule_in_r(self, kind, n, lam_min, lam_max, sizes):
+        # the affine Gauss rule between the two Newton radii, bit for bit
+        ham = radial_hamiltonian(n)
+        grid = build_grid(ham, kind, lam_min, lam_max, 24, **sizes)
+        t, wt = np.polynomial.legendre.leggauss(24)
+        e1 = np.eye(n)[0]
+        r_lo = geometry._radial_newton(ham, e1, lam_min, max(math.sqrt(abs(lam_min)), 1e-3))
+        r_hi = geometry._radial_newton(ham, e1, lam_max, max(math.sqrt(abs(lam_max)), 1e-3))
+        r = 0.5 * (r_hi - r_lo) * t + 0.5 * (r_hi + r_lo)
+        lam = ham.value(r[:, None] * e1)
+        unit = (
+            SphereFiber.circle(1.0, sizes["fiber_nodes"])
+            if n == 2
+            else SphereFiber.sphere(1.0, sizes["n_polar"], sizes["n_azimuth"])
+        )
+        nodes = r[:, None, None] * unit.nodes
+        assert np.array_equal(grid.lambda_nodes, lam)
+        jac = ham.grad(r[:, None] * e1) @ e1
+        assert np.array_equal(grid.lambda_weights, 0.5 * (r_hi - r_lo) * wt * jac)
+        assert np.array_equal(grid.nodes, nodes)
+        assert np.array_equal(grid.weights, r[:, None] ** (n - 1) * unit.weights)
+        assert np.array_equal(grid.rho, geometry.rho([ham], nodes))
 
 
 class TestStackedGrid:
@@ -518,10 +637,38 @@ class TestAssembleOpd:
         grid = build_grid(half_r2, "circle", 0.5, 2.0, 4, 16)
 
         def bad(lam, fiber, hbar):
-            raise KeyError("boom")
+            raise NotTangent("boom")
 
-        with pytest.raises(RuntimeError, match="lambda="):
+        with pytest.raises(NotTangent, match=r"lambda=.*: boom") as info:
             assemble_Opd(bad, grid, 1.0)
+        assert f"lambda={grid.lambda_nodes[0]}" in str(info.value)
+
+    @pytest.mark.parametrize("error", [SingularPoint, AntipodalPair, SingularLevel])
+    def test_named_errors_keep_their_type(self, half_r2, error):
+        grid = build_grid(half_r2, "circle", 0.5, 2.0, 4, 16)
+
+        def bad(lam, fiber, hbar):
+            if lam > grid.lambda_nodes[1]:
+                raise error("boom")
+            return lambda u: u
+
+        with pytest.raises(error, match="boom") as info:
+            assemble_Opd(bad, grid, 1.0)
+        assert f"lambda={grid.lambda_nodes[2]}" in str(info.value)
+        assert isinstance(info.value.__cause__, error)
+
+    @pytest.mark.parametrize("error", [TypeError, KeyError, ValueError, ZeroDivisionError])
+    def test_other_errors_pass_through_unchanged(self, half_r2, error):
+        # a bug in the rule is not a failed level: it arrives as raised
+        grid = build_grid(half_r2, "circle", 0.5, 2.0, 4, 16)
+        raised = error("boom")
+
+        def bad(lam, fiber, hbar):
+            raise raised
+
+        with pytest.raises(error) as info:
+            assemble_Opd(bad, grid, 1.0)
+        assert info.value is raised and info.value.args == ("boom",)
 
 
 class TestStrongCommutation:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import ellipe
 
+from weylred.fiber import FiberFunction, fiber_JX_apply
 from weylred.geometry import (
     NotTangent,
     ParametrizationUnavailable,
@@ -308,3 +309,49 @@ class TestLevelSetModels:
     def test_zero_level_circle_singular(self, half_r2):
         with pytest.raises(SingularPoint):
             circle_level_set(half_r2, 0.0)
+
+
+class TestGuardThresholds:
+    """Each guard fires at 10x its threshold and passes at 0.1x.
+
+    The thresholds are written out (NODE_TOL = 1e-9 relative to 1 + |lam|,
+    TANGENCY_TOL = 1e-8) rather than read from the module, so raising a
+    constant cannot scale the inputs along with it.
+    """
+
+    @pytest.mark.parametrize("factor, fires", [(10.0, True), (0.1, False)])
+    def test_node_level_tolerance(self, half_r2, half_r3, factor, fires):
+        # every node of the radius-2 fiber has phi = 2 up to rounding; the level
+        # sits factor x 1e-9 x (1 + |lam|) below it
+        lam = 2.0 - factor * 1e-9 * 3.0
+        builds = (
+            lambda: circle_level_set(half_r2, lam, 16, radius=2.0),
+            lambda: sphere2_level_set(half_r3, lam, 6, 12, radius=2.0),
+        )
+        for build in builds:
+            if fires:
+                with pytest.raises(ValueError, match=r"node \d+ .* off the level set"):
+                    build()
+            else:
+                assert build().radius == 2.0
+
+    @staticmethod
+    def _leaky_rotation(eps: Fraction) -> VectorField:
+        # the rotation plus eps times the Euler field: <Y, grad |x|^2/2> = eps |x|^2
+        return VectorField(2, (-x(1) + x(0) * eps, x(0) + x(1) * eps))
+
+    @pytest.mark.parametrize(
+        "eps, fires", [(Fraction(1, 10**7), True), (Fraction(1, 10**9), False)]
+    )
+    def test_tangency_tolerance(self, half_r2, eps, fires):
+        Y = self._leaky_rotation(eps)
+        fiber = SphereFiber.circle(1.0, 16)
+        u = FiberFunction(fiber, np.cos(fiber.thetas) + 0j)
+        if fires:
+            with pytest.raises(NotTangent, match="not tangent"):
+                induced_divergence(Y, [half_r2], fiber.nodes)
+            with pytest.raises(NotTangent, match="not tangent"):
+                fiber_JX_apply(Y, 1.0, u)
+        else:
+            assert np.all(np.isfinite(induced_divergence(Y, [half_r2], fiber.nodes)))
+            assert np.all(np.isfinite(fiber_JX_apply(Y, 1.0, u).values))

@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
         ("sweep_table.py", ["--nodes", "64"]),
         ("propagator_demo.py", ["--nodes", "64"]),
         ("coarea_convergence.py", ["--doublings", "1"]),
+        ("coarea_convergence.py", ["--doublings", "2", "--lam-max", "inf"]),
     ],
 )
 def test_script_runs(script, args):
