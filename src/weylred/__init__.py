@@ -39,6 +39,7 @@ from .moyal import (
 from .geometry import (
     LevelSetModel,
     NotTangent,
+    OffLevel,
     ParametrizationUnavailable,
     ScalarHamiltonian,
     SingularPoint,

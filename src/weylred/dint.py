@@ -23,6 +23,7 @@ from .geometry import (
     call_on_nodes,
     circle_level_set,
     gauss_legendre,
+    half_line_rule,
     implicit_curve_level_set,
     jacobian_wedge_norm,
     line_level_set,
@@ -147,8 +148,9 @@ def build_grid(
     Gauss radii r_i. A radial grid may cover the whole half-line above
     phi(0): lam_min = phi(0) gives r_lo = 0 exactly, with no Newton solve
     (the Gauss nodes are interior, so no fiber sits on the singular level),
-    and lam_max = math.inf maps the Gauss nodes t by
-    r = r_lo + HALF_LINE_SCALE (1 + t) / (1 - t), with weights
+    and lam_max = math.inf shifts the nodes of
+    `half_line_rule(n_lambda, HALF_LINE_SCALE)` by r_lo: r = r_lo +
+    HALF_LINE_SCALE (1 + t) / (1 - t), with weights
     2 HALF_LINE_SCALE / (1 - t)^2 (Boyd, Chebyshev and Fourier Spectral
     Methods, 2nd ed., ch. 17). A lam_min below phi(0), where there are no
     levels, raises SingularLevel. The unit grid is scaled to every r_i at
@@ -200,8 +202,8 @@ def build_grid(
         else:
             r_lo = _radial_newton(hamiltonian, e1, lam_min, max(math.sqrt(abs(lam_min)), 1e-3))
         if math.isinf(lam_max):
-            r_nodes = r_lo + HALF_LINE_SCALE * (1 + t) / (1 - t)
-            dr = 2 * HALF_LINE_SCALE / (1 - t) ** 2 * wt
+            r_half, dr = half_line_rule(n_lambda, HALF_LINE_SCALE)
+            r_nodes = r_lo + r_half
         else:
             r_hi = _radial_newton(hamiltonian, e1, lam_max, max(math.sqrt(abs(lam_max)), 1e-3))
             r_nodes = 0.5 * (r_hi - r_lo) * t + 0.5 * (r_hi + r_lo)

@@ -36,6 +36,10 @@ class ParametrizationUnavailable(ValueError):
     pass
 
 
+class OffLevel(ValueError):
+    """A fiber node where some phi_j is off its level by more than NODE_TOL (1 + |lam|)."""
+
+
 @dataclass(frozen=True)
 class ScalarHamiltonian:
     """A position-only Hamiltonian phi with cached exact derivatives.
@@ -471,6 +475,24 @@ def gauss_legendre(order: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=32)
+def half_line_rule(order: int, scale: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights for integrals over (0, inf), built once per (order, scale).
+
+    Maps the Gauss-Legendre nodes t by r = scale (1 + t) / (1 - t), with
+    weights 2 scale / (1 - t)^2 w (Boyd, Chebyshev and Fourier Spectral
+    Methods, 2nd ed., ch. 17). An integrand that decays like r^-2 or faster
+    becomes smooth in t, so the rule converges spectrally. Shared between
+    callers, so both arrays are read-only.
+    """
+    t, w = gauss_legendre(order)
+    r = scale * (1 + t) / (1 - t)
+    dr = 2 * scale / (1 - t) ** 2 * w
+    r.flags.writeable = False
+    dr.flags.writeable = False
+    return r, dr
+
+
+@lru_cache(maxsize=32)
 def unit_sphere_grid(dimension: int, *sizes: int) -> SphereFiber:
     """The unit-radius circle (sizes: n_nodes) or 2-sphere (n_polar, n_azimuth) grid.
 
@@ -486,7 +508,7 @@ def unit_sphere_grid(dimension: int, *sizes: int) -> SphereFiber:
 
 
 def _require_on_level(hams, level, nodes: np.ndarray) -> None:
-    """Raise ValueError naming the first node where some phi_j is off its level.
+    """Raise OffLevel naming the first node where some phi_j is off its level.
 
     nodes is one fiber (N, n) or a stack of fibers (L, N, n); level holds one
     entry per phi_j, a number or per-node levels that broadcast against
@@ -502,7 +524,7 @@ def _require_on_level(hams, level, nodes: np.ndarray) -> None:
             idx = tuple(off[0])
             stacked = len(idx) == 2 and shape[0] > 1
             where = f"node {idx[-1]} ({nodes[idx]}" + (f", level {idx[0]})" if stacked else ")")
-            raise ValueError(f"{where} off the level set: phi={values[idx]} vs {lam[idx]}")
+            raise OffLevel(f"{where} off the level set: phi={values[idx]} vs {lam[idx]}")
 
 
 @dataclass

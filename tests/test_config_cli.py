@@ -228,7 +228,7 @@ class TestCLI:
         assert code == 1
         (record,) = json.loads((tmp_path / "commutation.json").read_text())["records"]
         assert record["pass"] is False and record["residual"] is None
-        assert re.match(r"ValueError: node \d+ \(.*\) off the level set", record["params"]["error"])
+        assert re.match(r"OffLevel: node \d+ \(.*\) off the level set", record["params"]["error"])
         assert "off the level set" in capsys.readouterr().out
 
     def test_reports_are_byte_reproducible(self, tmp_path):

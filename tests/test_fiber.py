@@ -7,7 +7,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from weylred.cli import NotCirculant, circulant_propagator
+from weylred.cli import NotCirculant, circulant_propagator, run_suite
+from weylred.config import SuiteConfig
 from weylred.fiber import (
     AntipodalPair,
     FiberFunction,
@@ -28,6 +29,7 @@ from weylred import geometry, symbols
 from weylred.geometry import (
     NotTangent,
     ScalarHamiltonian,
+    half_line_rule,
     implicit_curve_level_set,
     line_level_set,
 )
@@ -204,6 +206,37 @@ class TestStereoCharts:
             _, _, density = stereo_charts(np.array([r, 0.0]), r)
             total, _ = quad(lambda t: density([t]), -np.inf, np.inf)
             assert total == pytest.approx(2 * math.pi * r, abs=1e-8)
+
+    @staticmethod
+    def _line_integral(f):
+        # the CLI's rule: d(t) + d(-t) over (0, inf) on the order-64 half-line rule
+        nodes, weights = half_line_rule(64, 1.0)
+        return sum(w * (f([t]) + f([-t])) for t, w in zip(nodes, weights))
+
+    @pytest.mark.parametrize("r", [1.0, 1.9])
+    def test_half_line_rule_reproduces_circumference(self, r):
+        _, _, density = stereo_charts(np.array([r, 0.0]), r)
+        total = self._line_integral(density)
+        assert abs(total - 2 * math.pi * r) <= 1e-13
+        # scipy's adaptive quad as an independent oracle
+        oracle, _ = quad(lambda t: density([t]), -np.inf, np.inf)
+        assert abs(total - oracle) <= 1e-13
+
+    @pytest.mark.parametrize("r", [1.0, 1.9])
+    def test_half_line_rule_rejects_the_squared_denominator(self, r):
+        lam = r * r
+
+        def rejected(c):
+            q = float(np.dot(c, c))
+            return 2 * lam / (lam + q) ** 2
+
+        assert abs(self._line_integral(rejected) - 2 * math.pi * r) > 1e-2
+
+    def test_cli_density_record_is_at_rounding_level(self):
+        report = run_suite(SuiteConfig(), "kernel")
+        rec = {r.name: r for r in report.records}["metric-density-exponent"]
+        assert rec.passed and rec.tolerance == 1e-8
+        assert rec.residual <= 1e-13
 
     def test_sphere_area_oracle(self):
         # [DERIVED] (2 lam/(lam+|c|^2))^2 integrates to 4 pi r^2
@@ -706,6 +739,21 @@ class TestEvolveGroup:
         u = np.exp(np.sin(fiber.thetas)) + 1j * np.cos(2 * fiber.thetas)
         want = expm((1j * t / hbar) * G) @ u
         assert np.max(np.abs(circulant_propagator(G, t, hbar, u) - want)) <= 1e-12
+
+    @pytest.mark.parametrize("factor, fires", [(1e-11, True), (1e-13, False)])
+    def test_fft_oracle_circulance_bound(self, factor, fires):
+        # one entry moved off circulant by factor x max|G|, either side of the
+        # 1e-12 bound; the bound is written out so raising it cannot scale the input
+        fiber = SphereFiber.circle(1.0, 32)
+        G = fiber_JX_matrix(rotation_generator(0, 1, 2), 1.0, fiber).matrix
+        G[3, 17] += factor * np.max(np.abs(G))
+        u = np.exp(np.sin(fiber.thetas)) + 0j
+        if fires:
+            with pytest.raises(NotCirculant, match="from circulant"):
+                circulant_propagator(G, 0.7, 1.0, u)
+        else:
+            out = circulant_propagator(G, 0.7, 1.0, u)
+            assert np.max(np.abs(out - expm((0.7j) * G) @ u)) <= 1e-12
 
     def test_fft_oracle_refuses_a_non_circulant_generator(self):
         fiber = SphereFiber.circle(1.0, 32)

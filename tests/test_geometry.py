@@ -9,13 +9,16 @@ from scipy.special import ellipe
 from weylred.fiber import FiberFunction, fiber_JX_apply
 from weylred.geometry import (
     NotTangent,
+    OffLevel,
     ParametrizationUnavailable,
     ScalarHamiltonian,
     SingularPoint,
     SphereFiber,
     ambient_JY_apply,
     circle_level_set,
+    gauss_legendre,
     gram_matrix,
+    half_line_rule,
     implicit_curve_level_set,
     induced_divergence,
     intrinsic_divergence_fd,
@@ -330,7 +333,7 @@ class TestGuardThresholds:
         )
         for build in builds:
             if fires:
-                with pytest.raises(ValueError, match=r"node \d+ .* off the level set"):
+                with pytest.raises(OffLevel, match=r"node \d+ .* off the level set"):
                     build()
             else:
                 assert build().radius == 2.0
@@ -355,3 +358,30 @@ class TestGuardThresholds:
         else:
             assert np.all(np.isfinite(induced_divergence(Y, [half_r2], fiber.nodes)))
             assert np.all(np.isfinite(fiber_JX_apply(Y, 1.0, u).values))
+
+
+class TestHalfLineRule:
+    @pytest.mark.parametrize("scale", [1.0, 3.0])
+    @pytest.mark.parametrize(
+        "f, exact",
+        [(lambda r: np.exp(-r), 1.0), (lambda r: 1.0 / (1.0 + r) ** 2, 1.0)],
+        ids=["exp", "inverse-square"],
+    )
+    def test_integrates_decaying_functions(self, f, exact, scale):
+        nodes, weights = half_line_rule(64, scale)
+        assert abs(weights @ f(nodes) - exact) <= 1e-13
+
+    def test_maps_the_gauss_rule(self):
+        t, w = gauss_legendre(16)
+        nodes, weights = half_line_rule(16, 2.0)
+        assert np.array_equal(nodes, 2.0 * (1 + t) / (1 - t))
+        assert np.array_equal(weights, 4.0 / (1 - t) ** 2 * w)
+        assert np.all(nodes > 0) and np.all(weights > 0)
+
+    def test_shared_arrays_are_read_only(self):
+        nodes, weights = half_line_rule(16, 1.0)
+        assert half_line_rule(16, 1.0)[0] is nodes
+        with pytest.raises(ValueError, match="read-only"):
+            nodes[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            weights[0] = 0.0
