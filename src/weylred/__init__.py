@@ -10,7 +10,8 @@ Layers:
   implicit curves and lines, which carries its own curve parametrization),
   coarea densities, and induced divergences of tangent vector fields.
 - ``dint``: the direct-integral decomposition (position and momentum
-  sides), decomposable operators, and strong commutation checks.
+  sides) and decomposable operators (``assemble_Opd``), through which
+  the strong-commutation check runs.
 - ``fiber``: midpoint-kernel quantization on sphere fibers, and on both
   fiber models the generator J_X, its matrix, and the evolution group.
 - ``sweep``: semiclassical residual sweeps for separable circle symbols.
@@ -34,7 +35,6 @@ from .moyal import (
     expand_power_in_star_basis,
     moyal_star,
     star_commutator,
-    star_power,
 )
 from .geometry import (
     LevelSetModel,
@@ -51,7 +51,6 @@ from .geometry import (
     induced_divergence,
     jacobian_wedge_norm,
     line_level_set,
-    project_qx,
     radial_hamiltonian,
     rho,
     sphere2_level_set,
@@ -65,13 +64,11 @@ from .dint import (
     UnsupportedRange,
     ambient_integral,
     apply_Tx,
-    apply_Tx_adjoint,
     apply_Txi,
     assemble_Opd,
     build_grid,
     coarea_check,
     gaussian_poly_suite,
-    slice_continuity_probe,
     slice_integrals,
     strong_commutation_check,
 )

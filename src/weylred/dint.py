@@ -1,8 +1,8 @@
 """Direct-integral decomposition over the level sets of a scalar map.
 
 Builds lambda-grids of fibers, the slicing isometry T_x (and its momentum
-twin T_xi), coarea and unitarity diagnostics, fiberwise assembly of
-decomposable operators, and the strong-commutation residual.
+twin T_xi), coarea and unitarity diagnostics, and decomposable operators,
+through which the strong-commutation residual runs.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .geometry import (
 )
 from .symbols import VectorField
 
-SNAP_TOL = 1e-8
 # L of the half-line map r = r_lo + L (1 + t) / (1 - t) of a radial grid with lam_max = inf
 HALF_LINE_SCALE = 3.0
 
@@ -290,23 +289,6 @@ def _density_weighted(func: Callable, grid: LambdaGrid) -> DirectIntegralSection
     return DirectIntegralSection(grid, np.sqrt(grid.rho) * grid.on_nodes(func).astype(complex))
 
 
-def apply_Tx_adjoint(s: DirectIntegralSection, probes: np.ndarray) -> np.ndarray:
-    """rho^{-1/2} s(lambda(x))(x) at probe points on (or snapped to) fibers."""
-    grid = s.grid
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    lam = grid.hamiltonians[0].value(probes)
-    i = np.argmin(np.abs(grid.lambda_nodes[None, :] - lam[:, None]), axis=1)
-    off = np.abs(grid.lambda_nodes[i] - lam) > SNAP_TOL * (1 + np.abs(lam))
-    if np.any(off):
-        raise ValueError(f"probe {probes[np.argmax(off)]} lies off every grid level")
-    d = np.linalg.norm(grid.nodes[i] - probes[:, None, :], axis=2)
-    j = np.argmin(d, axis=1)
-    far = d[np.arange(len(probes)), j] > SNAP_TOL * (1 + np.linalg.norm(probes, axis=1))
-    if np.any(far):
-        raise ValueError(f"probe {probes[np.argmax(far)]} is not near a fiber node")
-    return s.parts[i, j] / np.sqrt(grid.rho[i, j])
-
-
 def ambient_integral(func: Callable, dimension: int, *, n_r: int = 96, n_ang: int = 64) -> float:
     """Polar/spherical quadrature of a rapidly decaying ambient field.
 
@@ -355,15 +337,14 @@ def apply_Txi(u: TestFunction, grid: LambdaGrid) -> DirectIntegralSection:
 
 @dataclass
 class DecomposableOperator:
-    """Fiberwise (lambda-diagonal) operator on sections."""
+    """Fiberwise (lambda-diagonal) operator on sections: ops[i] acts on level i."""
 
     grid: LambdaGrid
     ops: List[Callable[[FiberFunction], FiberFunction]]
 
     def apply(self, s: DirectIntegralSection) -> DirectIntegralSection:
-        parts = []
-        for fiber, op, p in zip(self.grid.fibers, self.ops, s.parts):
-            parts.append(op(FiberFunction(fiber, p)).values)
+        levels = zip(self.grid.fibers, self.ops, s.parts)
+        parts = np.stack([op(FiberFunction(fiber, p)).values for fiber, op, p in levels])
         return DirectIntegralSection(self.grid, parts)
 
 
@@ -372,13 +353,14 @@ def assemble_Opd(
     grid: LambdaGrid,
     hbar: float,
 ) -> DecomposableOperator:
-    """Assemble T* [direct integral of per-fiber operators] T.
+    """The decomposable operator (direct integral of Op_lam d lam) on sections of grid.
 
-    `rule(lam, fiber, hbar)` must return a FiberOperator or a callable on
-    FiberFunctions for every grid level. A named error of this package
-    (SingularPoint, NotTangent, AntipodalPair, ...) raised by the rule is
-    re-raised as its own type with the offending lambda in the message;
-    any other exception, a bug in the rule, passes through unchanged.
+    It maps sections to sections, level by level; the strong-commutation check
+    runs it with the fiber generators J_Y^lam. `rule(lam, fiber, hbar)` must
+    return a FiberOperator or a callable on FiberFunctions for every grid level.
+    A named error of this package (SingularPoint, NotTangent, AntipodalPair, ...)
+    raised by the rule is re-raised as its own type with the offending lambda in
+    the message; any other exception, a bug in the rule, passes through unchanged.
     """
     ops = []
     for lam, fiber in zip(grid.lambda_nodes, grid.fibers):
@@ -388,10 +370,7 @@ def assemble_Opd(
             if not type(exc).__module__.startswith(__package__ + "."):
                 raise
             raise type(exc)(f"symbol rule failed at lambda={lam}: {exc}") from exc
-        if isinstance(op, FiberOperator):
-            ops.append(op.apply)
-        else:
-            ops.append(op)
+        ops.append(op.apply if isinstance(op, FiberOperator) else op)
     return DecomposableOperator(grid, ops)
 
 
@@ -401,40 +380,20 @@ def strong_commutation_check(
     """max over lambda of || T(Op(J_Y) u)(lam) - JY^lam (T u)(lam) ||.
 
     The left side restricts the ambient operator -i hbar (Y + div Y/2)
-    analytically; the right side differentiates the sampled section on the
+    analytically; the right side applies the decomposable operator of the
+    fiber generators JY^lam, which differentiate the sampled section on the
     fiber grid, so the two routes are computationally independent.
     """
     tu = apply_Tx(u, grid)
     lhs = np.sqrt(grid.rho) * grid.on_nodes(lambda pts: ambient_JY_apply(Y, u, hbar, pts))
-    rhs = np.stack(
-        [
-            fiber_JX_apply(Y, hbar, FiberFunction(fiber, part)).values
-            for fiber, part in zip(grid.fibers, tu.parts)
-        ]
-    )
+    jy = assemble_Opd(lambda lam, fiber, h: lambda f: fiber_JX_apply(Y, h, f), grid, hbar)
+    rhs = jy.apply(tu).parts
     return float(np.max(np.sqrt(np.sum(grid.weights * np.abs(lhs - rhs) ** 2, axis=1))))
 
 
 def slice_integrals(h: TestFunction, grid: LambdaGrid) -> np.ndarray:
     """F(lambda) = integral of h over the lambda fiber, for every level from one call of h."""
     return np.real(np.sum(grid.weights * grid.on_nodes(h.value), axis=1))
-
-
-def slice_continuity_probe(h: TestFunction, grid: LambdaGrid) -> float:
-    """max_i |2 F[lam_i, lam_{i+1}, lam_{i+2}]| for F(lambda) = slice integral of h.
-
-    Twice a second divided difference equals F'' at some level between its
-    three nodes, so the probe reads the curvature of F on the grid's own
-    levels (Gauss or any other increasing nodes). On uniform nodes of step h
-    it is (F_{i+2} - 2 F_{i+1} + F_i) / h^2. Needs at least 3 levels.
-    """
-    lam = grid.lambda_nodes
-    if len(lam) < 3:
-        raise ValueError(f"continuity probe needs at least 3 lambda levels, got {len(lam)}")
-    F = slice_integrals(h, grid)
-    slopes = np.diff(F) / np.diff(lam)
-    second = 2 * np.diff(slopes) / (lam[2:] - lam[:-2])
-    return float(np.max(np.abs(second)))
 
 
 def gaussian_poly_suite(n: int) -> List[TestFunction]:

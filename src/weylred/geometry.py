@@ -51,7 +51,6 @@ class ScalarHamiltonian:
 
     phi: PolySymbol
     gradient: VectorField = field(init=False)
-    hessian: Tuple[Tuple[PolySymbol, ...], ...] = field(init=False)
     _kernels: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -60,12 +59,9 @@ class ScalarHamiltonian:
         n = self.phi.dimension
         grads = tuple(self.phi.partial("x", a) for a in range(n))
         object.__setattr__(self, "gradient", VectorField(n, grads))
-        hess = tuple(
-            tuple(grads[a].partial("x", b) for b in range(n)) for a in range(n)
-        )
-        object.__setattr__(self, "hessian", hess)
+        hess = tuple(g.partial("x", b) for g in grads for b in range(n))
         kernels = {}
-        for name, fs in (("value", (self.phi,)), ("grad", grads), ("hess", sum(hess, ()))):
+        for name, fs in (("value", (self.phi,)), ("grad", grads), ("hess", hess)):
             exponents, coefficients = compile_symbols(fs)
             kernels[name] = (exponents, coefficients.real.copy())
         object.__setattr__(self, "_kernels", kernels)
@@ -204,17 +200,6 @@ def rho(hams, x):
         w = jacobian_wedge_norm(hams, x)
     _require_regular(w, x)
     return 1.0 / w
-
-
-def project_qx(hams, x, xi) -> np.ndarray:
-    """Orthogonal projection of xi onto <grad phi_1(x),...>^perp."""
-    hams = _as_ham_list(hams)
-    if jacobian_wedge_norm(hams, x) <= REGULARITY_THRESHOLD:
-        raise SingularPoint(f"cannot project at singular point {x}")
-    grads = np.array([h.grad(x) for h in hams])
-    q, _ = np.linalg.qr(grads.T)
-    xi = np.asarray(xi, dtype=float)
-    return xi - q @ (q.T @ xi)
 
 
 def tangency_residual(Y: VectorField, hams, x):

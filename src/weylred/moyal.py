@@ -125,15 +125,6 @@ def star_commutator(f: PolySymbol, g: PolySymbol) -> PolySymbol:
     return _star(f, g, keep=lambda K: K & 1, scale=2)
 
 
-def star_power(f: PolySymbol, m: int) -> PolySymbol:
-    if m < 0:
-        raise ValueError("negative star powers are not defined here")
-    out = PolySymbol.one(f.dimension)
-    for _ in range(m):
-        out = moyal_star(out, f)
-    return out
-
-
 def quadratic_exactness_check(h: PolySymbol, g: PolySymbol) -> PolySymbol:
     """Residual star_commutator(h,g) - i hbar {h,g}; zero for quadratic h.
 

@@ -107,11 +107,6 @@ class QQi:
         return f"({self.re}{'+' if self.im > 0 else '-'}{abs(self.im)}*i)"
 
 
-ZERO = QQi()
-ONE = QQi(Fraction(1))
-I = QQi.i()
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse a 'p/q' (or plain integer) string; reject anything else."""
     if not isinstance(text, str):

@@ -281,11 +281,6 @@ class PolySymbol:
             return 0
         return max(sum(xe) + sum(xie) for _, xe, xie in self.num)
 
-    def xi_degree(self) -> int:
-        if not self.num:
-            return 0
-        return max(sum(xie) for _, _, xie in self.num)
-
     def is_xi_free(self) -> bool:
         return all(sum(xie) == 0 for _, _, xie in self.num)
 

@@ -3,9 +3,10 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
-from weylred.cli import main, run_suite
+from weylred.cli import _timed, main, run_suite
 from weylred.config import (
     ConfigError,
     SuiteConfig,
@@ -152,6 +153,21 @@ class TestReportEmission:
         report.add(CheckRecord(name="c", params={}, tolerance=1e-3, passed=False))
         assert report.verdict is False
         assert report_to_dict(report)["verdict"] == "fail"
+
+
+class TestPassRule:
+    """A bare residual passes strictly below its tolerance, and NaN never passes."""
+
+    @pytest.mark.parametrize(
+        "residual, passed",
+        [(1e-8, False), (float(np.nextafter(1e-8, 0)), True), (float("nan"), False)],
+        ids=["at-tolerance", "just-below", "nan"],
+    )
+    def test_bare_residual(self, residual, passed):
+        report = Report(suite="demo")
+        _timed(report, "probe", {}, 1e-8, lambda: residual)
+        (record,) = report.records
+        assert record.passed is passed
 
 
 class TestCLI:

@@ -15,18 +15,16 @@ from weylred.dint import (
     UnsupportedRange,
     ambient_integral,
     apply_Tx,
-    apply_Tx_adjoint,
     apply_Txi,
     assemble_Opd,
     build_grid,
     coarea_check,
     gaussian_poly_suite,
-    slice_continuity_probe,
     slice_integrals,
     strong_commutation_check,
 )
 from weylred import dint, geometry, symbols
-from weylred.fiber import AntipodalPair, multiplication_op
+from weylred.fiber import AntipodalPair, FiberFunction, fiber_JX_apply, multiplication_op
 from weylred.geometry import (
     NotTangent,
     ScalarHamiltonian,
@@ -488,42 +486,17 @@ class TestApplyTx:
         assert shapes == [(64, 2)]
 
 
-class TestAdjoint:
-    def test_round_trip_at_nodes(self, half_r2, suite2):
-        grid = build_grid(half_r2, "circle", 0.5, 2.0, 8, 32)
-        u = suite2[0]
-        s = apply_Tx(u, grid)
-        probes = np.vstack([grid.fibers[2].nodes[::5], grid.fibers[6].nodes[::7]])
-        got = apply_Tx_adjoint(s, probes)
-        want = np.exp(-0.5 * sq(probes))
-        assert np.max(np.abs(got - want)) < 1e-12
-
-    def test_off_fiber_probe(self, half_r2, suite2):
-        grid = build_grid(half_r2, "circle", 0.5, 2.0, 8, 32)
-        s = apply_Tx(suite2[0], grid)
-        with pytest.raises(ValueError):
-            apply_Tx_adjoint(s, np.array([[97.0, 0.0]]))
-
-    def test_zero_section(self, half_r2):
-        grid = build_grid(half_r2, "circle", 0.5, 2.0, 4, 16)
-        s = DirectIntegralSection(grid, [np.zeros(16, dtype=complex)] * 4)
-        got = apply_Tx_adjoint(s, grid.fibers[0].nodes[:3])
-        assert np.allclose(got, 0.0)
-
-    def test_transposed_intertwining(self, half_r2, suite2):
-        # T*(lambda . T u) reproduces phi*u at nodes
-        grid = build_grid(half_r2, "circle", 0.5, 2.0, 8, 32)
-        s = apply_Tx(suite2[0], grid)
-        scaled = DirectIntegralSection(
-            grid, [lam * p for lam, p in zip(grid.lambda_nodes, s.parts)]
-        )
-        probes = grid.fibers[3].nodes[::6]
-        got = apply_Tx_adjoint(scaled, probes)
-        want = 0.5 * sq(probes) * np.exp(-0.5 * sq(probes))
-        assert np.max(np.abs(got - want)) < 1e-12
-
-
 class TestCoarea:
+    def test_slice_integrals_match_analytic_values(self, half_r2):
+        grid = build_grid(half_r2, "circle", 0.5, 2.0, 11, 64)
+        u = TestFunction(value=lambda p: np.exp(-sq(p)), gradient=None)
+        # the fiber side of the coarea identity: F(lam) = 2 pi sqrt(2 lam) e^{-2 lam}
+        F = slice_integrals(u, grid)
+        want = 2 * math.pi * np.sqrt(2 * grid.lambda_nodes) * np.exp(
+            -2 * grid.lambda_nodes
+        )
+        assert np.max(np.abs(F - want)) < 1e-12
+
     def test_gaussian_value(self, big_grid, suite2):
         # [PAPER-ADJACENT DERIVED] both sides equal pi^{3/2}/2
         f = suite2[2]
@@ -705,62 +678,38 @@ class TestStrongCommutation:
         assert strong_commutation_check(Y, suite2[3], 0.5, grid) < 1e-5
 
     def test_radial_field_rejected(self, half_r2, suite2):
+        # raised while the decomposable operator applies J_Y on level 0, so
+        # it is the fiber's own error, not one re-raised with lambda
         grid = build_grid(half_r2, "circle", 0.5, 2.0, 4, 32)
         Y = VectorField(2, (x(0), x(1)))
-        with pytest.raises(NotTangent):
+        with pytest.raises(NotTangent, match=r"^field is not tangent to the fiber \(residual"):
             strong_commutation_check(Y, suite2[0], 1.0, grid)
 
-
-class TestSliceContinuity:
-    def test_radial_gaussian_smoothness(self, half_r2):
-        grid = build_grid(half_r2, "circle", 0.5, 2.0, 41, 128)
-        u = TestFunction(value=lambda p: np.exp(-sq(p)), gradient=None)
-        probe = slice_continuity_probe(u, grid)
-        # analytic F(lam) = 2 pi sqrt(2 lam) e^{-2 lam}; bound its second
-        # derivative on [0.5, 2] by sampling
-        lam = np.linspace(0.5, 2.0, 2001)
-        F = 2 * math.pi * np.sqrt(2 * lam) * np.exp(-2 * lam)
-        second = np.abs(np.diff(F, 2)) / (lam[1] - lam[0]) ** 2
-        assert probe <= np.max(second) + 1e-4
-
-    def test_matches_analytic_values(self, half_r2):
-        grid = build_grid(half_r2, "circle", 0.5, 2.0, 11, 64)
-        u = TestFunction(value=lambda p: np.exp(-sq(p)), gradient=None)
-        F = slice_integrals(u, grid)
-        want = 2 * math.pi * np.sqrt(2 * grid.lambda_nodes) * np.exp(
-            -2 * grid.lambda_nodes
+    def test_runs_through_the_decomposable_operator(self, monkeypatch, half_r2, suite2):
+        # one assemble_Opd and one apply per check, and its residual is the
+        # level-by-level loop of fiber_JX_apply, to the last bit
+        grid = build_grid(half_r2, "circle", 0.3, 6.0, 8, 64)
+        Y, u, hbar = rotation_generator(0, 1, 2), suite2[3], 0.5
+        calls = []
+        assemble, apply = dint.assemble_Opd, dint.DecomposableOperator.apply
+        monkeypatch.setattr(
+            dint, "assemble_Opd", lambda *a: calls.append("assemble") or assemble(*a)
         )
-        assert np.max(np.abs(F - want)) < 1e-12
-
-    def test_zero_function(self, half_r2):
-        grid = build_grid(half_r2, "circle", 0.5, 2.0, 9, 32)
-        z = TestFunction(value=lambda p: np.zeros(len(np.atleast_2d(p))), gradient=None)
-        assert slice_continuity_probe(z, grid) == 0.0
-
-    @staticmethod
-    def _uniform_circle_grid(phi, lam):
-        # equispaced levels with trapezoid weights, built fiber by fiber
-        fibers = [geometry.circle_level_set(phi, float(l), 64) for l in lam]
-        weights = np.full(len(lam), lam[1] - lam[0])
-        weights[[0, -1]] *= 0.5
-        return LambdaGrid.from_fibers([phi], lam, weights, fibers)
-
-    def test_matches_uniform_second_difference(self, half_r2):
-        # on equispaced levels the divided-difference probe is the classical
-        # (F_2 - 2 F_1 + F_0) / h^2
-        lam = np.linspace(0.5, 2.0, 9)
-        grid = self._uniform_circle_grid(half_r2, lam)
-        u = TestFunction(value=lambda p: np.exp(-sq(p)), gradient=None)
-        F = slice_integrals(u, grid)
-        h = lam[1] - lam[0]
-        want = np.max(np.abs(F[2:] - 2 * F[1:-1] + F[:-2])) / h**2
-        assert slice_continuity_probe(u, grid) == pytest.approx(want, rel=1e-12, abs=0)
-
-    def test_two_levels_rejected(self, half_r2):
-        grid = self._uniform_circle_grid(half_r2, np.array([0.5, 2.0]))
-        u = TestFunction(value=lambda p: np.exp(-sq(p)), gradient=None)
-        with pytest.raises(ValueError, match="at least 3"):
-            slice_continuity_probe(u, grid)
+        monkeypatch.setattr(
+            dint.DecomposableOperator, "apply", lambda *a: calls.append("apply") or apply(*a)
+        )
+        got = strong_commutation_check(Y, u, hbar, grid)
+        assert calls == ["assemble", "apply"]
+        tu = apply_Tx(u, grid)
+        lhs = np.sqrt(grid.rho) * grid.on_nodes(
+            lambda pts: geometry.ambient_JY_apply(Y, u, hbar, pts)
+        )
+        rhs = np.stack(
+            [fiber_JX_apply(Y, hbar, FiberFunction(f, p)).values
+             for f, p in zip(grid.fibers, tu.parts)]
+        )
+        want = np.max(np.sqrt(np.sum(grid.weights * np.abs(lhs - rhs) ** 2, axis=1)))
+        assert got == want
 
 
 class TestSuiteFactory:

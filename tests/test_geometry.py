@@ -1,5 +1,4 @@
 import math
-import random
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +23,6 @@ from weylred.geometry import (
     intrinsic_divergence_fd,
     jacobian_wedge_norm,
     line_level_set,
-    project_qx,
     radial_hamiltonian,
     rho,
     sphere2_level_set,
@@ -105,28 +103,6 @@ class TestWedgeNormAndDensity:
     def test_parallel_gradients_singular(self, half_r2):
         with pytest.raises(SingularPoint):
             rho([half_r2, half_r2], [1.0, 1.0])
-
-
-class TestProjection:
-    def test_oracle(self, half_r2):
-        # [DERIVED] removing the e1 component of (2,3) at x=(1,0)
-        q = project_qx(half_r2, [1.0, 0.0], [2.0, 3.0])
-        assert np.allclose(q, [0.0, 3.0])
-
-    def test_idempotent_and_orthogonal(self, half_r3):
-        rng = random.Random(31)
-        for _ in range(20):
-            pt = np.array([rng.uniform(-2, 2) for _ in range(3)])
-            if np.linalg.norm(pt) < 0.3:
-                continue
-            xi = np.array([rng.uniform(-2, 2) for _ in range(3)])
-            q = project_qx(half_r3, pt, xi)
-            assert np.allclose(project_qx(half_r3, pt, q), q, atol=1e-12)
-            assert abs(np.dot(q, half_r3.grad(pt))) < 1e-10
-
-    def test_singular_point_rejected(self, half_r2):
-        with pytest.raises(SingularPoint):
-            project_qx(half_r2, [0.0, 0.0], [1.0, 1.0])
 
 
 class TestTangency:
@@ -318,9 +294,22 @@ class TestGuardThresholds:
     """Each guard fires at 10x its threshold and passes at 0.1x.
 
     The thresholds are written out (NODE_TOL = 1e-9 relative to 1 + |lam|,
-    TANGENCY_TOL = 1e-8) rather than read from the module, so raising a
-    constant cannot scale the inputs along with it.
+    TANGENCY_TOL = 1e-8, REGULARITY_THRESHOLD = 1e-8) rather than read from
+    the module, so raising a constant cannot scale the inputs along with it.
     """
+
+    @pytest.mark.parametrize("r, fires", [(1e-7, False), (1e-9, True)])
+    def test_regularity_threshold(self, r, fires):
+        # |grad |x|^2/2| = r at r e_1: the wedge norm sits 10x above or 0.1x below 1e-8
+        h = radial_hamiltonian(2)
+        if fires:
+            with pytest.raises(SingularPoint, match="wedge norm 1.000e-09 below threshold"):
+                rho(h, [r, 0.0])
+            with pytest.raises(SingularPoint, match="radial derivative 1.000e-09 below threshold"):
+                circle_level_set(h, r * r / 2, 16, radius=r)
+        else:
+            assert rho(h, [r, 0.0]) == pytest.approx(1 / r, rel=1e-12)
+            assert circle_level_set(h, r * r / 2, 16, radius=r).radius == r
 
     @pytest.mark.parametrize("factor, fires", [(10.0, True), (0.1, False)])
     def test_node_level_tolerance(self, half_r2, half_r3, factor, fires):

@@ -1,5 +1,7 @@
-"""Neither importing the package nor running any CLI suite loads scipy."""
+"""Neither importing the package nor running any CLI suite loads scipy, and
+every public name of the package has a caller outside the tests."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -57,3 +59,61 @@ def test_all_suites_load_no_scipy(tmp_path):
     )
     assert _fresh_interpreter(code) == "[]"
     assert (tmp_path / "all.json").exists()
+
+
+# Public names that no program path calls and that stay on purpose.
+KEPT_WITHOUT_CALLER = {
+    "midpoint_map": "entry-by-entry oracle for the geometry of kernel_quantize's midpoint kernel",
+    "intrinsic_divergence_fd": "finite-difference oracle for induced_divergence",
+    "bidifferential_power": "the Moyal star's k-th order, which tests check term by term",
+    "TestFunction.check_gradient": "oracle that a test function's analytic gradient is right",
+    "PolySymbol.substitute_hbar_sign": "the ħ → −ħ map of the check g ⋆ f = (f ⋆ g)(−ħ)",
+    "quadratic_exactness_check": "oracle that the star commutator is exact on quadratics",
+    "multiplication_op": "a dense multiplication FiberOperator that tests assemble and compose",
+    "symbol_to_literal": "inverse of the config format's symbol literals",
+}
+
+
+def _program_trees():
+    """(path, tree) of every program file: src/ except __init__.py, bench/ and scripts/."""
+    paths = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    paths += sorted((ROOT / "scripts").glob("*.py"))
+    return [(p, ast.parse(p.read_text())) for p in paths if p.name != "__init__.py"]
+
+
+def _public_definitions(tree):
+    """(qualified name, bare name, first line, last line) of the public top-level
+    functions and classes of a module, and of the public methods of its classes."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node.name, node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name, item.lineno, item.end_lineno
+
+
+def test_every_public_name_has_a_program_caller():
+    trees = _program_trees()
+    loads = {}  # bare name -> [(path, line)] of every Name or Attribute load
+    for path, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loads.setdefault(node.id, []).append((path, node.lineno))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loads.setdefault(node.attr, []).append((path, node.lineno))
+    package = ROOT / "src" / "weylred"
+    uncalled, defined = [], set()
+    for path, tree in trees:
+        if path.parent != package:
+            continue
+        for qualified, name, first, last in _public_definitions(tree):
+            defined.add(qualified)
+            called = any(
+                not (p == path and first <= line <= last) for p, line in loads.get(name, ())
+            )
+            if not called and qualified not in KEPT_WITHOUT_CALLER:
+                uncalled.append(f"{path.stem}.{qualified}")
+    assert not uncalled, f"public names with no caller in src/, bench/ or scripts/: {uncalled}"
+    assert set(KEPT_WITHOUT_CALLER) <= defined, "a kept name no longer exists: drop it"

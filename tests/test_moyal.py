@@ -16,7 +16,6 @@ from weylred.moyal import (
     moyal_star,
     quadratic_exactness_check,
     star_commutator,
-    star_power,
 )
 from weylred.symbols import (
     PolySymbol,
@@ -320,8 +319,3 @@ class TestStarExpansion:
         monkeypatch.setattr(moyal, "moyal_star", star)
         with pytest.raises(ExpansionBoundError):
             expand_power_in_star_basis(angular_momentum(0, 1, 2), 4)
-
-
-def test_star_power_matches_iterated():
-    f12 = angular_momentum(0, 1, 2)
-    assert star_power(f12, 3) == moyal_star(moyal_star(f12, f12), f12)
