@@ -38,6 +38,7 @@ from .moyal import (
 )
 from .geometry import (
     LevelSetModel,
+    MalformedFiber,
     NotTangent,
     OffLevel,
     ParametrizationUnavailable,

@@ -289,8 +289,7 @@ def _run_unitarity(cfg: SuiteConfig, report: Report) -> None:
                                n_polar=cfg.n_polar, n_azimuth=cfg.n_azimuth)
             lhs = apply(lifted, small)
             base = apply(u, small)
-            res = float(np.max(np.abs(lhs.parts - small.lambda_nodes[:, None] * base.parts)))
-            return res, res < 1e-12, res < 1e-12
+            return float(np.max(np.abs(lhs.parts - small.lambda_nodes[:, None] * base.parts)))
 
         _timed(report, name, {"n": n}, 1e-12, intertwining)
 

@@ -343,9 +343,27 @@ class DecomposableOperator:
     ops: List[Callable[[FiberFunction], FiberFunction]]
 
     def apply(self, s: DirectIntegralSection) -> DirectIntegralSection:
-        levels = zip(self.grid.fibers, self.ops, s.parts)
-        parts = np.stack([op(FiberFunction(fiber, p)).values for fiber, op, p in levels])
+        """The image of a section; a named error of a fiber operator names its lambda."""
+        levels = zip(self.grid.lambda_nodes, self.grid.fibers, self.ops, s.parts)
+        parts = np.stack(
+            [_at_level(lam, "fiber operator", op, FiberFunction(fiber, p)).values for lam, fiber, op, p in levels]
+        )
         return DirectIntegralSection(self.grid, parts)
+
+
+def _at_level(lam, stage: str, call: Callable, *args):
+    """call(*args) for the level lam.
+
+    A named error of this package (SingularPoint, NotTangent, AntipodalPair, ...)
+    is re-raised as its own type with lam in the message; any other exception,
+    a bug in the caller's code, passes through unchanged.
+    """
+    try:
+        return call(*args)
+    except Exception as exc:
+        if not type(exc).__module__.startswith(__package__ + "."):
+            raise
+        raise type(exc)(f"{stage} failed at lambda={lam}: {exc}") from exc
 
 
 def assemble_Opd(
@@ -358,18 +376,13 @@ def assemble_Opd(
     It maps sections to sections, level by level; the strong-commutation check
     runs it with the fiber generators J_Y^lam. `rule(lam, fiber, hbar)` must
     return a FiberOperator or a callable on FiberFunctions for every grid level.
-    A named error of this package (SingularPoint, NotTangent, AntipodalPair, ...)
-    raised by the rule is re-raised as its own type with the offending lambda in
-    the message; any other exception, a bug in the rule, passes through unchanged.
+    A named error of this package raised by the rule, or later by the operator
+    it built, is re-raised as its own type with the offending lambda in the
+    message (`_at_level`).
     """
     ops = []
     for lam, fiber in zip(grid.lambda_nodes, grid.fibers):
-        try:
-            op = rule(float(lam), fiber, hbar)
-        except Exception as exc:
-            if not type(exc).__module__.startswith(__package__ + "."):
-                raise
-            raise type(exc)(f"symbol rule failed at lambda={lam}: {exc}") from exc
+        op = _at_level(lam, "symbol rule", rule, float(lam), fiber, hbar)
         ops.append(op.apply if isinstance(op, FiberOperator) else op)
     return DecomposableOperator(grid, ops)
 

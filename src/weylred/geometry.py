@@ -40,6 +40,15 @@ class OffLevel(ValueError):
     """A fiber node where some phi_j is off its level by more than NODE_TOL (1 + |lam|)."""
 
 
+class MalformedFiber(ValueError):
+    """A SphereFiber grid that is not a quadrature of its sphere.
+
+    A node is off the sphere by more than 1e-12 max(1, r), the weights miss
+    the volume by more than 1e-10 of it, or a circle's angles (nodes) are
+    more than 1e-12 (1e-12 r) from the uniform grid.
+    """
+
+
 @dataclass(frozen=True)
 class ScalarHamiltonian:
     """A position-only Hamiltonian phi with cached exact derivatives.
@@ -324,10 +333,10 @@ class SphereFiber:
         r = self.radius
         norms = np.sqrt(np.einsum("ia,ia->i", self.nodes, self.nodes))
         if np.max(np.abs(norms - r)) > 1e-12 * max(1.0, r):
-            raise ValueError("fiber nodes are off the sphere")
+            raise MalformedFiber("fiber nodes are off the sphere")
         target = 2 * math.pi * r if self.ambient_dim == 2 else 4 * math.pi * r * r
         if abs(self.weights.sum() - target) > 1e-10 * target:
-            raise ValueError("quadrature weights do not reproduce the volume")
+            raise MalformedFiber("quadrature weights do not reproduce the volume")
         if self.thetas is not None:
             # the offset pair geometry of `kernel_pairs` relies on this grid
             n = self.n_nodes
@@ -338,7 +347,7 @@ class SphereFiber:
                 or np.max(np.abs(self.thetas - uniform)) > 1e-12
                 or np.max(np.abs(self.nodes - r * _unit_circle(uniform))) > 1e-12 * r
             ):
-                raise ValueError("circle nodes must be r (cos, sin)(2 pi k / N) in order k = 0..N-1")
+                raise MalformedFiber("circle nodes must be r (cos, sin)(2 pi k / N) in order k = 0..N-1")
 
     @classmethod
     def circle(cls, radius: float, n_nodes: int = 256) -> "SphereFiber":

@@ -1,33 +1,38 @@
 """Exact Moyal star product and Weyl-ordering power expansions.
 
-Everything here is finite and exact: star products of polynomials truncate
-once the bidifferential order exceeds the degree of either factor, and the
-star-basis expansion is a top-down reduction, one hbar-slice at a time, by
-exact division by leading terms over Q(i). No floating point enters this
-module.
+Everything here is finite and exact: a star product of polynomials has no
+order K past min(xi-degree f, x-degree g) + min(x-degree f, xi-degree g),
+since its order-K part applies d_xi^alpha d_x^beta to f and
+d_x^alpha d_xi^beta to g with |alpha| + |beta| = K. The star-basis expansion is a
+top-down reduction, one hbar-slice at a time, by exact division by leading
+terms over Q(i). No floating point enters this module.
 
 The Moyal operator splits across coordinate pairs: with
 Pi_a = d_xi_a (x) d_x_a - d_x_a (x) d_xi_a,
 exp((i hbar/2) sum_a Pi_a) = prod_a exp((i hbar/2) Pi_a), so the star
 product of two monomials is the tensor product of n one-coordinate
-products, each a short cached table of integers 2^k k! r. The products
-themselves run in `symbols.integer_product`, the loop the plain product
-uses too: the symbols' stored Gaussian-integer numerators, the kept orders
-weighted over the 2^K K! of the largest, and one gcd reduction of the
-result, with no Fraction built per product. Since P^k(g, f) = (-1)^k P^k(f, g), f * g - g * f is twice the odd
-orders of f * g: the star commutator is one pass over the term pairs, not
-two star products and a subtraction.
+products, each a short cached table of integers 2^k k! r
+(`symbols._coordinate_product`, imported here). The products run in
+`symbols.integer_product`, the loop the plain product and the Poisson
+bracket use too. It tensors only a pair's active coordinates, where a
+derivative of one factor meets the other's variable; an idle pair is one
+add of packed exponents. It weights the kept orders over the 2^K K! of
+the largest and ends with one gcd reduction, with no Fraction built.
+Since P^k(g, f) = (-1)^k P^k(f, g), f * g - g * f is twice the odd orders
+of f * g: the star commutator is one pass over the term pairs, not two star
+products and a subtraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb, factorial, gcd, perm
+from math import factorial, gcd
 from typing import List, Tuple
 
 from .rational import QQi
-from .symbols import PolySymbol, TermKey, _check_same_dim, integer_product
+# the one-coordinate tables keep their name here too:
+# moyal._coordinate_product.cache_clear() empties them
+from .symbols import PolySymbol, TermKey, _check_same_dim, _coordinate_product, integer_product
 
 
 class SingularSystemError(ValueError):
@@ -38,44 +43,12 @@ class ExpansionBoundError(RuntimeError):
     """The star-basis reduction reached an hbar power past its degree bound."""
 
 
-@lru_cache(maxsize=4096)
-def _coordinate_product(alpha: int, beta: int, gamma: int, delta: int) -> tuple:
-    """x^alpha xi^beta * x^gamma xi^delta in one coordinate pair.
-
-    Gives ((k, x exponent, xi exponent, R, k!), ...) over the orders k with
-    R != 0, the order-k term being
-    i^k hbar^k R / (2^k k!) x^(alpha+gamma-k) xi^(beta+delta-k), with the integer
-    R = sum_{j+l=k} binom(k, j) (-1)^l ff(beta,j) ff(alpha,l) ff(gamma,j) ff(delta,l)
-    and ff(a, j) = a (a-1) ... (a-j+1) the falling factorial.
-    """
-    out = []
-    for k in range(min(beta, gamma) + min(alpha, delta) + 1):
-        R = 0
-        for j in range(max(0, k - min(alpha, delta)), min(beta, gamma, k) + 1):
-            l = k - j
-            term = comb(k, j) * perm(beta, j) * perm(alpha, l) * perm(gamma, j) * perm(delta, l)
-            R += -term if l % 2 else term
-        if R:
-            out.append((k, alpha + gamma - k, beta + delta - k, R, factorial(k)))
-    return tuple(out)
-
-
-def _monomial_product(xe1: tuple, xie1: tuple, xe2: tuple, xie2: tuple) -> list:
-    """x^xe1 xi^xie1 * x^xe2 xi^xie2 as [(K, x exponents, xi exponents, W), ...].
-
-    The tensor product of the one-coordinate tables, K the summed order: the
-    order-K term is i^K hbar^K W / (2^K K!) times its monomial, where
-    W = prod_a R_a K! / prod_a k_a! is an integer.
-    """
-    entries = [(0, (), (), 1, 1)]  # (K, xe, xie, prod R_a, prod k_a!)
-    for a, b, c, d in zip(xe1, xie1, xe2, xie2):
-        table = _coordinate_product(a, b, c, d)
-        entries = [
-            (K + k, xe + (p,), xie + (q,), W * R, facts * k_fact)
-            for K, xe, xie, W, facts in entries
-            for k, p, q, R, k_fact in table
-        ]
-    return [(K, xe, xie, W * factorial(K) // facts) for K, xe, xie, W, facts in entries]
+def _degrees(f: PolySymbol) -> Tuple[int, int]:
+    """The degrees of f in x and in xi (0 for the zero symbol)."""
+    return (
+        max((sum(xe) for _, xe, _ in f.num), default=0),
+        max((sum(xie) for _, _, xie in f.num), default=0),
+    )
 
 
 def _star(f: PolySymbol, g: PolySymbol, keep=None, phased: bool = True, scale: int = 1) -> PolySymbol:
@@ -86,7 +59,9 @@ def _star(f: PolySymbol, g: PolySymbol, keep=None, phased: bool = True, scale: i
     largest one, so every weight of `integer_product` is an integer.
     """
     _check_same_dim(f, g)
-    top = min(f.total_degree(), g.total_degree())  # no pair of terms reaches past it
+    xf, xif = _degrees(f)
+    xg, xig = _degrees(g)
+    top = min(xif, xg) + min(xf, xig)  # the x/xi bound: no pair of terms reaches past it
     kept = [K for K in range(top + 1) if keep is None or keep(K)]
     if not kept:
         return PolySymbol.zero(f.dimension)
@@ -94,9 +69,9 @@ def _star(f: PolySymbol, g: PolySymbol, keep=None, phased: bool = True, scale: i
     common = gcd(scale, L)
     lift = [
         scale // common * (L // (2**K * factorial(K))) if K in kept else 0
-        for K in range(top + 1)
+        for K in range(kept[-1] + 1)
     ]
-    return integer_product(f, g, _monomial_product, lift, L // common, phased)
+    return integer_product(f, g, lift, L // common, phased)
 
 
 def bidifferential_power(f: PolySymbol, g: PolySymbol, k: int) -> PolySymbol:

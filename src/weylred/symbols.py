@@ -12,9 +12,9 @@ is built from the numerators on first read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, factorial, gcd, lcm, perm
 from operator import add, index
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -263,16 +263,12 @@ class PolySymbol:
     def poisson(self, other: "PolySymbol") -> "PolySymbol":
         """{f,g} = sum_a (d_xi_a f d_x_a g - d_x_a f d_xi_a g).
 
-        The sign is fixed so that {J_X, J_Y} = J_[X,Y] with the standard
-        Lie bracket of vector fields.
+        The first order of the product loop without phase, P^1(f, g): one
+        pass over the term pairs, each read off its active coordinates. The
+        sign is fixed so that {J_X, J_Y} = J_[X,Y] with the standard Lie
+        bracket of vector fields.
         """
-        other = self._coerce(other)
-        _check_same_dim(self, other)
-        out = PolySymbol.zero(self.dimension)
-        for a in range(self.dimension):
-            out = out + self.partial("xi", a) * other.partial("x", a)
-            out = out - self.partial("x", a) * other.partial("xi", a)
-        return out
+        return integer_product(self, self._coerce(other), (0, 1), phased=False)
 
     # -- queries --------------------------------------------------------
     def total_degree(self) -> int:
@@ -345,49 +341,163 @@ class PolySymbol:
         return " + ".join(parts)
 
 
+@lru_cache(maxsize=4096)
+def _coordinate_product(alpha: int, beta: int, gamma: int, delta: int) -> tuple:
+    """x^alpha xi^beta * x^gamma xi^delta in one coordinate pair.
+
+    Gives ((k, x exponent, xi exponent, R, k!), ...) over the orders k with
+    R != 0, in increasing k, the order-k term being
+    i^k hbar^k R / (2^k k!) x^(alpha+gamma-k) xi^(beta+delta-k), with the integer
+    R = sum_{j+l=k} binom(k, j) (-1)^l ff(beta,j) ff(alpha,l) ff(gamma,j) ff(delta,l)
+    and ff(a, j) = a (a-1) ... (a-j+1) the falling factorial.
+    """
+    out = []
+    for k in range(min(beta, gamma) + min(alpha, delta) + 1):
+        R = 0
+        for j in range(max(0, k - min(alpha, delta)), min(beta, gamma, k) + 1):
+            l = k - j
+            term = comb(k, j) * perm(beta, j) * perm(alpha, l) * perm(gamma, j) * perm(delta, l)
+            R += -term if l % 2 else term
+        if R:
+            out.append((k, alpha + gamma - k, beta + delta - k, R, factorial(k)))
+    return tuple(out)
+
+
+def _packed(terms: Mapping, width: int) -> list:
+    """Each term as (packed monomial, x mask, xi mask, re, im, x exponents, xi exponents).
+
+    The packed monomial holds the exponent of x_a at bit a * width, that of
+    xi_a at bit (n + a) * width and the hbar power above them, so the
+    product of two monomials is the sum of their packed ints. The masks are
+    the sets of coordinates with a nonzero x, and xi, exponent.
+    """
+    out = []
+    for (h, xe, xie), (re, im) in terms.items():
+        n = len(xe)
+        key, xm, xim = h << (2 * n * width), 0, 0
+        for a, e in enumerate(xe):
+            if e:
+                key |= e << (a * width)
+                xm |= 1 << a
+        for a, e in enumerate(xie):
+            if e:
+                key |= e << ((n + a) * width)
+                xim |= 1 << a
+        out.append((key, xm, xim, re, im, xe, xie))
+    return out
+
+
+def _unpacked(acc: Mapping, n: int, width: int) -> dict:
+    """The nonzero sums of packed monomials, keyed by (hbar power, x exponents, xi exponents)."""
+    mask = (1 << width) - 1
+    x_bits = [a * width for a in range(n)]
+    xi_bits = [(n + a) * width for a in range(n)]
+    h_bit = 2 * n * width
+    return {
+        (key >> h_bit, tuple([key >> s & mask for s in x_bits]), tuple([key >> s & mask for s in xi_bits])): sums
+        for key, sums in acc.items()
+        if sums[0] or sums[1]
+    }
+
+
+def _exponent_bits(f: PolySymbol) -> int:
+    """The bit length of the largest x or xi exponent of f."""
+    m = 0
+    for _, xe, xie in f.num:
+        for e in xe:
+            m |= e
+        for e in xie:
+            m |= e
+    return m.bit_length()
+
+
 def integer_product(
     f: PolySymbol,
     g: PolySymbol,
-    monomial_product=None,
     lift: Sequence[int] = (1,),
     den: int = 1,
     phased: bool = True,
 ) -> PolySymbol:
     """The exact product loop: every product of symbols runs here, on integers.
 
-    Both factors enter as their stored Gaussian-integer numerators over
-    their denominators f.den, g.den. A pair of terms multiplies its
-    numerators and spreads them over the entries (K, x exponents, xi
-    exponents, W) that `monomial_product(xe1, xie1, xe2, xie2)` gives for its
-    two monomials; the plain product (None) has the one entry
-    (0, xe1 + xe2, xie1 + xie2, 1). An entry of order K adds W lift[K] times
-    the numerator product; with `phased` it also gains hbar^K and the phase
-    i^K, applied as a swap and sign. Only int multiply-adds run per pair;
-    the sums stay numerators over f.den g.den den, and one gcd over all of
-    them reduces the result. No Fraction is built.
+    Gives sum_K lift[K] P^K(f, g) over f.den g.den den, for K up to
+    len(lift) - 1, with P^K the order-K bidifferential part of the Moyal
+    product (P^0 = fg, P^1 the Poisson bracket); with `phased` order K also
+    carries hbar^K i^K, its sign folded into the weights and its i a swap.
+    So the plain product is lift = (1,), `poisson` is lift = (0, 1) without
+    phase, and `moyal._star` weights lift[K] = L / (2^K K!) over den = L.
+    Both factors enter as their stored Gaussian-integer numerators, only int
+    multiply-adds run per pair of terms, and one gcd reduces the sums. No
+    Fraction is built.
+
+    Order 0 is a plain loop over tuple keys; a one-term factor there only
+    relabels and scales the other's terms, with no accumulation. Past order
+    0 each monomial is packed into one int (`_packed`) and a pair of terms
+    reaches past order 0 only through its active coordinates a, those where
+    the xi_a exponent of f and the x_a exponent of g, or the x_a exponent of
+    f and the xi_a exponent of g, are both nonzero. A pair with none costs
+    one add of packed exponents (nothing if lift[0] = 0). At top order 1
+    each active coordinate adds its one first-order term, with
+    R = xi_a(f) x_a(g) - x_a(f) xi_a(g) read off the exponents. Past it only
+    the active coordinates' tables (`_coordinate_product`) are tensored,
+    entries past the top order pruned as they are built: an order-K entry
+    that lowers coordinate a by k_a weighs W = prod R_a K! / prod k_a! and
+    moves the packed key by sum_a k_a (hbar - x_a - xi_a).
     """
     _check_same_dim(f, g)
+    n = f.dimension
+    top = len(lift) - 1
+    D = f.den * g.den * den
+    if top == 0:
+        return PolySymbol._reduced(n, D, _plain_sums(f, g, lift[0]))
     if phased:  # fold the sign of i^K into the weights; the swap stays below
         lift = [-w if K & 2 else w for K, w in enumerate(lift)]
+    lift0, lift1 = lift[0], lift[1]
+    # no field of a product overflows: its exponents are sums of the factors'
+    width = max(_exponent_bits(f), _exponent_bits(g)) + 1
+    hbar_bit = (1 << (2 * n * width)) if phased else 0
+    step = [hbar_bit - (1 << (a * width)) - (1 << ((n + a) * width)) for a in range(n)]
+    gs = _packed(g.num, width)
     acc: dict = {}
-    g_terms = g.num.items()
-    for (h1, xe1, xie1), (a, b) in f.num.items():
-        for (h2, xe2, xie2), (c, d) in g_terms:
-            re, im = a * c - b * d, a * d + b * c
-            h = h1 + h2
-            if monomial_product is None:
-                entries = ((0, tuple(map(add, xe1, xe2)), tuple(map(add, xie1, xie2)), 1),)
-            else:
-                entries = monomial_product(xe1, xie1, xe2, xie2)
-            for K, xe, xie, w in entries:
-                w *= lift[K]
-                if not w:
+    for key1, xm1, xim1, a, b, xe1, xie1 in _packed(f.num, width):
+        for key2, xm2, xim2, c, d, xe2, xie2 in gs:
+            active = (xim1 & xm2) | (xm1 & xim2)
+            if not active:
+                if not lift0:
                     continue
-                if phased:
-                    key = (h + K, xe, xie)
-                    cre, cim = (-im * w, re * w) if K & 1 else (re * w, im * w)
+                entries = ((0, key1 + key2, lift0),)
+            elif top == 1:
+                key = key1 + key2
+                entries = [(0, key, lift0)] if lift0 else []
+                j = 0
+                while active:
+                    if active & 1:
+                        entries.append((1, key + step[j], (xie1[j] * xe2[j] - xe1[j] * xie2[j]) * lift1))
+                    active >>= 1
+                    j += 1
+            else:
+                tensor = [(0, key1 + key2, 1, 1)]  # (K, key, prod R_a, prod k_a!)
+                j = 0
+                while active:
+                    if active & 1:
+                        table = _coordinate_product(xe1[j], xie1[j], xe2[j], xie2[j])
+                        s = step[j]
+                        tensor = [
+                            (K + k, key + k * s, W * R, facts * k_fact)
+                            for K, key, W, facts in tensor
+                            for k, _, _, R, k_fact in table
+                            if K + k <= top
+                        ]
+                    active >>= 1
+                    j += 1
+                entries = [
+                    (K, key, W * factorial(K) // facts * lift[K]) for K, key, W, facts in tensor if lift[K]
+                ]
+            re, im = a * c - b * d, a * d + b * c
+            for K, key, w in entries:
+                if phased and K & 1:
+                    cre, cim = -im * w, re * w
                 else:
-                    key = (h, xe, xie)
                     cre, cim = re * w, im * w
                 slot = acc.get(key)
                 if slot is None:
@@ -395,7 +505,42 @@ def integer_product(
                 else:
                     slot[0] += cre
                     slot[1] += cim
-    return PolySymbol._reduced(f.dimension, f.den * g.den * den, acc)
+    return PolySymbol._reduced(n, D, _unpacked(acc, n, width))
+
+
+def _plain_sums(f: PolySymbol, g: PolySymbol, w: int) -> dict:
+    """The numerator sums of w f g, the order-0 pass of `integer_product`.
+
+    A one-term factor relabels and scales the other's terms: adding one
+    monomial is injective, so no two products share a key and nothing
+    accumulates.
+    """
+    if len(f.num) == 1:
+        f, g = g, f
+    if len(g.num) == 1:
+        (((h2, xe2, xie2), (c, d)),) = g.num.items()
+        c, d = c * w, d * w
+        if not (h2 or any(xe2) or any(xie2)):
+            return {key: (a * c - b * d, a * d + b * c) for key, (a, b) in f.num.items()}
+        return {
+            (h1 + h2, tuple(map(add, xe1, xe2)), tuple(map(add, xie1, xie2))): (a * c - b * d, a * d + b * c)
+            for (h1, xe1, xie1), (a, b) in f.num.items()
+        }
+    acc: dict = {}
+    g_terms = g.num.items()
+    for (h1, xe1, xie1), (a, b) in f.num.items():
+        for (h2, xe2, xie2), (c, d) in g_terms:
+            key = (h1 + h2, tuple(map(add, xe1, xe2)), tuple(map(add, xie1, xie2)))
+            re, im = a * c - b * d, a * d + b * c
+            slot = acc.get(key)
+            if slot is None:
+                acc[key] = [re, im]
+            else:
+                slot[0] += re
+                slot[1] += im
+    if w != 1:
+        return {key: (re * w, im * w) for key, (re, im) in acc.items()}
+    return acc
 
 
 def compile_symbols(symbols: Sequence[PolySymbol]) -> Tuple[np.ndarray, np.ndarray]:

@@ -643,6 +643,30 @@ class TestAssembleOpd:
             assemble_Opd(bad, grid, 1.0)
         assert info.value is raised and info.value.args == ("boom",)
 
+    @pytest.mark.parametrize("error", [NotTangent, SingularPoint, ValueError, ZeroDivisionError])
+    def test_apply_failure_names_lambda(self, half_r2, suite2, error):
+        # the operators build, and level 2's raises while applied: a named
+        # error keeps its type and gains that lambda, any other passes through
+        grid = build_grid(half_r2, "circle", 0.5, 2.0, 4, 16)
+        raised = error("boom")
+
+        def rule(lam, fiber, hbar):
+            def op(u):
+                if lam > grid.lambda_nodes[1]:
+                    raise raised
+                return u
+
+            return op
+
+        op = assemble_Opd(rule, grid, 1.0)
+        with pytest.raises(error) as info:
+            op.apply(apply_Tx(suite2[0], grid))
+        if error.__module__.startswith("weylred."):
+            assert str(info.value) == f"fiber operator failed at lambda={grid.lambda_nodes[2]}: boom"
+            assert info.value.__cause__ is raised
+        else:
+            assert info.value is raised
+
 
 class TestStrongCommutation:
     def test_circle_rotation(self, half_r2, suite2):
@@ -678,12 +702,15 @@ class TestStrongCommutation:
         assert strong_commutation_check(Y, suite2[3], 0.5, grid) < 1e-5
 
     def test_radial_field_rejected(self, half_r2, suite2):
-        # raised while the decomposable operator applies J_Y on level 0, so
-        # it is the fiber's own error, not one re-raised with lambda
+        # raised while the decomposable operator applies J_Y on level 0: the
+        # fiber's own error, re-raised as its type with that level's lambda
         grid = build_grid(half_r2, "circle", 0.5, 2.0, 4, 32)
         Y = VectorField(2, (x(0), x(1)))
-        with pytest.raises(NotTangent, match=r"^field is not tangent to the fiber \(residual"):
+        with pytest.raises(
+            NotTangent, match=r"^fiber operator failed at lambda=\S+: field is not tangent to the fiber \(residual"
+        ) as info:
             strong_commutation_check(Y, suite2[0], 1.0, grid)
+        assert f"lambda={grid.lambda_nodes[0]}:" in str(info.value)
 
     def test_runs_through_the_decomposable_operator(self, monkeypatch, half_r2, suite2):
         # one assemble_Opd and one apply per check, and its residual is the

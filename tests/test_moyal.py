@@ -24,7 +24,7 @@ from weylred.symbols import (
     xi_norm_squared,
 )
 
-from conftest import random_symbol, random_vector_field
+from conftest import poisson_oracle, random_symbol, random_vector_field
 
 
 def x(a, n=2):
@@ -41,9 +41,11 @@ def hb(n=2, p=1):
 
 class TestBidifferentialPower:
     def test_p1_is_poisson(self, rng):
+        # the oracle is the partial-derivative sum, not the product loop's first order
         f = random_symbol(rng, 2, 3)
         g = random_symbol(rng, 2, 3)
-        assert bidifferential_power(f, g, 1) == f.poisson(g)
+        assert bidifferential_power(f, g, 1) == poisson_oracle(f, g)
+        assert f.poisson(g) == poisson_oracle(f, g)
 
     def test_p0_is_product(self, rng):
         f = random_symbol(rng, 2, 3)
@@ -168,6 +170,25 @@ class TestIntegerProductLoop:
         assert product == f * g + g and star == moyal_star(f, g)
         assert bracket == moyal_star(product, f) - moyal_star(f, product)
         assert expansion.residual().is_zero()
+
+    def test_first_order_passes_read_no_coordinate_table(self, monkeypatch):
+        # J_X, J_Y have xi-degree 1, so the x/xi bound keeps star_commutator at
+        # K <= 2 and its odd part at K = 1; a first-order term is read off the
+        # pair's exponents, and the Poisson bracket is that pass without phase
+        rng = random.Random(15)
+        X, Y = random_vector_field(rng, 3, 3), random_vector_field(rng, 3, 3)
+        JX, JY = momentum_symbol(X), momentum_symbol(Y)
+        JB = momentum_symbol(X.lie_bracket(Y))
+
+        def no_table(*args):
+            raise AssertionError(f"coordinate table read for {args}")
+
+        monkeypatch.setattr(symbols, "_coordinate_product", no_table)
+        assert star_commutator(JX, JY) == PolySymbol.hbar(3) * (QQi.i() * JB)
+        assert JX.poisson(JY) == JB
+        f = angular_momentum(0, 1, 3)
+        with pytest.raises(AssertionError, match="coordinate table read"):
+            moyal_star(f, f)
 
     def test_coordinate_tables_are_integer(self):
         # for all exponents <= 8: the stored R = 2^k k! r is an int, equal to the

@@ -53,6 +53,8 @@ from weylred.rational import QQi
 from weylred.sweep import SeparableCircleSymbol, bump_profile
 from weylred.symbols import PolySymbol, VectorField, rotation_generator
 
+from conftest import poisson_oracle, star_oracle
+
 
 def _term_keys(n, max_degree, max_hbar=0):
     exps = st.lists(
@@ -146,6 +148,41 @@ def test_poisson_jacobi(f, g, h):
 @given(symbols(), symbols(), symbols())
 def test_poisson_leibniz(f, g, h):
     assert f.poisson(g * h) == f.poisson(g) * h + g * f.poisson(h)
+
+
+def _star_factors():
+    """Two symbols of one dimension n in {1, 2, 3}: degree <= 3, hbar powers <= 2,
+    Gaussian-rational coefficients, and each drawn with one term or up to four."""
+    def factor(n):
+        return st.sampled_from([1, 4]).flatmap(lambda m: symbols(n, 3, max_terms=m, max_hbar=2))
+
+    return st.sampled_from([1, 2, 3]).flatmap(lambda n: st.tuples(factor(n), factor(n)))
+
+
+def _monomial(n, c, h, xe, xie):
+    return PolySymbol(n, {(h, xe, xie): c})
+
+
+@settings(max_examples=60, deadline=None)
+@given(_star_factors())
+@example((_monomial(1, QQi(1), 0, (2,), (3,)), _monomial(1, QQi(2, -1), 1, (3,), (2,))))
+@example((_monomial(2, QQi(Fraction(1, 3)), 2, (1, 0), (0, 1)), _monomial(2, QQi(0, 1), 0, (0, 2), (1, 0))))
+@example((_monomial(3, QQi(5), 0, (0, 0, 0), (0, 0, 0)), _monomial(3, QQi(1, 1), 1, (1, 2, 0), (0, 1, 3))))
+def test_star_and_commutator_match_the_unpruned_sum(fg):
+    # the oracle sums every order up to min(total degrees) from partials and
+    # plain products; the loop bounds orders by the x/xi degrees and visits
+    # only active coordinates
+    f, g = fg
+    fg_star, gf_star = star_oracle(f, g), star_oracle(g, f)
+    assert moyal_star(f, g) == fg_star
+    assert star_commutator(f, g) == fg_star - gf_star
+
+
+@settings(max_examples=60, deadline=None)
+@given(_star_factors())
+def test_poisson_matches_the_partial_derivative_sum(fg):
+    f, g = fg
+    assert f.poisson(g) == poisson_oracle(f, g)
 
 
 @settings(max_examples=60, deadline=None)
