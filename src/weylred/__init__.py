@@ -78,7 +78,9 @@ from .fiber import (
     FiberFunction,
     FiberOperator,
     PWSymbol,
+    PullBackUnavailable,
     SphereFiber,
+    StereographicPole,
     evolve_group,
     fiber_JX_apply,
     fiber_JX_matrix,

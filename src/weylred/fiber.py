@@ -33,6 +33,14 @@ class AntipodalPair(ValueError):
     """The midpoint map is undefined for antipodal points."""
 
 
+class StereographicPole(ValueError):
+    """A point within 1e-12 r^2 of the pole, where the stereographic chart is singular."""
+
+
+class PullBackUnavailable(ValueError):
+    """Sampled values that cannot be moved along the flow without an ambient callable."""
+
+
 @dataclass
 class FiberFunction:
     """Node values of a function on a fiber.
@@ -157,7 +165,8 @@ def stereo_charts(w, r: float):
     Returns (psi, upsilon, density) with psi(z)_j = lam <z, w_j>/(lam - <z,w>)
     for lam = r^2 and a tangent frame (w_j) at w; upsilon is the closed-form
     inverse and density the chart volume factor (2 lam/(lam+|c|^2))^{n-1}.
-    psi is singular exactly at the pole z = w; the antipode maps to 0.
+    psi is singular exactly at the pole z = w and raises StereographicPole
+    where |lam - <z, w>| <= 1e-12 lam; the antipode maps to 0.
     """
     w = np.asarray(w, dtype=float)
     n = len(w)
@@ -179,7 +188,7 @@ def stereo_charts(w, r: float):
         z = np.asarray(z, dtype=float)
         denom = lam - float(np.dot(z, w))
         if abs(denom) <= 1e-12 * lam:
-            raise ValueError("stereographic chart is singular at the pole")
+            raise StereographicPole("stereographic chart is singular at the pole")
         return lam * (frame @ z) / denom
 
     def upsilon(c):
@@ -501,6 +510,8 @@ def _pull_back(
     alpha, when given, is the angle by which the flow rotates a uniform
     circle (pts are the nodes shifted by it): without `func` the values are
     then pulled back by the Fourier shift ifft(e^{i k alpha} fft(u)).
+    Sampled values on any fiber but a `SphereFiber` circle raise
+    PullBackUnavailable.
     """
     if not np.all(np.isfinite(pts)):
         raise FloatingPointError("flow integration broke down")
@@ -513,7 +524,7 @@ def _pull_back(
     elif isinstance(fiber, SphereFiber) and fiber.ambient_dim == 2:
         pulled = _trig_interpolate(u.values, np.arctan2(pts[:, 1], pts[:, 0]))
     else:
-        raise ValueError("need an ambient callable to evaluate along the flow")
+        raise PullBackUnavailable("need an ambient callable to evaluate along the flow")
     return FiberFunction(fiber, np.sqrt(np.exp(acc)) * pulled)
 
 

@@ -3,9 +3,11 @@
 Everything here is finite and exact: a star product of polynomials has no
 order K past min(xi-degree f, x-degree g) + min(x-degree f, xi-degree g),
 since its order-K part applies d_xi^alpha d_x^beta to f and
-d_x^alpha d_xi^beta to g with |alpha| + |beta| = K. The star-basis expansion is a
-top-down reduction, one hbar-slice at a time, by exact division by leading
-terms over Q(i). No floating point enters this module.
+d_x^alpha d_xi^beta to g with |alpha| + |beta| = K. The star-basis
+expansion is a top-down reduction, one hbar-slice at a time, by exact
+division by leading terms over Q(i). No floating point enters this module,
+and no QQi or Fraction either: every step runs on the stored
+Gaussian-integer numerators.
 
 The Moyal operator splits across coordinate pairs: with
 Pi_a = d_xi_a (x) d_x_a - d_x_a (x) d_xi_a,
@@ -14,22 +16,27 @@ product of two monomials is the tensor product of n one-coordinate
 products, each a short cached table of integers 2^k k! r
 (`symbols._coordinate_product`, imported here). The products run in
 `symbols.integer_product`, the loop the plain product and the Poisson
-bracket use too. It tensors only a pair's active coordinates, where a
-derivative of one factor meets the other's variable; an idle pair is one
-add of packed exponents. It weights the kept orders over the 2^K K! of
-the largest and ends with one gcd reduction, with no Fraction built.
-Since P^k(g, f) = (-1)^k P^k(f, g), f * g - g * f is twice the odd orders
-of f * g: the star commutator is one pass over the term pairs, not two star
+bracket use too. One scan per factor packs its monomials into ints and
+gives the x/xi degrees that cut the orders. The loop tensors only a pair's
+active coordinates, where a derivative of one factor meets the other's
+variable; an idle pair is one add of packed exponents. It weights the kept
+orders over the 2^K K! of the largest, adds every order straight into one
+accumulator and ends with one gcd reduction. Since
+P^k(g, f) = (-1)^k P^k(f, g), f * g - g * f is twice the odd orders of
+f * g: the star commutator is one pass over the term pairs, not two star
 products and a subtraction.
+
+The expansion's steps are integer passes too: a leading-term quotient is
+s_key conj(p_key) p.den / (|p_key|^2 s.den) with one gcd (`_quotient`),
+and each subtraction s - a hbar^d p is one `PolySymbol._sub_scaled` pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial, gcd
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
-from .rational import QQi
 # the one-coordinate tables keep their name here too:
 # moyal._coordinate_product.cache_clear() empties them
 from .symbols import PolySymbol, TermKey, _check_same_dim, _coordinate_product, integer_product
@@ -43,25 +50,18 @@ class ExpansionBoundError(RuntimeError):
     """The star-basis reduction reached an hbar power past its degree bound."""
 
 
-def _degrees(f: PolySymbol) -> Tuple[int, int]:
-    """The degrees of f in x and in xi (0 for the zero symbol)."""
-    return (
-        max((sum(xe) for _, xe, _ in f.num), default=0),
-        max((sum(xie) for _, _, xie in f.num), default=0),
-    )
-
-
 def _star(f: PolySymbol, g: PolySymbol, keep=None, phased: bool = True, scale: int = 1) -> PolySymbol:
     """The orders K of f * g that `keep(K)` selects, times `scale`.
 
     Without `phased` the terms are the raw (1/2)^K / K! P^K parts, with no
-    hbar^K or i^K. The kept orders share the denominator L = 2^K K! of the
-    largest one, so every weight of `integer_product` is an integer.
+    hbar^K or i^K. Order K differentiates each term of both factors K times,
+    so no order passes the total degree of the factor with fewer terms;
+    `integer_product` cuts the orders further, at the x/xi bound. The kept
+    orders share the denominator L = 2^K K! of the largest one, so every
+    weight is an integer.
     """
     _check_same_dim(f, g)
-    xf, xif = _degrees(f)
-    xg, xig = _degrees(g)
-    top = min(xif, xg) + min(xf, xig)  # the x/xi bound: no pair of terms reaches past it
+    top = (f if len(f.num) <= len(g.num) else g).total_degree()
     kept = [K for K in range(top + 1) if keep is None or keep(K)]
     if not kept:
         return PolySymbol.zero(f.dimension)
@@ -72,19 +72,6 @@ def _star(f: PolySymbol, g: PolySymbol, keep=None, phased: bool = True, scale: i
         for K in range(kept[-1] + 1)
     ]
     return integer_product(f, g, lift, L // common, phased)
-
-
-def bidifferential_power(f: PolySymbol, g: PolySymbol, k: int) -> PolySymbol:
-    """P^k(f, g); P^0 = fg and P^1 is the Poisson bracket.
-
-    P^k(f,g) = sum_{|alpha|+|beta|=k} k!/(alpha! beta!) (-1)^{|beta|}
-               (d_xi^alpha d_x^beta f)(d_x^alpha d_xi^beta g),
-    read off the order-k terms of the star product without their phase,
-    times k! 2^k.
-    """
-    if k < 0:
-        raise ValueError("bidifferential order must be non-negative")
-    return _star(f, g, keep=lambda K: K == k, phased=False, scale=factorial(k) * 2**k)
 
 
 def moyal_star(f: PolySymbol, g: PolySymbol) -> PolySymbol:
@@ -98,20 +85,6 @@ def star_commutator(f: PolySymbol, g: PolySymbol) -> PolySymbol:
     P^k(g, f) = (-1)^k P^k(f, g), so this is twice the odd orders of f * g.
     """
     return _star(f, g, keep=lambda K: K & 1, scale=2)
-
-
-def quadratic_exactness_check(h: PolySymbol, g: PolySymbol) -> PolySymbol:
-    """Residual star_commutator(h,g) - i hbar {h,g}; zero for quadratic h.
-
-    For h of combined degree <= 2, all third partials of h vanish, so the
-    star commutator truncates at first order in the P-series.
-    """
-    _check_same_dim(h, g)
-    if h.total_degree() > 2:
-        raise ValueError("quadratic_exactness_check requires deg(h) <= 2")
-    n = h.dimension
-    bracket_term = PolySymbol.hbar(n) * (QQi.i() * h.poisson(g))
-    return star_commutator(h, g) - bracket_term
 
 
 @dataclass(frozen=True)
@@ -142,26 +115,42 @@ def _leading_key(f: PolySymbol) -> TermKey:
 
 
 def _as_polynomial_in(
-    s: PolySymbol, plain_powers: List[PolySymbol], leading: List[TermKey]
-) -> List[Tuple[int, QQi]]:
-    """Coefficients a_j with s = sum_j a_j f^j, by division by leading terms.
+    s: PolySymbol, plain_powers: List[PolySymbol], leading: Dict[TermKey, int]
+) -> List[Tuple[int, Tuple[int, int, int]]]:
+    """Coefficients a_j = (re + i im) / den with s = sum_j a_j f^j, by division by leading terms.
 
     In a graded monomial order the leading monomial of f^j is LM(f)^j, so
     each step removes the leading term of s with one multiple of a power of
-    f. Raises SingularSystemError when s is not a polynomial in f.
+    f; `leading` maps LM(f)^j to j. Raises SingularSystemError when s is
+    not a polynomial in f.
     """
     out = []
     while not s.is_zero():
         key = _leading_key(s)
-        j = next((j for j, lead in enumerate(leading) if lead == key), None)
+        j = leading.get(key)
         if j is None:
             raise SingularSystemError(
                 "a slice of f^m - f^{*m} is not a polynomial in f"
             )
-        a = s.coefficient(key) / plain_powers[j].coefficient(key)
+        p = plain_powers[j]
+        a = _quotient(s.num[key], s.den, p.num[key], p.den)
         out.append((j, a))
-        s = s - plain_powers[j] * a
+        s = s._sub_scaled(p, *a)
+        if key in s.num:  # exact division removes the leading term; a step that keeps it never ends
+            raise ArithmeticError(f"leading term {key} survived its division step")
     return out
+
+
+def _quotient(s_key, s_den: int, p_key, p_den: int) -> Tuple[int, int, int]:
+    """(re, im, den) in lowest terms of (s_key / s_den) / (p_key / p_den), for
+    Gaussian-integer numerators: s_key conj(p_key) p_den / (|p_key|^2 s_den)."""
+    sr, si = s_key
+    cr, ci = p_key[0], -p_key[1]  # conj(p_key)
+    re = (sr * cr - si * ci) * p_den
+    im = (sr * ci + si * cr) * p_den
+    den = (cr * cr + ci * ci) * s_den
+    common = gcd(re, im, den)
+    return re // common, im // common, den // common
 
 
 def expand_power_in_star_basis(f: PolySymbol, m: int) -> StarExpansion:
@@ -172,7 +161,10 @@ def expand_power_in_star_basis(f: PolySymbol, m: int) -> StarExpansion:
     written as sum_j a_j f^j by leading-term division, and hbar^d a_j f^{*j}
     moves from the remainder into c_j until nothing is left. Every term of
     f^{*j} has degree + 2 * (hbar power) <= j deg f, so d never exceeds
-    m deg f / 2.
+    m deg f / 2. Each step, the quotient a_j and the subtraction
+    s - a hbar^d p, is one pass over Gaussian-integer numerators
+    (`_quotient`, `PolySymbol._sub_scaled`), and the c_j are assembled from
+    those numerators: no QQi or Fraction is built.
     """
     if m < 1:
         raise ValueError("power must be a positive integer")
@@ -187,24 +179,24 @@ def expand_power_in_star_basis(f: PolySymbol, m: int) -> StarExpansion:
     for _ in range(m):
         star_powers.append(moyal_star(star_powers[-1], f))
         plain_powers.append(plain_powers[-1] * f)
-    leading = [_leading_key(p) for p in plain_powers]
+    leading = {_leading_key(p): j for j, p in enumerate(plain_powers)}
     d_max = m * degree // 2
 
     zero = (0,) * n
-    coeff_terms: dict[int, dict[TermKey, QQi]] = {m: {(0, zero, zero): QQi.coerce(1)}}
+    coeff_parts: dict[int, list] = {m: [(1, {(0, zero, zero): (1, 0)})]}
     rest = plain_powers[m] - star_powers[m]
     for d in range(d_max + 1):
         if rest.is_zero():
             break
-        for j, a in _as_polynomial_in(rest.hbar_component(d), plain_powers, leading):
-            coeff_terms.setdefault(j, {})[(d, zero, zero)] = a
-            rest = rest - PolySymbol.hbar(n, d) * (star_powers[j] * a)
+        for j, (re, im, den) in _as_polynomial_in(rest.hbar_component(d), plain_powers, leading):
+            coeff_parts.setdefault(j, []).append((den, {(d, zero, zero): (re, im)}))
+            rest = rest._sub_scaled(star_powers[j], re, im, den, d)
     if not rest.is_zero():
         raise ExpansionBoundError(
             f"f^m - f^(*m) keeps hbar powers past the bound m deg f / 2 = {d_max}"
         )
     coefficients = [
-        (j, PolySymbol(n, terms)) for j, terms in sorted(coeff_terms.items())
+        (j, PolySymbol._disjoint_sum(n, parts)) for j, parts in sorted(coeff_parts.items())
     ]
     return StarExpansion(
         base_symbol=f, degree=m, coefficients=coefficients, star_powers=star_powers

@@ -51,6 +51,16 @@ def _exponent(e) -> int:
     raise ValueError(f"exponents must be integers, got {e!r}")
 
 
+def _common_factor(den: int, sums) -> int:
+    """gcd of den and every numerator pair in sums, stopping at 1."""
+    common = den
+    for re, im in sums:
+        if common == 1:
+            break
+        common = gcd(common, re, im)
+    return common
+
+
 def _integer_form(coefficients: Mapping[TermKey, QQi]) -> Tuple[int, dict]:
     """(den, num) of nonzero coefficients: den is the lcm of their reduced
     denominators, so it shares no factor with all of the numerators."""
@@ -111,16 +121,27 @@ class PolySymbol:
     @classmethod
     def _reduced(cls, dimension: int, den: int, sums: Mapping) -> "PolySymbol":
         """Numerator sums over den made canonical: zero entries dropped, one gcd divided out."""
-        common = den
-        for re, im in sums.values():
-            if common == 1:
-                break
-            common = gcd(common, re, im)
+        common = _common_factor(den, sums.values())
         if common == 1:
             num = {key: (re, im) for key, (re, im) in sums.items() if re or im}
         else:
             num = {key: (re // common, im // common) for key, (re, im) in sums.items() if re or im}
         return cls._canonical(dimension, den // common if num else 1, num)
+
+    @classmethod
+    def _disjoint_sum(cls, dimension: int, parts: list) -> "PolySymbol":
+        """The sum of canonical parts (den, num) whose keys never collide, over their lcm.
+
+        Already canonical: a prime p with p^e exactly dividing the lcm does so
+        in some part's den, whose numerators keep a term prime to p after
+        scaling by lcm / den.
+        """
+        common = lcm(*(den for den, _ in parts))
+        num = {}
+        for den, terms in parts:
+            s = common // den
+            num.update(terms if s == 1 else {key: (re * s, im * s) for key, (re, im) in terms.items()})
+        return cls._canonical(dimension, common, num)
 
     def __setattr__(self, *a):  # immutability guard
         raise AttributeError("PolySymbol is immutable")
@@ -182,19 +203,29 @@ class PolySymbol:
         return cls._canonical(n, 1, {(power, z, z): (1, 0)})
 
     # -- ring operations ------------------------------------------------
-    def __add__(self, other) -> "PolySymbol":
-        other = self._coerce(other)
+    def _sub_scaled(
+        self, other: "PolySymbol", re: int = 1, im: int = 0, den: int = 1, shift: int = 0
+    ) -> "PolySymbol":
+        """self - ((re + i im) / den) hbar^shift other, in one pass over the numerators.
+
+        `-` is the default a = 1 and `+` is a = -1; the star-basis reduction
+        takes its leading-term quotients and hbar shifts here.
+        """
         _check_same_dim(self, other)
-        den = lcm(self.den, other.den)
-        s, t = den // self.den, den // other.den
-        sums = dict(self.num) if s == 1 else {k: (re * s, im * s) for k, (re, im) in self.num.items()}
-        for k, (re, im) in other.num.items():
-            prev = sums.get(k)
-            if prev is None:
-                sums[k] = (re * t, im * t)
-            else:
-                sums[k] = (prev[0] + re * t, prev[1] + im * t)
-        return PolySymbol._reduced(self.dimension, den, sums)
+        D = lcm(self.den, den * other.den)
+        s, t = D // self.den, D // (den * other.den)
+        sums = dict(self.num) if s == 1 else {k: (a * s, b * s) for k, (a, b) in self.num.items()}
+        c, d = re * t, im * t
+        for key, (a, b) in other.num.items():
+            if shift:
+                key = (key[0] + shift, key[1], key[2])
+            pr, pi = a * c - b * d, a * d + b * c
+            prev = sums.get(key)
+            sums[key] = (-pr, -pi) if prev is None else (prev[0] - pr, prev[1] - pi)
+        return PolySymbol._reduced(self.dimension, D, sums)
+
+    def __add__(self, other) -> "PolySymbol":
+        return self._sub_scaled(self._coerce(other), -1)
 
     __radd__ = __add__
 
@@ -204,10 +235,10 @@ class PolySymbol:
         )
 
     def __sub__(self, other) -> "PolySymbol":
-        return self + (-self._coerce(other))
+        return self._sub_scaled(self._coerce(other))
 
     def __rsub__(self, other) -> "PolySymbol":
-        return self._coerce(other) + (-self)
+        return self._coerce(other)._sub_scaled(self)
 
     def __mul__(self, other) -> "PolySymbol":
         return integer_product(self, self._coerce(other))
@@ -283,24 +314,12 @@ class PolySymbol:
     def is_hbar_free(self) -> bool:
         return all(h == 0 for h, _, _ in self.num)
 
-    def coefficient(self, key: TermKey) -> QQi:
-        re, im = self.num.get(key, (0, 0))
-        return QQi(Fraction(re, self.den), Fraction(im, self.den))
-
     def hbar_component(self, power: int) -> "PolySymbol":
         """The hbar^power slice, with the hbar factor stripped."""
         return PolySymbol._reduced(
             self.dimension,
             self.den,
             {(0, xe, xie): c for (h, xe, xie), c in self.num.items() if h == power},
-        )
-
-    def substitute_hbar_sign(self) -> "PolySymbol":
-        """hbar -> -hbar."""
-        return PolySymbol._canonical(
-            self.dimension,
-            self.den,
-            {k: ((-re, -im) if k[0] % 2 else (re, im)) for k, (re, im) in self.num.items()},
         )
 
     def compile(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -363,52 +382,43 @@ def _coordinate_product(alpha: int, beta: int, gamma: int, delta: int) -> tuple:
     return tuple(out)
 
 
-def _packed(terms: Mapping, width: int) -> list:
-    """Each term as (packed monomial, x mask, xi mask, re, im, x exponents, xi exponents).
+_NONZERO = bytes([0] + [1] * 255)
 
-    The packed monomial holds the exponent of x_a at bit a * width, that of
-    xi_a at bit (n + a) * width and the hbar power above them, so the
-    product of two monomials is the sum of their packed ints. The masks are
-    the sets of coordinates with a nonzero x, and xi, exponent.
+
+def _scan(f: PolySymbol, size: int):
+    """One pass over f: (rows, x degree, xi degree), or None if an exponent needs more than `size` bytes.
+
+    Each exponent takes a field of `size` bytes, x_0..x_{n-1} then
+    xi_0..xi_{n-1} from the low end, with the hbar power above them, so the
+    product of two monomials is the sum of their packed ints; every field
+    keeps a spare top bit, so no field of a product overflows. A row is
+    (packed monomial, x mask, xi mask, re, im, exponents): the masks hold bit
+    8a for each coordinate a with a nonzero x, and xi, exponent, and the
+    exponents are the tuple x + xi.
     """
-    out = []
-    for (h, xe, xie), (re, im) in terms.items():
-        n = len(xe)
-        key, xm, xim = h << (2 * n * width), 0, 0
-        for a, e in enumerate(xe):
-            if e:
-                key |= e << (a * width)
-                xm |= 1 << a
-        for a, e in enumerate(xie):
-            if e:
-                key |= e << ((n + a) * width)
-                xim |= 1 << a
-        out.append((key, xm, xim, re, im, xe, xie))
-    return out
-
-
-def _unpacked(acc: Mapping, n: int, width: int) -> dict:
-    """The nonzero sums of packed monomials, keyed by (hbar power, x exponents, xi exponents)."""
-    mask = (1 << width) - 1
-    x_bits = [a * width for a in range(n)]
-    xi_bits = [(n + a) * width for a in range(n)]
-    h_bit = 2 * n * width
-    return {
-        (key >> h_bit, tuple([key >> s & mask for s in x_bits]), tuple([key >> s & mask for s in xi_bits])): sums
-        for key, sums in acc.items()
-        if sums[0] or sums[1]
-    }
-
-
-def _exponent_bits(f: PolySymbol) -> int:
-    """The bit length of the largest x or xi exponent of f."""
-    m = 0
-    for _, xe, xie in f.num:
-        for e in xe:
-            m |= e
-        for e in xie:
-            m |= e
-    return m.bit_length()
+    n = f.dimension
+    limit = 1 << (8 * size - 1)
+    h_shift = 16 * n * size
+    low = (1 << (8 * n)) - 1
+    rows = []
+    xdeg = xideg = 0
+    for (h, xe, xie), (re, im) in f.num.items():
+        e = xe + xie
+        if max(e) >= limit:
+            return None
+        if size == 1:
+            raw = bytes(e)
+            nz = int.from_bytes(raw.translate(_NONZERO), "little")
+        else:
+            raw = b"".join([v.to_bytes(size, "little") for v in e])
+            nz = int.from_bytes(bytes(map(bool, e)), "little")
+        rows.append((h << h_shift | int.from_bytes(raw, "little"), nz & low, nz >> (8 * n), re, im, e))
+        dx, dxi = sum(xe), sum(xie)
+        if dx > xdeg:
+            xdeg = dx
+        if dxi > xideg:
+            xideg = dxi
+    return rows, xdeg, xideg
 
 
 def integer_product(
@@ -430,82 +440,169 @@ def integer_product(
     multiply-adds run per pair of terms, and one gcd reduces the sums. No
     Fraction is built.
 
-    Order 0 is a plain loop over tuple keys; a one-term factor there only
-    relabels and scales the other's terms, with no accumulation. Past order
-    0 each monomial is packed into one int (`_packed`) and a pair of terms
-    reaches past order 0 only through its active coordinates a, those where
-    the xi_a exponent of f and the x_a exponent of g, or the x_a exponent of
-    f and the xi_a exponent of g, are both nonzero. A pair with none costs
-    one add of packed exponents (nothing if lift[0] = 0). At top order 1
-    each active coordinate adds its one first-order term, with
-    R = xi_a(f) x_a(g) - x_a(f) xi_a(g) read off the exponents. Past it only
-    the active coordinates' tables (`_coordinate_product`) are tensored,
-    entries past the top order pruned as they are built: an order-K entry
-    that lowers coordinate a by k_a weighs W = prod R_a K! / prod k_a! and
-    moves the packed key by sum_a k_a (hbar - x_a - xi_a).
+    Order 0 alone is a plain loop over tuple keys; a one-term factor there
+    only relabels and scales the other's terms, with no accumulation. Past
+    it, one scan per factor (`_scan`) packs each monomial into one int and
+    gives the x and xi degrees. Orders past min(xi deg f, x deg g) +
+    min(x deg f, xi deg g) vanish (order K applies d_xi^alpha d_x^beta to f
+    and d_x^alpha d_xi^beta to g, |alpha| + |beta| = K), so `lift` is cut
+    there. At top order 1 (`_first_order_sums`) each coordinate's
+    derivative terms of f and g are paired directly. Past it
+    (`_tensor_sums`) a pair of terms reaches past order 0 only through its
+    active coordinates a, those where the xi_a exponent of f and the x_a
+    exponent of g, or the x_a exponent of f and the xi_a exponent of g, are
+    both nonzero; a pair with none costs one add of packed exponents
+    (nothing if lift[0] = 0), and only the active coordinates' tables
+    (`_coordinate_product`) are tensored, entries past the top order pruned
+    as they are built: an order-K entry that lowers coordinate a by k_a
+    weighs prod R_a K! lift[K] / prod k_a!, with K! lift[K] tabled once per
+    call, and moves the packed key by sum_a k_a (hbar - x_a - xi_a). Every
+    order adds straight into one accumulator, and the sums are unpacked and
+    reduced in one pass.
     """
     _check_same_dim(f, g)
     n = f.dimension
-    top = len(lift) - 1
     D = f.den * g.den * den
-    if top == 0:
+    if len(lift) == 1:
         return PolySymbol._reduced(n, D, _plain_sums(f, g, lift[0]))
+    size = 1
+    while True:
+        fs, gs = _scan(f, size), _scan(g, size)
+        if fs and gs:
+            break
+        size += 1
+    (fs, xf, xif), (gs, xg, xig) = fs, gs
+    top = min(len(lift) - 1, min(xif, xg) + min(xf, xig))
+    while top and not lift[top]:
+        top -= 1
+    if top < len(lift) - 1:  # cut orders carry factors of den: divide them out
+        common = gcd(den, *lift[: top + 1])
+        lift = [w // common for w in lift[: top + 1]]
+        D //= common
+    if not top:
+        return PolySymbol._reduced(n, D, _plain_sums(f, g, lift[0]) if lift[0] else {})
     if phased:  # fold the sign of i^K into the weights; the swap stays below
         lift = [-w if K & 2 else w for K, w in enumerate(lift)]
-    lift0, lift1 = lift[0], lift[1]
-    # no field of a product overflows: its exponents are sums of the factors'
-    width = max(_exponent_bits(f), _exponent_bits(g)) + 1
-    hbar_bit = (1 << (2 * n * width)) if phased else 0
-    step = [hbar_bit - (1 << (a * width)) - (1 << ((n + a) * width)) for a in range(n)]
-    gs = _packed(g.num, width)
+    w8 = 8 * size
+    if top == 1:
+        acc = _first_order_sums(fs, gs, n, w8, lift[0], lift[1], phased)
+    else:
+        acc = _tensor_sums(fs, gs, n, w8, lift, phased)
+    common = _common_factor(D, acc.values())
+    h_shift = 2 * n * w8
+    low = (1 << h_shift) - 1
+    num = {}
+    for key, (re, im) in acc.items():
+        if re or im:
+            raw = (key & low).to_bytes(2 * n * size, "little")
+            e = tuple(raw) if size == 1 else tuple(
+                int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)
+            )
+            num[(key >> h_shift, e[:n], e[n:])] = (re // common, im // common)
+    return PolySymbol._canonical(n, D // common if num else 1, num)
+
+
+def _first_order_sums(fs, gs, n: int, w8: int, lift0: int, lift1: int, phased: bool) -> dict:
+    """Packed sums of lift0 fg + lift1 (i hbar)^phased P^1(f, g) over the rows of `_scan`.
+
+    P^1(f, g) = sum_a d_xi_a f d_x_a g - d_x_a f d_xi_a g: each
+    coordinate's derivative terms are paired directly, so a pair of terms
+    with no active coordinate costs nothing, and the weight, sign and phase
+    ride on the f side. lift0 adds the plain product as one more pairing.
+    """
+    hb = 1 << (2 * n * w8) if phased else 0
+    c0, d0 = (0, lift1) if phased else (lift1, 0)
+    pairings = []
+    if lift0:
+        pairings.append(
+            ([(k, a * lift0, b * lift0) for k, _, _, a, b, _ in fs], [(k, c, d) for k, _, _, c, d, _ in gs])
+        )
+    for j in range(n):
+        for fi, gi, sign in ((n + j, j, 1), (j, n + j, -1)):
+            fbit, gbit = 1 << (fi * w8), 1 << (gi * w8)
+            fl = [
+                (k + hb - fbit, sign * e[fi] * (a * c0 - b * d0), sign * e[fi] * (a * d0 + b * c0))
+                for k, _, _, a, b, e in fs
+                if e[fi]
+            ]
+            gl = [(k - gbit, e[gi] * c, e[gi] * d) for k, _, _, c, d, e in gs if e[gi]] if fl else ()
+            if gl:
+                pairings.append((fl, gl))
     acc: dict = {}
-    for key1, xm1, xim1, a, b, xe1, xie1 in _packed(f.num, width):
-        for key2, xm2, xim2, c, d, xe2, xie2 in gs:
+    get = acc.get
+    for fl, gl in pairings:
+        for k1, a, b in fl:
+            for k2, c, d in gl:
+                k = k1 + k2
+                re, im = a * c - b * d, a * d + b * c
+                slot = get(k)
+                if slot is None:
+                    acc[k] = [re, im]
+                else:
+                    slot[0] += re
+                    slot[1] += im
+    return acc
+
+
+def _tensor_sums(fs, gs, n: int, w8: int, lift: Sequence[int], phased: bool) -> dict:
+    """Packed sums of sum_K lift[K] (i hbar)^(K phased) P^K(f, g) over the rows of `_scan`, top order >= 2.
+
+    The sign of i^K is already folded into `lift`. Each pair of terms adds
+    lift[0] times its plain product, and past it the tensor product of its
+    active coordinates' tables, pruned past the top order.
+    """
+    top = len(lift) - 1
+    weight = [factorial(K) * w for K, w in enumerate(lift)]
+    lift0 = lift[0]
+    hbar_bit = 1 << (2 * n * w8) if phased else 0
+    step = [hbar_bit - (1 << (a * w8)) - (1 << ((n + a) * w8)) for a in range(n)]
+    acc: dict = {}
+    get = acc.get
+    for key1, xm1, xim1, a, b, e1 in fs:
+        for key2, xm2, xim2, c, d, e2 in gs:
             active = (xim1 & xm2) | (xm1 & xim2)
-            if not active:
-                if not lift0:
-                    continue
-                entries = ((0, key1 + key2, lift0),)
-            elif top == 1:
-                key = key1 + key2
-                entries = [(0, key, lift0)] if lift0 else []
-                j = 0
-                while active:
-                    if active & 1:
-                        entries.append((1, key + step[j], (xie1[j] * xe2[j] - xe1[j] * xie2[j]) * lift1))
-                    active >>= 1
-                    j += 1
-            else:
-                tensor = [(0, key1 + key2, 1, 1)]  # (K, key, prod R_a, prod k_a!)
-                j = 0
-                while active:
-                    if active & 1:
-                        table = _coordinate_product(xe1[j], xie1[j], xe2[j], xie2[j])
-                        s = step[j]
-                        tensor = [
-                            (K + k, key + k * s, W * R, facts * k_fact)
-                            for K, key, W, facts in tensor
-                            for k, _, _, R, k_fact in table
-                            if K + k <= top
-                        ]
-                    active >>= 1
-                    j += 1
-                entries = [
-                    (K, key, W * factorial(K) // facts * lift[K]) for K, key, W, facts in tensor if lift[K]
-                ]
+            if not (active or lift0):
+                continue
             re, im = a * c - b * d, a * d + b * c
-            for K, key, w in entries:
-                if phased and K & 1:
-                    cre, cim = -im * w, re * w
+            key = key1 + key2
+            if lift0:
+                slot = get(key)
+                if slot is None:
+                    acc[key] = [re * lift0, im * lift0]
+                else:
+                    slot[0] += re * lift0
+                    slot[1] += im * lift0
+                if not active:
+                    continue
+            re1, im1 = (-im, re) if phased else (re, im)  # the odd orders' i
+            tensor = [(0, key, 1, 1)]  # (K, key, prod R_a, prod k_a!)
+            while active:
+                bit = active & -active
+                active ^= bit
+                j = bit.bit_length() >> 3
+                table = _coordinate_product(e1[j], e1[n + j], e2[j], e2[n + j])
+                s = step[j]
+                tensor = [
+                    (K + k, k2 + k * s, W * R, facts * k_fact)
+                    for K, k2, W, facts in tensor
+                    for k, _, _, R, k_fact in table
+                    if K + k <= top
+                ]
+            for K, k, W, facts in tensor:
+                if not K or not weight[K]:
+                    continue
+                w = W * weight[K] // facts
+                if K & 1:
+                    cre, cim = re1 * w, im1 * w
                 else:
                     cre, cim = re * w, im * w
-                slot = acc.get(key)
+                slot = get(k)
                 if slot is None:
-                    acc[key] = [cre, cim]
+                    acc[k] = [cre, cim]
                 else:
                     slot[0] += cre
                     slot[1] += cim
-    return PolySymbol._reduced(n, D, _unpacked(acc, n, width))
+    return acc
 
 
 def _plain_sums(f: PolySymbol, g: PolySymbol, w: int) -> dict:
@@ -520,8 +617,11 @@ def _plain_sums(f: PolySymbol, g: PolySymbol, w: int) -> dict:
     if len(g.num) == 1:
         (((h2, xe2, xie2), (c, d)),) = g.num.items()
         c, d = c * w, d * w
-        if not (h2 or any(xe2) or any(xie2)):
-            return {key: (a * c - b * d, a * d + b * c) for key, (a, b) in f.num.items()}
+        if not (any(xe2) or any(xie2)):  # a constant times hbar^h2 moves only the hbar power
+            return {
+                (h1 + h2, xe1, xie1): (a * c - b * d, a * d + b * c)
+                for (h1, xe1, xie1), (a, b) in f.num.items()
+            }
         return {
             (h1 + h2, tuple(map(add, xe1, xe2)), tuple(map(add, xie1, xie2))): (a * c - b * d, a * d + b * c)
             for (h1, xe1, xie1), (a, b) in f.num.items()
@@ -671,12 +771,18 @@ class VectorField:
 
 
 def momentum_symbol(X: VectorField) -> PolySymbol:
-    """J_X(x, xi) = <X(x), xi>; degree 1 in xi unless X = 0."""
+    """J_X(x, xi) = <X(x), xi>; degree 1 in xi unless X = 0.
+
+    The components are xi-free, so the terms of X_a xi_a carry xi exponent
+    e_a and never meet another component's: J_X is one relabel of the
+    components' numerators over their lcm denominator.
+    """
     n = X.dimension
-    out = PolySymbol.zero(n)
+    parts = []
     for a, comp in enumerate(X.components):
-        out = out + comp * PolySymbol.xi(a, n)
-    return out
+        unit = tuple(int(j == a) for j in range(n))
+        parts.append((comp.den, {(h, xe, unit): c for (h, xe, _), c in comp.num.items()}))
+    return PolySymbol._disjoint_sum(n, parts)
 
 
 def angular_momentum(i: int, j: int, n: int) -> PolySymbol:

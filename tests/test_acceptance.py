@@ -42,7 +42,6 @@ from weylred.geometry import (
 )
 from weylred.moyal import (
     expand_power_in_star_basis,
-    quadratic_exactness_check,
     star_commutator,
 )
 from weylred.rational import QQi
@@ -57,6 +56,7 @@ from weylred.symbols import (
 )
 
 from conftest import random_symbol, random_vector_field
+from oracles import quadratic_exactness_check
 
 SEED = 20240817
 

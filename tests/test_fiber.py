@@ -14,7 +14,9 @@ from weylred.fiber import (
     FiberFunction,
     FiberOperator,
     PWSymbol,
+    PullBackUnavailable,
     SphereFiber,
+    StereographicPole,
     _trig_interpolate,
     evolve_group,
     fiber_JX_apply,
@@ -196,8 +198,20 @@ class TestStereoCharts:
     def test_pole_singular(self):
         w = np.array([0.0, 1.0])
         psi, _, _ = stereo_charts(w, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(StereographicPole):
             psi(w)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_pole_guard_threshold(self, n):
+        # the guard is |lam - <z, w>| <= 1e-12 lam: z = (1 - s) w puts
+        # lam - <z, w> at s lam, 0.1x the threshold raises and 10x maps
+        r = 1.3
+        w = np.zeros(n)
+        w[-1] = r
+        psi, _, _ = stereo_charts(w, r)
+        with pytest.raises(StereographicPole):
+            psi((1 - 1e-13) * w)
+        assert np.all(np.isfinite(psi((1 - 1e-11) * w)))
 
     def test_circumference_oracle(self):
         # [DERIVED] integral of 2 lam/(lam + t^2) over R is 2 pi r; this is
@@ -689,6 +703,16 @@ class TestEvolveGroup:
         monkeypatch.setattr(fiber_module, "_trig_interpolate", no_dense_sum)
         got = evolve_group(X, t, 0.7, u).values
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_sampled_values_on_a_sphere_cannot_be_pulled_back(self):
+        # a 2-sphere has no trigonometric interpolant: without `func` the
+        # flowed nodes have no values, and the error says so by name
+        fiber = SphereFiber.sphere(1.0, 6, 12)
+        u = FiberFunction(fiber, np.ones(fiber.n_nodes, dtype=complex))
+        with pytest.raises(PullBackUnavailable, match="ambient callable"):
+            evolve_group(rotation_generator(0, 1, 3), 0.3, 0.5, u)
+        with_func = FiberFunction(fiber, u.values, func=lambda z: np.ones(len(z)))
+        assert np.allclose(evolve_group(rotation_generator(0, 1, 3), 0.3, 0.5, with_func).values, 1.0)
 
     def test_rk4_circle_orbit_keeps_the_interpolant(self, monkeypatch):
         fiber = SphereFiber.circle(1.0, 32)

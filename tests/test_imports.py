@@ -65,10 +65,7 @@ def test_all_suites_load_no_scipy(tmp_path):
 KEPT_WITHOUT_CALLER = {
     "midpoint_map": "entry-by-entry oracle for the geometry of kernel_quantize's midpoint kernel",
     "intrinsic_divergence_fd": "finite-difference oracle for induced_divergence",
-    "bidifferential_power": "the Moyal star's k-th order, which tests check term by term",
     "TestFunction.check_gradient": "oracle that a test function's analytic gradient is right",
-    "PolySymbol.substitute_hbar_sign": "the ħ → −ħ map of the check g ⋆ f = (f ⋆ g)(−ħ)",
-    "quadratic_exactness_check": "oracle that the star commutator is exact on quadratics",
     "multiplication_op": "a dense multiplication FiberOperator that tests assemble and compose",
     "symbol_to_literal": "inverse of the config format's symbol literals",
 }

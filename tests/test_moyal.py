@@ -11,10 +11,8 @@ from weylred import moyal, symbols
 from weylred.moyal import (
     ExpansionBoundError,
     SingularSystemError,
-    bidifferential_power,
     expand_power_in_star_basis,
     moyal_star,
-    quadratic_exactness_check,
     star_commutator,
 )
 from weylred.symbols import (
@@ -25,6 +23,7 @@ from weylred.symbols import (
 )
 
 from conftest import poisson_oracle, random_symbol, random_vector_field
+from oracles import bidifferential_power, quadratic_exactness_check, substitute_hbar_sign
 
 
 def x(a, n=2):
@@ -100,7 +99,7 @@ class TestMoyalStar:
     def test_conjugation_symmetry(self, rng):
         f = random_symbol(rng, 2, 4)
         g = random_symbol(rng, 2, 4)
-        assert moyal_star(f, g).substitute_hbar_sign() == moyal_star(g, f)
+        assert substitute_hbar_sign(moyal_star(f, g)) == moyal_star(g, f)
 
 
 class TestIntegerProductLoop:
@@ -170,6 +169,32 @@ class TestIntegerProductLoop:
         assert product == f * g + g and star == moyal_star(f, g)
         assert bracket == moyal_star(product, f) - moyal_star(f, product)
         assert expansion.residual().is_zero()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_expansion_difference_and_momentum_build_no_fraction(self, monkeypatch, n):
+        # the whole expansion (star powers, leading-term quotients, fused
+        # steps, the c_j), a difference and J_X run on numerators alone
+        rng = random.Random(n)
+        f = angular_momentum(0, n - 1, n)
+        g = random_symbol(rng, n, 3) * Fraction(2, 7) + PolySymbol.hbar(n) * QQi(Fraction(1, 3), 5)
+        X = random_vector_field(rng, n, 2)
+        X = type(X)(n, tuple(c * Fraction(1, a + 2) for a, c in enumerate(X.components)))
+        built = []
+        raw_new = Fraction.__new__
+
+        def counted_new(cls, *args, **kwargs):
+            built.append(args)
+            return raw_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+        expansion = expand_power_in_star_basis(f, 4)
+        difference = f - g
+        J = momentum_symbol(X)
+        monkeypatch.undo()
+        assert built == []
+        assert expansion.residual().is_zero()
+        assert difference + g == f
+        assert J == sum((c * PolySymbol.xi(a, n) for a, c in enumerate(X.components)), PolySymbol.zero(n))
 
     def test_first_order_passes_read_no_coordinate_table(self, monkeypatch):
         # J_X, J_Y have xi-degree 1, so the x/xi bound keeps star_commutator at
@@ -293,6 +318,23 @@ class TestStarExpansion:
         assert coeffs[2] == hb(2, 2) * 5
         assert coeffs[0] == hb(2, 4) * Fraction(3, 2)
         assert set(coeffs) == {0, 2, 4}
+
+    @pytest.mark.parametrize(
+        "a", [QQi(0, 1), QQi(2, -1), QQi(Fraction(1, 3), Fraction(-3, 4))], ids=["i", "2-i", "third-quarter"]
+    )
+    def test_gaussian_multiple_scales_the_coefficients(self, a):
+        # (a f)^m = a^m f^m and (a f)^{*j} = a^j f^{*j}, so c_j(a f) = a^(m - j) c_j(f):
+        # a leading-term quotient over complex coefficients needs the conjugate
+        f, m = angular_momentum(0, 1, 2), 4
+        base = dict(expand_power_in_star_basis(f, m).coefficients)
+        scaled = expand_power_in_star_basis(f * a, m)
+        want = {}
+        for j, c in base.items():
+            for _ in range(m - j):
+                c = c * a
+            want[j] = c
+        assert dict(scaled.coefficients) == want
+        assert scaled.residual().is_zero()
 
     def test_reconstruction_random(self):
         rng = random.Random(14)

@@ -21,22 +21,22 @@ term in `QQi` arithmetic, so they never run the integer product loop that
 import random
 import time
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, gcd, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylred.moyal import (
-    bidifferential_power,
     expand_power_in_star_basis,
     moyal_star,
     star_commutator,
 )
 from weylred.rational import QQi
-from weylred.symbols import PolySymbol, angular_momentum
+from weylred.symbols import PolySymbol, VectorField, angular_momentum, momentum_symbol
 
 from conftest import random_symbol
+from oracles import bidifferential_power
 
 M_MAX = 8
 N_MAX = 4
@@ -357,3 +357,96 @@ def test_products_match_references_on_hostile_denominators(fg, shape):
             assert type(c.re) is Fraction and type(c.im) is Fraction
     if shape == "equal":
         assert got["commutator"].is_zero()
+
+
+# -- the fused steps of the star-basis reduction ----------------------------
+
+
+def _ref_combination(f, g, c, hbar_power=0):
+    """f - c hbar^hbar_power g, summed term by term in QQi arithmetic."""
+    out = dict(f.terms)
+    for key, coeff in _ref_scaled(g, c, hbar_power).terms.items():
+        total = out.get(key, QQi()) - coeff
+        if total.is_zero():
+            out.pop(key, None)
+        else:
+            out[key] = total
+    return PolySymbol(f.dimension, out)
+
+
+def _gaussian_rationals():
+    part = st.builds(Fraction, st.integers(-40, 40), st.sampled_from(_HOSTILE_DENOMINATORS[:4]))
+    return st.builds(QQi, part, part).filter(lambda c: not c.is_zero())
+
+
+def _as_numerators(c):
+    """(re, im, den) of a nonzero QQi, den the lcm of its denominators."""
+    den = c.re.denominator * c.im.denominator // gcd(c.re.denominator, c.im.denominator)
+    return int(c.re * den), int(c.im * den), den
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _hostile_symbol_pairs(),
+    _gaussian_rationals(),
+    st.integers(0, 3),
+    st.sampled_from(["drawn", "cancel"]),
+)
+def test_fused_step_matches_reference(fg, a, shift, shape):
+    f, g = fg
+    if shape == "cancel":  # f = a hbar^shift g exactly, so nothing is left
+        f = _ref_scaled(g, a, shift)
+    got = f._sub_scaled(g, *_as_numerators(a), shift)
+    assert got == _ref_combination(f, g, a, shift)
+    assert f - g == _ref_combination(f, g, QQi(1))
+    assert f + g == _ref_combination(f, g, QQi(-1))
+    if shape == "cancel":
+        assert got.is_zero() and got.den == 1 and got.num == {}
+    assert (f - f).is_zero() and (f - f).den == 1
+
+
+def _vector_fields():
+    """xi- and hbar-free components with hostile denominators, some of them zero."""
+    part = st.builds(Fraction, st.integers(-12, 12), st.sampled_from(_HOSTILE_DENOMINATORS))
+
+    def field(n):
+        exps = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple)
+        keys = st.tuples(st.just(0), exps, st.just((0,) * n))
+        comp = st.dictionaries(keys, st.builds(QQi, part), max_size=4).map(lambda t: PolySymbol(n, t))
+        return st.lists(comp, min_size=n, max_size=n).map(lambda cs: VectorField(n, tuple(cs)))
+
+    return st.integers(1, 3).flatmap(field)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_vector_fields())
+def test_momentum_symbol_matches_reference(X):
+    n = X.dimension
+    want = PolySymbol.zero(n)
+    for a, comp in enumerate(X.components):
+        want = _ref_combination(want, _ref_product(comp, PolySymbol.xi(a, n)), QQi(-1))
+    assert momentum_symbol(X) == want
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_wide_exponent_fields_match_sympy(n):
+    # exponents of 128 and more take two bytes per packed field, and the
+    # product's exponents pass 255; few derivative pairs survive, so the
+    # sympy reference stays small
+    sympy = pytest.importorskip("sympy")
+    xs = list(sympy.symbols(f"x0:{n}"))
+    xis = list(sympy.symbols(f"xi0:{n}"))
+    hbar = sympy.Symbol("hbar")
+    z = (0,) * (n - 1)
+    wide = (200,) if n == 2 else ()
+    f = PolySymbol(n, {(0, (130,) + z, (2,) + z): QQi(3), (1, (0,) * n, (1,) + wide): QQi(0, Fraction(1, 2))})
+    g = PolySymbol(n, {(0, (140,) + z, (1,) + z): QQi(-2), (0, (1,) + z, (3,) + z): QQi(1)})
+    if n == 2:
+        g = g + PolySymbol(n, {(0, (1, 0), (0, 60)): QQi(Fraction(-5, 3))})
+    order = f.total_degree() + g.total_degree()
+    for F, G in ((f, g), (g, f)):
+        F_, G_ = _to_sympy(sympy, F, xs, xis, hbar), _to_sympy(sympy, G, xs, xis, hbar)
+        want = _sympy_star(sympy, F_, G_, xs, xis, hbar, order)
+        assert sympy.expand(_to_sympy(sympy, moyal_star(F, G), xs, xis, hbar) - want) == 0
+    assert max(max(xe + xie) for _, xe, xie in (f * g).num) > 255
+    assert f.poisson(g) == _ref_bidifferential_power(f, g, 1)

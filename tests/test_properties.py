@@ -54,6 +54,7 @@ from weylred.sweep import SeparableCircleSymbol, bump_profile
 from weylred.symbols import PolySymbol, VectorField, rotation_generator
 
 from conftest import poisson_oracle, star_oracle
+from oracles import substitute_hbar_sign
 
 
 def _term_keys(n, max_degree, max_hbar=0):
@@ -111,7 +112,7 @@ def test_commutator_antisymmetric(fg):
 @given(same_dimension(2, max_degree=3, max_hbar=0))
 def test_swapped_factors_flip_the_sign_of_hbar(fg):
     f, g = fg
-    assert moyal_star(g, f) == moyal_star(f, g).substitute_hbar_sign()
+    assert moyal_star(g, f) == substitute_hbar_sign(moyal_star(f, g))
 
 
 @settings(max_examples=40, deadline=None)
@@ -241,7 +242,7 @@ def _assert_stored_form(r):
 def test_arithmetic_results_are_canonical(f, g, c, kind, a):
     # internal results skip revalidation; the public constructor must agree
     for r in (f + g, f - g, -f, f * g, f * c, c * f, f * 0, f.partial(kind, a),
-              f.hbar_component(1), f + (-f), f.poisson(g), f.substitute_hbar_sign(),
+              f.hbar_component(1), f + (-f), f.poisson(g), f._sub_scaled(g, 2, -3, 5, 1),
               moyal_star(f, g), star_commutator(f, g)):
         _assert_stored_form(r)
     assert (f * 0).terms == {} and (f + (-f)).terms == {}

@@ -30,3 +30,29 @@ def test_script_runs(script, args):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+def _load_mutants():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+MUTANTS = _load_mutants()
+
+
+@pytest.mark.parametrize("name, file, old, new, tests", MUTANTS.MUTANTS, ids=[m[0] for m in MUTANTS.MUTANTS])
+def test_mutant_old_line_occurs_once(name, file, old, new, tests):
+    # a refactor that moves or rewrites a seeded line must update its mutant
+    count = MUTANTS.occurrences(old)
+    assert count == 1, f"{name}: its old line occurs {count} times in src/"
+    assert old in (ROOT / "src" / "weylred" / file).read_text()
+    assert new != old and all((ROOT / t.split("::")[0]).exists() for t in tests)
+
+
+def test_mutant_names_are_unique():
+    names = [m[0] for m in MUTANTS.MUTANTS]
+    assert len(names) == len(set(names))

@@ -271,7 +271,7 @@ class TestEvaluate:
 
     def test_origin_no_constant(self, rng):
         f = random_symbol(rng, 2, 3)
-        f = f - PolySymbol.constant(f.coefficient((0, (0, 0), (0, 0))), 2)
+        f = f - PolySymbol.constant(f.terms.get((0, (0, 0), (0, 0)), 0), 2)
         assert f.evaluate([0, 0], [0, 0]) == pytest.approx(0.0)
 
     def test_hbar_grading(self):
