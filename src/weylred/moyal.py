@@ -16,12 +16,13 @@ product of two monomials is the tensor product of n one-coordinate
 products, each a short cached table of integers 2^k k! r
 (`symbols._coordinate_product`, imported here). The products run in
 `symbols.integer_product`, the loop the plain product and the Poisson
-bracket use too. One scan per factor packs its monomials into ints and
-gives the x/xi degrees that cut the orders. The loop tensors only a pair's
-active coordinates, where a derivative of one factor meets the other's
-variable; an idle pair is one add of packed exponents. It weights the kept
-orders over the 2^K K! of the largest, adds every order straight into one
-accumulator and ends with one gcd reduction. Since
+bracket use too, given the range of orders to keep. One scan per factor
+packs its monomials into ints and gives the x/xi degrees, and the loop cuts
+the range at the bound above: it alone decides the top order. It tensors
+only a pair's active coordinates, where a derivative of one factor meets
+the other's variable; an idle pair is one add of packed exponents. It
+weights the kept orders over the 2^K K! of the largest, adds every order
+straight into one accumulator and ends with one gcd reduction. Since
 P^k(g, f) = (-1)^k P^k(f, g), f * g - g * f is twice the odd orders of
 f * g: the star commutator is one pass over the term pairs, not two star
 products and a subtraction.
@@ -33,13 +34,18 @@ and each subtraction s - a hbar^d p is one `PolySymbol._sub_scaled` pass.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from math import factorial, gcd
+from math import gcd
 from typing import Dict, List, Tuple
 
 # the one-coordinate tables keep their name here too:
 # moyal._coordinate_product.cache_clear() empties them
-from .symbols import PolySymbol, TermKey, _check_same_dim, _coordinate_product, integer_product
+from .symbols import PolySymbol, TermKey, _coordinate_product, integer_product
+
+# no order of a product of polynomials passes its x/xi bound, and
+# `integer_product` cuts every range of orders there
+_EVERY_ORDER = range(sys.maxsize)
 
 
 class SingularSystemError(ValueError):
@@ -50,33 +56,9 @@ class ExpansionBoundError(RuntimeError):
     """The star-basis reduction reached an hbar power past its degree bound."""
 
 
-def _star(f: PolySymbol, g: PolySymbol, keep=None, phased: bool = True, scale: int = 1) -> PolySymbol:
-    """The orders K of f * g that `keep(K)` selects, times `scale`.
-
-    Without `phased` the terms are the raw (1/2)^K / K! P^K parts, with no
-    hbar^K or i^K. Order K differentiates each term of both factors K times,
-    so no order passes the total degree of the factor with fewer terms;
-    `integer_product` cuts the orders further, at the x/xi bound. The kept
-    orders share the denominator L = 2^K K! of the largest one, so every
-    weight is an integer.
-    """
-    _check_same_dim(f, g)
-    top = (f if len(f.num) <= len(g.num) else g).total_degree()
-    kept = [K for K in range(top + 1) if keep is None or keep(K)]
-    if not kept:
-        return PolySymbol.zero(f.dimension)
-    L = 2 ** kept[-1] * factorial(kept[-1])
-    common = gcd(scale, L)
-    lift = [
-        scale // common * (L // (2**K * factorial(K))) if K in kept else 0
-        for K in range(kept[-1] + 1)
-    ]
-    return integer_product(f, g, lift, L // common, phased)
-
-
 def moyal_star(f: PolySymbol, g: PolySymbol) -> PolySymbol:
     """f * g = sum_k (1/k!) (i/2)^k hbar^k P^k(f, g), a finite exact sum."""
-    return _star(f, g)
+    return integer_product(f, g, _EVERY_ORDER)
 
 
 def star_commutator(f: PolySymbol, g: PolySymbol) -> PolySymbol:
@@ -84,7 +66,7 @@ def star_commutator(f: PolySymbol, g: PolySymbol) -> PolySymbol:
 
     P^k(g, f) = (-1)^k P^k(f, g), so this is twice the odd orders of f * g.
     """
-    return _star(f, g, keep=lambda K: K & 1, scale=2)
+    return integer_product(f, g, range(1, _EVERY_ORDER.stop, 2), 2)
 
 
 @dataclass(frozen=True)
@@ -136,8 +118,6 @@ def _as_polynomial_in(
         a = _quotient(s.num[key], s.den, p.num[key], p.den)
         out.append((j, a))
         s = s._sub_scaled(p, *a)
-        if key in s.num:  # exact division removes the leading term; a step that keeps it never ends
-            raise ArithmeticError(f"leading term {key} survived its division step")
     return out
 
 

@@ -299,7 +299,7 @@ class PolySymbol:
         sign is fixed so that {J_X, J_Y} = J_[X,Y] with the standard Lie
         bracket of vector fields.
         """
-        return integer_product(self, self._coerce(other), (0, 1), phased=False)
+        return integer_product(self, self._coerce(other), range(1, 2), 2, phased=False)
 
     # -- queries --------------------------------------------------------
     def total_degree(self) -> int:
@@ -424,47 +424,47 @@ def _scan(f: PolySymbol, size: int):
 def integer_product(
     f: PolySymbol,
     g: PolySymbol,
-    lift: Sequence[int] = (1,),
-    den: int = 1,
+    orders: range = range(1),
+    scale: int = 1,
     phased: bool = True,
 ) -> PolySymbol:
     """The exact product loop: every product of symbols runs here, on integers.
 
-    Gives sum_K lift[K] P^K(f, g) over f.den g.den den, for K up to
-    len(lift) - 1, with P^K the order-K bidifferential part of the Moyal
-    product (P^0 = fg, P^1 the Poisson bracket); with `phased` order K also
-    carries hbar^K i^K, its sign folded into the weights and its i a swap.
-    So the plain product is lift = (1,), `poisson` is lift = (0, 1) without
-    phase, and `moyal._star` weights lift[K] = L / (2^K K!) over den = L.
-    Both factors enter as their stored Gaussian-integer numerators, only int
-    multiply-adds run per pair of terms, and one gcd reduces the sums. No
-    Fraction is built.
+    Gives scale sum_K (1/2)^K / K! P^K(f, g) over the orders K in `orders`,
+    with P^K the order-K bidifferential part of the Moyal product (P^0 = fg,
+    P^1 the Poisson bracket); with `phased` order K also carries
+    hbar^K i^K, its sign folded into the weights and its i a swap. So the
+    plain product is orders = range(1), `poisson` is range(1, 2) times 2
+    without phase, and the star product is every order. Both factors enter
+    as their stored Gaussian-integer numerators, only int multiply-adds run
+    per pair of terms, and one gcd reduces the sums. No Fraction is built.
 
     Order 0 alone is a plain loop over tuple keys; a one-term factor there
     only relabels and scales the other's terms, with no accumulation. Past
     it, one scan per factor (`_scan`) packs each monomial into one int and
-    gives the x and xi degrees. Orders past min(xi deg f, x deg g) +
-    min(x deg f, xi deg g) vanish (order K applies d_xi^alpha d_x^beta to f
-    and d_x^alpha d_xi^beta to g, |alpha| + |beta| = K), so `lift` is cut
-    there. At top order 1 (`_first_order_sums`) each coordinate's
-    derivative terms of f and g are paired directly. Past it
-    (`_tensor_sums`) a pair of terms reaches past order 0 only through its
-    active coordinates a, those where the xi_a exponent of f and the x_a
-    exponent of g, or the x_a exponent of f and the xi_a exponent of g, are
-    both nonzero; a pair with none costs one add of packed exponents
-    (nothing if lift[0] = 0), and only the active coordinates' tables
-    (`_coordinate_product`) are tensored, entries past the top order pruned
-    as they are built: an order-K entry that lowers coordinate a by k_a
-    weighs prod R_a K! lift[K] / prod k_a!, with K! lift[K] tabled once per
-    call, and moves the packed key by sum_a k_a (hbar - x_a - xi_a). Every
-    order adds straight into one accumulator, and the sums are unpacked and
-    reduced in one pass.
+    gives the x and xi degrees. No order passes min(xi deg f, x deg g) +
+    min(x deg f, xi deg g) (order K applies d_xi^alpha d_x^beta to f and
+    d_x^alpha d_xi^beta to g, |alpha| + |beta| = K), so `orders` is cut
+    there, and the kept orders share the denominator 2^top top! of the
+    largest one, top: every weight is an integer. At top order 1
+    (`_first_order_sums`) each coordinate's derivative terms of f and g are
+    paired directly. Past it (`_tensor_sums`) a pair of terms reaches past
+    order 0 only through its active coordinates a, those where the xi_a
+    exponent of f and the x_a exponent of g, or the x_a exponent of f and
+    the xi_a exponent of g, are both nonzero; a pair with none costs one add
+    of packed exponents (nothing if order 0 is not kept), and only the
+    active coordinates' tables (`_coordinate_product`) are tensored, entries
+    past the top order pruned as they are built: an order-K entry that
+    lowers coordinate a by k_a weighs prod R_a K! w_K / prod k_a!, w_K the
+    order's weight over the common denominator, and moves the packed key by
+    sum_a k_a (hbar - x_a - xi_a). Every order adds straight into one
+    accumulator, and the sums are unpacked and reduced in one pass.
     """
     _check_same_dim(f, g)
     n = f.dimension
-    D = f.den * g.den * den
-    if len(lift) == 1:
-        return PolySymbol._reduced(n, D, _plain_sums(f, g, lift[0]))
+    D = f.den * g.den
+    if orders == range(1):
+        return PolySymbol._reduced(n, D, _plain_sums(f, g, scale))
     size = 1
     while True:
         fs, gs = _scan(f, size), _scan(g, size)
@@ -472,22 +472,25 @@ def integer_product(
             break
         size += 1
     (fs, xf, xif), (gs, xg, xig) = fs, gs
-    top = min(len(lift) - 1, min(xif, xg) + min(xf, xig))
-    while top and not lift[top]:
-        top -= 1
-    if top < len(lift) - 1:  # cut orders carry factors of den: divide them out
-        common = gcd(den, *lift[: top + 1])
-        lift = [w // common for w in lift[: top + 1]]
-        D //= common
+    kept = range(orders.start, min(orders.stop, min(xif, xg) + min(xf, xig) + 1), orders.step)
+    if not kept:
+        return PolySymbol.zero(n)
+    top = kept[-1]
     if not top:
-        return PolySymbol._reduced(n, D, _plain_sums(f, g, lift[0]) if lift[0] else {})
+        return PolySymbol._reduced(n, D, _plain_sums(f, g, scale))
+    # order K weighs scale / (2^K K!) = scale 2^(top-K) top! / K! over 2^top top!;
+    # the loops take K! times that numerator
+    common = gcd(scale, factorial(top) << top)
+    D *= (factorial(top) << top) // common
+    unit = scale // common * factorial(top)
+    weight = [unit << (top - K) if K in kept else 0 for K in range(top + 1)]
     if phased:  # fold the sign of i^K into the weights; the swap stays below
-        lift = [-w if K & 2 else w for K, w in enumerate(lift)]
+        weight = [-w if K & 2 else w for K, w in enumerate(weight)]
     w8 = 8 * size
     if top == 1:
-        acc = _first_order_sums(fs, gs, n, w8, lift[0], lift[1], phased)
+        acc = _first_order_sums(fs, gs, n, w8, weight[0], weight[1], phased)
     else:
-        acc = _tensor_sums(fs, gs, n, w8, lift, phased)
+        acc = _tensor_sums(fs, gs, n, w8, weight, phased)
     common = _common_factor(D, acc.values())
     h_shift = 2 * n * w8
     low = (1 << h_shift) - 1
@@ -502,20 +505,20 @@ def integer_product(
     return PolySymbol._canonical(n, D // common if num else 1, num)
 
 
-def _first_order_sums(fs, gs, n: int, w8: int, lift0: int, lift1: int, phased: bool) -> dict:
-    """Packed sums of lift0 fg + lift1 (i hbar)^phased P^1(f, g) over the rows of `_scan`.
+def _first_order_sums(fs, gs, n: int, w8: int, w0: int, w1: int, phased: bool) -> dict:
+    """Packed sums of w0 fg + w1 (i hbar)^phased P^1(f, g) over the rows of `_scan`.
 
     P^1(f, g) = sum_a d_xi_a f d_x_a g - d_x_a f d_xi_a g: each
     coordinate's derivative terms are paired directly, so a pair of terms
     with no active coordinate costs nothing, and the weight, sign and phase
-    ride on the f side. lift0 adds the plain product as one more pairing.
+    ride on the f side. w0 adds the plain product as one more pairing.
     """
     hb = 1 << (2 * n * w8) if phased else 0
-    c0, d0 = (0, lift1) if phased else (lift1, 0)
+    c0, d0 = (0, w1) if phased else (w1, 0)
     pairings = []
-    if lift0:
+    if w0:
         pairings.append(
-            ([(k, a * lift0, b * lift0) for k, _, _, a, b, _ in fs], [(k, c, d) for k, _, _, c, d, _ in gs])
+            ([(k, a * w0, b * w0) for k, _, _, a, b, _ in fs], [(k, c, d) for k, _, _, c, d, _ in gs])
         )
     for j in range(n):
         for fi, gi, sign in ((n + j, j, 1), (j, n + j, -1)):
@@ -544,16 +547,15 @@ def _first_order_sums(fs, gs, n: int, w8: int, lift0: int, lift1: int, phased: b
     return acc
 
 
-def _tensor_sums(fs, gs, n: int, w8: int, lift: Sequence[int], phased: bool) -> dict:
-    """Packed sums of sum_K lift[K] (i hbar)^(K phased) P^K(f, g) over the rows of `_scan`, top order >= 2.
+def _tensor_sums(fs, gs, n: int, w8: int, weight: Sequence[int], phased: bool) -> dict:
+    """Packed sums of sum_K weight[K] / K! (i hbar)^(K phased) P^K(f, g) over the rows of `_scan`, top order >= 2.
 
-    The sign of i^K is already folded into `lift`. Each pair of terms adds
-    lift[0] times its plain product, and past it the tensor product of its
+    The sign of i^K is already folded into `weight`. Each pair of terms adds
+    weight[0] times its plain product, and past it the tensor product of its
     active coordinates' tables, pruned past the top order.
     """
-    top = len(lift) - 1
-    weight = [factorial(K) * w for K, w in enumerate(lift)]
-    lift0 = lift[0]
+    top = len(weight) - 1
+    w0 = weight[0]
     hbar_bit = 1 << (2 * n * w8) if phased else 0
     step = [hbar_bit - (1 << (a * w8)) - (1 << ((n + a) * w8)) for a in range(n)]
     acc: dict = {}
@@ -561,17 +563,17 @@ def _tensor_sums(fs, gs, n: int, w8: int, lift: Sequence[int], phased: bool) -> 
     for key1, xm1, xim1, a, b, e1 in fs:
         for key2, xm2, xim2, c, d, e2 in gs:
             active = (xim1 & xm2) | (xm1 & xim2)
-            if not (active or lift0):
+            if not (active or w0):
                 continue
             re, im = a * c - b * d, a * d + b * c
             key = key1 + key2
-            if lift0:
+            if w0:
                 slot = get(key)
                 if slot is None:
-                    acc[key] = [re * lift0, im * lift0]
+                    acc[key] = [re * w0, im * w0]
                 else:
-                    slot[0] += re * lift0
-                    slot[1] += im * lift0
+                    slot[0] += re * w0
+                    slot[1] += im * w0
                 if not active:
                     continue
             re1, im1 = (-im, re) if phased else (re, im)  # the odd orders' i

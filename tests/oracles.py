@@ -3,9 +3,9 @@ path calls, kept here so that they stay independent of `src/`."""
 
 from math import factorial
 
-from weylred.moyal import _star, star_commutator
+from weylred.moyal import star_commutator
 from weylred.rational import QQi
-from weylred.symbols import PolySymbol, _check_same_dim
+from weylred.symbols import PolySymbol, _check_same_dim, integer_product
 
 
 def bidifferential_power(f: PolySymbol, g: PolySymbol, k: int) -> PolySymbol:
@@ -18,7 +18,7 @@ def bidifferential_power(f: PolySymbol, g: PolySymbol, k: int) -> PolySymbol:
     """
     if k < 0:
         raise ValueError("bidifferential order must be non-negative")
-    return _star(f, g, keep=lambda K: K == k, phased=False, scale=factorial(k) * 2**k)
+    return integer_product(f, g, range(k, k + 1), factorial(k) * 2**k, phased=False)
 
 
 def quadratic_exactness_check(h: PolySymbol, g: PolySymbol) -> PolySymbol:

@@ -28,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylred.moyal import (
+    _quotient,
     expand_power_in_star_basis,
     moyal_star,
     star_commutator,
@@ -383,6 +384,18 @@ def _as_numerators(c):
     """(re, im, den) of a nonzero QQi, den the lcm of its denominators."""
     den = c.re.denominator * c.im.denominator // gcd(c.re.denominator, c.im.denominator)
     return int(c.re * den), int(c.im * den), den
+
+
+@settings(max_examples=60, deadline=None)
+@given(_gaussian_rationals(), _gaussian_rationals())
+def test_leading_term_quotient_matches_qqi_division(s, p):
+    # the reduction's integer division s / p, in lowest terms; a wrong
+    # quotient leaves the leading term in place and the reduction never ends
+    sr, si, s_den = _as_numerators(s)
+    pr, pi, p_den = _as_numerators(p)
+    re, im, den = _quotient((sr, si), s_den, (pr, pi), p_den)
+    assert QQi(Fraction(re, den), Fraction(im, den)) == s / p
+    assert den > 0 and gcd(re, im, den) == 1
 
 
 @settings(max_examples=60, deadline=None)
