@@ -121,10 +121,10 @@ MUTANTS = [
         ["tests/test_config_cli.py"],
     ),
     (
-        "midpoint-guard-zero",
-        "fiber.py",
-        "    if ns <= 1e-12 * r:",
-        "    if ns <= 0:",
+        "sphere-antipodal-mask-zero",
+        "geometry.py",
+        "        anti = np.linalg.norm(Z[:, None, :] + Z[None, :, :], axis=2) <= 1e-9 * r",
+        "        anti = np.linalg.norm(Z[:, None, :] + Z[None, :, :], axis=2) <= 0",
         ["tests/test_fiber.py"],
     ),
     (

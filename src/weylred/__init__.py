@@ -7,8 +7,9 @@ Layers:
   star-basis expansions.
 - ``geometry``: the two fiber models (``SphereFiber`` for circles and
   2-spheres, the level sets of a radial phi; ``LevelSetModel`` for
-  implicit curves and lines, which carries its own curve parametrization),
-  coarea densities, and induced divergences of tangent vector fields.
+  implicit curves and lines, which carries its curve parametrization at
+  its nodes), coarea densities, and induced divergences of tangent vector
+  fields.
 - ``dint``: the direct-integral decomposition (position and momentum
   sides) and decomposable operators (``assemble_Opd``), through which
   the strong-commutation check runs.
@@ -26,7 +27,6 @@ from .symbols import (
     momentum_symbol,
     rotation_generator,
     symbol_from_literal,
-    symbol_to_literal,
     xi_norm_squared,
 )
 from .moyal import (
@@ -41,7 +41,6 @@ from .geometry import (
     MalformedFiber,
     NotTangent,
     OffLevel,
-    ParametrizationUnavailable,
     ScalarHamiltonian,
     SingularPoint,
     TestFunction,
@@ -74,7 +73,6 @@ from .dint import (
     strong_commutation_check,
 )
 from .fiber import (
-    AntipodalPair,
     FiberFunction,
     FiberOperator,
     PWSymbol,
@@ -85,8 +83,6 @@ from .fiber import (
     fiber_JX_apply,
     fiber_JX_matrix,
     kernel_quantize,
-    midpoint_map,
-    multiplication_op,
     stereo_charts,
 )
 from .sweep import (

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -133,11 +134,38 @@ def _parse_vector_field(spec, n: int) -> VectorField:
     raise ConfigError("field 'vector_field': expected a name or component literals")
 
 
+def _integer(value, key: str) -> int:
+    # type, not isinstance: JSON true and false arrive as bools, a subclass of int
+    if type(value) is not int:
+        raise ConfigError(f"field {key!r}: expected an integer, got {value!r}")
+    return value
+
+
+def _number(value, key: str) -> float:
+    # Python's json reads NaN, which passes every <= check of _validate
+    if type(value) not in (int, float) or math.isnan(value):
+        raise ConfigError(f"field {key!r}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _string(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"field {key!r}: expected a string, got {value!r}")
+    return value
+
+
+def _list(value, key: str, convert, what: str) -> tuple:
+    if not isinstance(value, list):
+        raise ConfigError(f"field {key!r}: expected a list of {what}, got {value!r}")
+    return tuple(convert(v, key) for v in value)
+
+
 def config_from_dict(raw: dict) -> SuiteConfig:
+    """The SuiteConfig of a parsed JSON object; any malformed field raises ConfigError naming it."""
     unknown = set(raw) - _KNOWN_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    n = int(raw.get("n", 2))
+    n = _integer(raw.get("n", 2), "n")
     kwargs = {"dimension": n}
     if "hamiltonian" in raw:
         kwargs["hamiltonian"] = _parse_hamiltonian(raw["hamiltonian"], n)
@@ -147,26 +175,26 @@ def config_from_dict(raw: dict) -> SuiteConfig:
         rng = raw["lambda_range"]
         if not (isinstance(rng, list) and len(rng) == 2):
             raise ConfigError("field 'lambda_range': expected [min, max]")
-        kwargs["lambda_range"] = (float(rng[0]), float(rng[1]))
+        kwargs["lambda_range"] = tuple(_number(v, "lambda_range") for v in rng)
     if "hbar" in raw:
-        kwargs["hbar_list"] = tuple(float(h) for h in raw["hbar"])
+        kwargs["hbar_list"] = _list(raw["hbar"], "hbar", _number, "numbers")
     if "test_functions" in raw:
-        sel = tuple(int(i) for i in raw["test_functions"])
+        sel = _list(raw["test_functions"], "test_functions", _integer, "integers")
         if any(i < 0 or i > 4 for i in sel) or not sel:
             raise ConfigError("field 'test_functions': indices must be in 0..4")
         kwargs["test_functions"] = sel
     for json_key, attr, conv in (
-        ("fiber_kind", "fiber_kind", str),
-        ("n_lambda", "n_lambda", int),
-        ("fiber_nodes", "fiber_nodes", int),
-        ("n_polar", "n_polar", int),
-        ("n_azimuth", "n_azimuth", int),
-        ("tolerance", "tolerance", float),
-        ("seed", "seed", int),
-        ("out", "out_dir", str),
+        ("fiber_kind", "fiber_kind", _string),
+        ("n_lambda", "n_lambda", _integer),
+        ("fiber_nodes", "fiber_nodes", _integer),
+        ("n_polar", "n_polar", _integer),
+        ("n_azimuth", "n_azimuth", _integer),
+        ("tolerance", "tolerance", _number),
+        ("seed", "seed", _integer),
+        ("out", "out_dir", _string),
     ):
         if json_key in raw:
-            kwargs[attr] = conv(raw[json_key])
+            kwargs[attr] = conv(raw[json_key], json_key)
     try:
         return SuiteConfig(**kwargs)
     except ConfigError:

@@ -354,7 +354,7 @@ class DecomposableOperator:
 def _at_level(lam, stage: str, call: Callable, *args):
     """call(*args) for the level lam.
 
-    A named error of this package (SingularPoint, NotTangent, AntipodalPair, ...)
+    A named error of this package (SingularPoint, NotTangent, StereographicPole, ...)
     is re-raised as its own type with lam in the message; any other exception,
     a bug in the caller's code, passes through unchanged.
     """

@@ -1,10 +1,10 @@
 """Quantization on sphere fibers S^{n-1}_r for n = 2, 3.
 
-Geodesic midpoint map, stereographic charts with their metric density, the
-explicit midpoint kernel built from the vertical Fourier transform of a
-symbol, the fiber operator -i hbar (X + div X / 2), and the associated
-one-parameter flow propagator. The sphere grids (`SphereFiber`) are
-defined in `geometry`, next to the other level-set models.
+Stereographic charts with their metric density, the explicit midpoint
+kernel built from the vertical Fourier transform of a symbol, the fiber
+operator -i hbar (X + div X / 2), and the associated one-parameter flow
+propagator. The sphere grids (`SphereFiber`) are defined in `geometry`,
+next to the other level-set models.
 """
 
 from __future__ import annotations
@@ -27,10 +27,6 @@ from .geometry import (
     tangency_residual,
 )
 from .symbols import VectorField
-
-
-class AntipodalPair(ValueError):
-    """The midpoint map is undefined for antipodal points."""
 
 
 class StereographicPole(ValueError):
@@ -138,27 +134,6 @@ class FiberOperator:
         return self.matrix / self.fiber.weights[None, :]
 
 
-def midpoint_map(z, w, r: float):
-    """Geodesic midpoint of z, w on the r-sphere and half the chord velocity.
-
-    Returns (r(z+w)/||z+w||, (r theta/2)(z-w)/||z-w||) where theta is the
-    angle between z and w; (z, 0) on the diagonal.
-    """
-    z = np.asarray(z, dtype=float)
-    w = np.asarray(w, dtype=float)
-    s = z + w
-    ns = np.linalg.norm(s)
-    if ns <= 1e-12 * r:
-        raise AntipodalPair("midpoint map undefined for antipodal points")
-    d = z - w
-    nd = np.linalg.norm(d)
-    if nd == 0.0:
-        return z.copy(), np.zeros_like(z)
-    cos_t = np.clip(np.dot(z, w) / (r * r), -1.0, 1.0)
-    theta = math.acos(cos_t)
-    return r * s / ns, (r * theta / 2) * d / nd
-
-
 def stereo_charts(w, r: float):
     """Stereographic chart centred opposite the pole w on the r-sphere.
 
@@ -211,8 +186,9 @@ def kernel_quantize(f: PWSymbol, hbar: float, fiber: SphereFiber) -> FiberOperat
     the chord direction, so that on small scales the construction matches
     the flat Weyl kernel hbar^{-d} fhat((x+y)/2, (x-y)/hbar). Antipodal
     entries vanish; the optional cutoff kappa is evaluated at the geometric
-    half-velocity (the midpoint-map tangent). The symbol is evaluated only
-    on pairs with r theta/|hbar| <= support_radius; every other entry is 0.
+    half-velocity (r theta / 2 in the chord direction). The symbol is
+    evaluated only on pairs with r theta/|hbar| <= support_radius; every
+    other entry is 0.
 
     Separable `terms` are planar: on a fiber with ambient_dim != 2 they
     raise ValueError. Two routes give the same entries. A symbol with
@@ -288,12 +264,6 @@ def _separable_circle_block(terms, hbar: float, fiber: SphereFiber, reach: float
         return out
 
     return block
-
-
-def multiplication_op(a: Callable[[np.ndarray], np.ndarray], fiber) -> FiberOperator:
-    """Multiplication by a(z); a is called once on the (N, n) nodes and gives (N,)."""
-    vals = call_on_nodes(a, np.asarray(fiber.nodes, dtype=float)).astype(complex)
-    return FiberOperator(fiber, np.diag(vals))
 
 
 # -- tangential differentiation ---------------------------------------

@@ -32,10 +32,6 @@ class NotTangent(ValueError):
     """The vector field fails to be tangent to the level sets."""
 
 
-class ParametrizationUnavailable(ValueError):
-    pass
-
-
 class OffLevel(ValueError):
     """A fiber node where some phi_j is off its level by more than NODE_TOL (1 + |lam|)."""
 
@@ -113,8 +109,8 @@ class TestFunction:
 
     The callables take node arrays of shape (N, n) and return shape (N,)
     (`gradient`: (N, n)); `call_on_nodes` enforces this. They are also
-    given single points of shape (n,) by `check_gradient` and by the
-    one-point form of `ambient_JY_apply`.
+    given single points of shape (n,) by the one-point form of
+    `ambient_JY_apply`.
 
     `fourier` (when present) is the unitary, hbar-free Fourier transform
     (2 pi)^{-n/2} int u(x) e^{-i<x,xi>} dx, used by the momentum-side
@@ -128,21 +124,6 @@ class TestFunction:
     analytic_l2_norm: Optional[float] = None
     fourier: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = ""
-
-    def check_gradient(self, probes: np.ndarray) -> float:
-        """Max relative deviation of the analytic gradient vs central FD (step 1e-6)."""
-        h = 1e-6
-        worst = 0.0
-        for p in np.atleast_2d(probes):
-            g = np.asarray(self.gradient(p))
-            fd = np.zeros_like(g, dtype=complex)
-            for a in range(len(p)):
-                e = np.zeros(len(p))
-                e[a] = h
-                fd[a] = (self.value(p + e) - self.value(p - e)) / (2 * h)
-            scale = 1.0 + np.linalg.norm(g)
-            worst = max(worst, float(np.linalg.norm(g - fd) / scale))
-        return worst
 
 
 def call_on_nodes(func: Callable, pts: np.ndarray, trailing: Tuple[int, ...] = ()) -> np.ndarray:
@@ -527,8 +508,7 @@ class LevelSetModel:
 
     nodes carry weights discretizing the Riemannian measure eta_lambda. The
     fiber is a curve z(t): `params` holds t and `node_velocities` dz/dt at
-    every node (for curve derivatives), and `point` and `velocity` give z(t)
-    and dz/dt at any t (for the finite-difference divergence oracle).
+    every node (for curve derivatives).
     fiber_kind 'implicit-curve' has uniform periodic parameters in
     [0, 2 pi), 'line' Gauss-Legendre ones. The density rho is not stored:
     the lambda-grid builders compute it once per fiber.
@@ -541,8 +521,6 @@ class LevelSetModel:
     weights: np.ndarray
     params: np.ndarray
     node_velocities: np.ndarray
-    point: Callable[[float], np.ndarray]
-    velocity: Callable[[float], np.ndarray]
 
     def __post_init__(self):
         self.level = np.atleast_1d(np.asarray(self.level, dtype=float))
@@ -688,28 +666,17 @@ def implicit_curve_level_set(
     if phi.dimension != 2:
         raise ValueError("implicit-curve fibers need ambient dimension 2")
 
-    def solve_r(t: float, r0: float) -> float:
-        return _radial_newton(phi, np.array([math.cos(t), math.sin(t)]), lam, r0)
-
-    def point(t: float) -> np.ndarray:
-        d = np.array([math.cos(t), math.sin(t)])
-        return solve_r(t % (2 * math.pi), 1.0 + math.sqrt(abs(lam))) * d
-
-    def velocity(t: float) -> np.ndarray:
-        return _star_curve_velocity(phi, point(t)[None, :])[0]
-
     thetas = 2 * math.pi * np.arange(n_nodes) / n_nodes
     radii = np.empty(n_nodes)
     r_pred = 1.0 + math.sqrt(abs(lam))
     for i, t in enumerate(thetas):
-        radii[i] = solve_r(t, r_pred)
+        radii[i] = _radial_newton(phi, np.array([math.cos(t), math.sin(t)]), lam, r_pred)
         r_pred = radii[i]
     nodes = radii[:, None] * np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
     node_velocities = _star_curve_velocity(phi, nodes)
     weights = np.linalg.norm(node_velocities, axis=1) * (2 * math.pi / n_nodes)
     return LevelSetModel(
-        [phi], np.array([lam]), "implicit-curve", nodes, weights,
-        thetas, node_velocities, point, velocity,
+        [phi], np.array([lam]), "implicit-curve", nodes, weights, thetas, node_velocities
     )
 
 
@@ -730,97 +697,4 @@ def line_level_set(
     t = t * box
     wt = wt * box
     nodes = x0[None, :] + t[:, None] * d[None, :]
-    return LevelSetModel(
-        [phi], np.array([lam]), "line", nodes, wt,
-        t, np.tile(d, (n_nodes, 1)), lambda s: x0 + s * d, lambda s: d.copy(),
-    )
-
-
-# -- finite-difference divergence oracle -------------------------------
-
-
-def _curve_divergence_fd(Y: VectorField, point, velocity, t: float, h: float = 1e-5) -> float:
-    """(sigma v)'(t) / sigma(t) with sigma = |dz/dt|, v = <Y, dz/dt>/sigma^2 on the curve z(t)."""
-
-    def sigma_v(s: float) -> Tuple[float, float]:
-        vel = velocity(s)
-        sig = float(np.linalg.norm(vel))
-        v = float(np.dot(Y.evaluate(point(s)), vel)) / sig**2
-        return sig, v
-
-    sig_p, v_p = sigma_v(t + h)
-    sig_m, v_m = sigma_v(t - h)
-    sig0, _ = sigma_v(t)
-    return (sig_p * v_p - sig_m * v_m) / (2 * h * sig0)
-
-
-def _sphere_divergence_fd(Y: VectorField, r: float, z: np.ndarray, h: float = 1e-5) -> float:
-    """FD divergence on the r-sphere in a rotated spherical chart at z."""
-    axis_idx = int(np.argmin(np.abs(z)))
-    e3 = np.zeros(3)
-    e3[axis_idx] = 1.0
-    e1 = np.cross(e3, z / r)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(e3, e1)
-
-    def point(alpha: float, beta: float) -> np.ndarray:
-        return r * (
-            math.sin(alpha) * (math.cos(beta) * e1 + math.sin(beta) * e2)
-            + math.cos(alpha) * e3
-        )
-
-    # chart coordinates of z
-    alpha0 = math.acos(np.clip(np.dot(z, e3) / r, -1, 1))
-    beta0 = math.atan2(np.dot(z, e2), np.dot(z, e1))
-
-    def comps(alpha: float, beta: float) -> Tuple[float, float, float]:
-        p = point(alpha, beta)
-        da = r * (
-            math.cos(alpha) * (math.cos(beta) * e1 + math.sin(beta) * e2)
-            - math.sin(alpha) * e3
-        )
-        db = r * math.sin(alpha) * (-math.sin(beta) * e1 + math.cos(beta) * e2)
-        y = Y.evaluate(p)
-        va = float(np.dot(y, da)) / (r * r)
-        vb = float(np.dot(y, db)) / (r * r * math.sin(alpha) ** 2)
-        sqrt_g = r * r * math.sin(alpha)
-        return va, vb, sqrt_g
-
-    _, _, sg0 = comps(alpha0, beta0)
-    va_p, _, sg_ap = comps(alpha0 + h, beta0)
-    va_m, _, sg_am = comps(alpha0 - h, beta0)
-    _, vb_p, _ = comps(alpha0, beta0 + h)
-    _, vb_m, _ = comps(alpha0, beta0 - h)
-    d_alpha = (sg_ap * va_p - sg_am * va_m) / (2 * h)
-    sg_b = sg0  # sqrt(g) is beta-independent
-    d_beta = sg_b * (vb_p - vb_m) / (2 * h)
-    return (d_alpha + d_beta) / sg0
-
-
-def intrinsic_divergence_fd(Y: VectorField, fiber, z) -> float:
-    """Chart finite-difference divergence of the induced field at a fiber node.
-
-    Independent oracle for `induced_divergence`; never uses the Hessian
-    closed form. 2-spheres use a rotated spherical chart at z, circles their
-    angle, and `LevelSetModel` curves their own parametrization.
-    """
-    z = np.asarray(z, dtype=float)
-    if isinstance(fiber, SphereFiber) and fiber.ambient_dim == 3:
-        return _sphere_divergence_fd(Y, fiber.radius, z)
-    if isinstance(fiber, SphereFiber):
-        r = fiber.radius
-        params = fiber.thetas
-
-        def point(t):
-            return r * np.array([math.cos(t), math.sin(t)])
-
-        def velocity(t):
-            return r * np.array([-math.sin(t), math.cos(t)])
-
-    else:
-        point, velocity, params = fiber.point, fiber.velocity, fiber.params
-    # locate the chart parameter of z
-    idx = int(np.argmin(np.linalg.norm(fiber.nodes - z, axis=1)))
-    if np.linalg.norm(fiber.nodes[idx] - z) > 1e-9:
-        raise ParametrizationUnavailable("probe point is not a fiber node")
-    return _curve_divergence_fd(Y, point, velocity, float(params[idx]))
+    return LevelSetModel([phi], np.array([lam]), "line", nodes, wt, t, np.tile(d, (n_nodes, 1)))

@@ -855,18 +855,3 @@ def symbol_from_literal(records, n: int) -> PolySymbol:
         c = QQi(re, im)
         terms[key] = terms.get(key, QQi()) + c
     return PolySymbol(n, terms)
-
-
-def symbol_to_literal(f: PolySymbol):
-    records = []
-    for (h, xe, xie), c in sorted(f.terms.items()):
-        records.append(
-            {
-                "re": str(c.re),
-                "im": str(c.im),
-                "hbar": h,
-                "x": list(xe),
-                "xi": list(xie),
-            }
-        )
-    return records

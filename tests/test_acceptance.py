@@ -36,7 +36,6 @@ from weylred.geometry import (
     TestFunction,
     implicit_curve_level_set,
     induced_divergence,
-    intrinsic_divergence_fd,
     radial_hamiltonian,
     sphere2_level_set,
 )
@@ -56,7 +55,7 @@ from weylred.symbols import (
 )
 
 from conftest import random_symbol, random_vector_field
-from oracles import quadratic_exactness_check
+from oracles import intrinsic_divergence_fd, quadratic_exactness_check
 
 SEED = 20240817
 

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from weylred import cli
 from weylred.cli import _timed, main, run_suite
 from weylred.config import (
     ConfigError,
@@ -13,6 +14,7 @@ from weylred.config import (
     config_from_dict,
     parse_config,
 )
+from weylred.dint import DirectIntegralSection
 from weylred.report import CheckRecord, Report, emit_report, report_to_dict
 
 
@@ -170,6 +172,34 @@ class TestPassRule:
         assert record.passed is passed
 
 
+class TestIntertwiningTolerance:
+    """The intertwining records pass below 1e-12: a shift of 10x that on the
+    lifted side fails them, one of 0.1x passes."""
+
+    @pytest.mark.parametrize(
+        "record, apply_name",
+        [("multiplication-intertwining", "apply_Tx"), ("momentum-laplacian-intertwining", "apply_Txi")],
+    )
+    @pytest.mark.parametrize("shift, passed", [(1e-11, False), (1e-13, True)], ids=["10x", "0.1x"])
+    def test_boundary_pair(self, monkeypatch, record, apply_name, shift, passed):
+        apply = getattr(cli, apply_name)
+        lifted = []
+
+        def shifted(u, grid):
+            out = apply(u, grid)
+            if u.gradient is None:  # phi u, the one function the runner builds without a gradient
+                lifted.append(u)
+                out = DirectIntegralSection(grid, out.parts + shift)
+            return out
+
+        monkeypatch.setattr(cli, apply_name, shifted)
+        report = run_suite(SuiteConfig(test_functions=(0,)), "unitarity")
+        (rec,) = [r for r in report.records if r.name == record]
+        assert lifted
+        assert rec.residual == pytest.approx(shift, rel=1e-3)
+        assert rec.passed is passed
+
+
 class TestCLI:
     def test_kernel_exit_zero(self, tmp_path, capsys):
         assert main(["kernel", "--out", str(tmp_path)]) == 0
@@ -202,6 +232,29 @@ class TestCLI:
         cfg.write_text(json.dumps({"hamiltonian": [term]}))
         assert main(["identities", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "x exponents" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "raw, field",
+        [
+            ({"hbar": 0.5}, "hbar"),
+            ({"test_functions": 3}, "test_functions"),
+            ({"lambda_range": ["a", 1]}, "lambda_range"),
+            ({"hbar": ["x"]}, "hbar"),
+            ({"seed": None}, "seed"),
+            ({"n": 2.7}, "n"),
+            ({"n_lambda": 64.9}, "n_lambda"),
+            ({"fiber_nodes": True}, "fiber_nodes"),
+            ({"tolerance": float("nan")}, "tolerance"),
+        ],
+        ids=["hbar-scalar", "test-functions-scalar", "lambda-range-string", "hbar-string",
+             "seed-null", "n-float", "n-lambda-float", "fiber-nodes-bool", "tolerance-nan"],
+    )
+    def test_malformed_value_exit_two(self, tmp_path, capsys, raw, field):
+        # neither a traceback (exit 1, a failed check) nor a silent int() cut
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["identities", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"config error: field '{field}':" in capsys.readouterr().err
 
     def test_bad_format_exit_two(self, tmp_path, capsys):
         assert main(["kernel", "--out", str(tmp_path), "--format", "xml"]) == 2

@@ -24,7 +24,7 @@ from weylred.dint import (
     strong_commutation_check,
 )
 from weylred import dint, geometry, symbols
-from weylred.fiber import AntipodalPair, FiberFunction, fiber_JX_apply, multiplication_op
+from weylred.fiber import FiberFunction, StereographicPole, fiber_JX_apply
 from weylred.geometry import (
     NotTangent,
     ScalarHamiltonian,
@@ -34,6 +34,8 @@ from weylred.geometry import (
     radial_hamiltonian,
 )
 from weylred.symbols import PolySymbol, VectorField, rotation_generator
+
+from oracles import check_gradient, multiplication_op
 
 
 def x(a, n=2):
@@ -530,6 +532,31 @@ class TestCoarea:
         assert all(a > b for a, b in zip(resids, resids[1:])), resids
 
 
+class TestAmbientIntegralDefaults:
+    """Integrands whose exact integral 0 only the default 96 x 64 rule gives."""
+
+    def test_angular_default_resolves_every_mode_below_64(self):
+        # the uniform rule of m angles integrates cos(k theta) to 2 pi, not 0,
+        # whenever m divides k: with k = 1..63, every m < 64 does for k = m
+        def modes(pts):
+            theta = np.arctan2(pts[:, 1], pts[:, 0])
+            return np.exp(-sq(pts)) * np.cos(np.outer(theta, np.arange(1, 64))).sum(axis=1)
+
+        assert abs(ambient_integral(modes, 2)) < 1e-12
+        assert abs(ambient_integral(modes, 2, n_ang=63)) > 1.0
+
+    def test_radial_default_is_exact_to_degree_191(self):
+        # Gauss-Legendre of n_r nodes on [0, 8] is exact for polynomials in r
+        # of degree <= 2 n_r - 1; int P_190(r/4 - 1) r dr over [0, 8] is 0,
+        # and the integrand has degree 191, so no n_r below 96 gives that 0
+        def legendre_190(pts):
+            return np.polynomial.legendre.legval(np.sqrt(sq(pts)) / 4 - 1, np.eye(191)[190])
+
+        assert abs(ambient_integral(legendre_190, 2)) < 1e-10
+        assert abs(ambient_integral(legendre_190, 2, n_r=95)) > 1.0
+        assert abs(ambient_integral(legendre_190, 2, n_r=40)) > 1e-2
+
+
 class TestApplyTxi:
     def test_gaussian_self_dual(self, half_r2, suite2):
         grid = build_grid(half_r2, "circle", 0.5, 2.0, 8, 32)
@@ -616,7 +643,7 @@ class TestAssembleOpd:
             assemble_Opd(bad, grid, 1.0)
         assert f"lambda={grid.lambda_nodes[0]}" in str(info.value)
 
-    @pytest.mark.parametrize("error", [SingularPoint, AntipodalPair, SingularLevel])
+    @pytest.mark.parametrize("error", [SingularPoint, StereographicPole, SingularLevel])
     def test_named_errors_keep_their_type(self, half_r2, error):
         grid = build_grid(half_r2, "circle", 0.5, 2.0, 4, 16)
 
@@ -745,7 +772,7 @@ class TestSuiteFactory:
         rng = np.random.default_rng(17)
         probes = rng.uniform(-1.5, 1.5, size=(4, n))
         for u in gaussian_poly_suite(n):
-            assert u.check_gradient(probes) < 1e-6, u.name
+            assert check_gradient(u, probes) < 1e-6, u.name
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_array_gradients_match_rows(self, n):

@@ -10,7 +10,6 @@ from scipy.linalg import expm
 from weylred.cli import NotCirculant, circulant_propagator, run_suite
 from weylred.config import SuiteConfig
 from weylred.fiber import (
-    AntipodalPair,
     FiberFunction,
     FiberOperator,
     PWSymbol,
@@ -22,8 +21,6 @@ from weylred.fiber import (
     fiber_JX_apply,
     fiber_JX_matrix,
     kernel_quantize,
-    midpoint_map,
-    multiplication_op,
     stereo_charts,
 )
 from weylred import fiber as fiber_module
@@ -37,6 +34,8 @@ from weylred.geometry import (
 )
 from weylred.sweep import default_sweep_pair
 from weylred.symbols import PolySymbol, VectorField, rotation_generator
+
+from oracles import AntipodalPair, midpoint_map, multiplication_op
 
 
 def bump(s, radius):
@@ -647,8 +646,15 @@ class TestImplicitCurveJX:
         assert calls == []
 
     def test_matrix_matches_per_node_chart_velocities(self):
+        # the polar-angle chart of x0^2 + 2 x1^2 = 2 lam in closed form:
+        # z(t) = r(t) (cos t, sin t), r^2 = 2 lam / (1 + sin^2 t)
         model, X = self._ellipse_model(64)
-        per_node = np.array([model.velocity(t) for t in model.params])
+        t, lam = model.params, model.level[0]
+        cos, sin = np.cos(t), np.sin(t)
+        r = np.sqrt(2 * lam / (1 + sin**2))
+        dr = -r * sin * cos / (1 + sin**2)
+        per_node = np.stack([dr * cos - r * sin, dr * sin + r * cos], axis=1)
+        assert np.max(np.abs(model.node_velocities - per_node)) < 1e-12
         old = replace(model, node_velocities=per_node)
         G = fiber_JX_matrix(X, 0.5, model).matrix
         G_old = fiber_JX_matrix(X, 0.5, old).matrix

@@ -11,7 +11,6 @@ from weylred.geometry import (
     MalformedFiber,
     NotTangent,
     OffLevel,
-    ParametrizationUnavailable,
     ScalarHamiltonian,
     SingularPoint,
     SphereFiber,
@@ -22,7 +21,6 @@ from weylred.geometry import (
     half_line_rule,
     implicit_curve_level_set,
     induced_divergence,
-    intrinsic_divergence_fd,
     jacobian_wedge_norm,
     line_level_set,
     radial_hamiltonian,
@@ -36,6 +34,8 @@ from weylred.symbols import (
     VectorField,
     rotation_generator,
 )
+
+from oracles import check_gradient, intrinsic_divergence_fd
 
 
 def x(a, n=2):
@@ -137,7 +137,7 @@ class TestAmbientJY:
             gradient=lambda p: -p * math.exp(-0.5 * float(p @ p)),
         )
         probes = np.array([[0.3, -1.1], [1.0, 0.5]])
-        assert u.check_gradient(probes) < 1e-7
+        assert check_gradient(u, probes) < 1e-7
 
 
 class TestInducedDivergence:
@@ -189,7 +189,7 @@ class TestInducedDivergence:
             closed = induced_divergence(Y, half_r2, z)
             fd = intrinsic_divergence_fd(Y, model, z)
             assert fd == pytest.approx(closed, rel=1e-5, abs=1e-7)
-        with pytest.raises(ParametrizationUnavailable, match="not a fiber node"):
+        with pytest.raises(ValueError, match="not on the fiber"):
             intrinsic_divergence_fd(Y, model, 1.01 * model.nodes[3])
 
     def test_k2_joint_level(self, half_r3):

@@ -61,16 +61,6 @@ def test_all_suites_load_no_scipy(tmp_path):
     assert (tmp_path / "all.json").exists()
 
 
-# Public names that no program path calls and that stay on purpose.
-KEPT_WITHOUT_CALLER = {
-    "midpoint_map": "entry-by-entry oracle for the geometry of kernel_quantize's midpoint kernel",
-    "intrinsic_divergence_fd": "finite-difference oracle for induced_divergence",
-    "TestFunction.check_gradient": "oracle that a test function's analytic gradient is right",
-    "multiplication_op": "a dense multiplication FiberOperator that tests assemble and compose",
-    "symbol_to_literal": "inverse of the config format's symbol literals",
-}
-
-
 def _program_trees():
     """(path, tree) of every program file: src/ except __init__.py, bench/ and scripts/."""
     paths = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
@@ -101,16 +91,14 @@ def test_every_public_name_has_a_program_caller():
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loads.setdefault(node.attr, []).append((path, node.lineno))
     package = ROOT / "src" / "weylred"
-    uncalled, defined = [], set()
+    uncalled = []
     for path, tree in trees:
         if path.parent != package:
             continue
         for qualified, name, first, last in _public_definitions(tree):
-            defined.add(qualified)
             called = any(
                 not (p == path and first <= line <= last) for p, line in loads.get(name, ())
             )
-            if not called and qualified not in KEPT_WITHOUT_CALLER:
+            if not called:
                 uncalled.append(f"{path.stem}.{qualified}")
     assert not uncalled, f"public names with no caller in src/, bench/ or scripts/: {uncalled}"
-    assert set(KEPT_WITHOUT_CALLER) <= defined, "a kept name no longer exists: drop it"

@@ -15,11 +15,11 @@ from weylred.symbols import (
     momentum_symbol,
     rotation_generator,
     symbol_from_literal,
-    symbol_to_literal,
     xi_norm_squared,
 )
 
 from conftest import random_symbol, random_vector_field
+from oracles import symbol_to_literal
 
 
 def x(a, n=2):
