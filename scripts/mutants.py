@@ -128,34 +128,25 @@ MUTANTS = [
         ["tests/test_fiber.py"],
     ),
     (
+        "sphere-pair-orientation-flipped",
+        "geometry.py",
+        "        D = Z[rows] - Z[cols]",
+        "        D = Z[cols] - Z[rows]",
+        ["tests/test_fiber.py::TestKernelQuantize::test_matches_per_entry_midpoint_oracle"],
+    ),
+    (
+        "sphere-radius-check-accepts-zero",
+        "geometry.py",
+        "        if not (isinstance(r, numbers.Real) and math.isfinite(r) and r > 0):",
+        "        if not (isinstance(r, numbers.Real) and math.isfinite(r) and r >= 0):",
+        ["tests/test_fiber.py::TestSphereFiber"],
+    ),
+    (
         "circulance-bound-1e-6",
         "cli.py",
         "    if off > 1e-12 * scale:",
         "    if off > 1e-6 * scale:",
         ["tests/test_fiber.py"],
-    ),
-    (
-        "sphere-on-level-guard-1e-3",
-        "geometry.py",
-        "        if np.max(np.abs(norms - r)) > 1e-12 * max(1.0, r):",
-        "        if np.max(np.abs(norms - r)) > 1e-3 * max(1.0, r):",
-        ["tests/test_geometry.py"],
-    ),
-    (
-        "sphere-weight-sum-guard-1e-3",
-        "geometry.py",
-        "        if abs(self.weights.sum() - target) > 1e-10 * target:",
-        "        if abs(self.weights.sum() - target) > 1e-3 * target:",
-        ["tests/test_geometry.py"],
-    ),
-    (
-        "circle-uniform-guard-1e-3",
-        "geometry.py",
-        "                or np.max(np.abs(self.thetas - uniform)) > 1e-12\n"
-        "                or np.max(np.abs(self.nodes - r * _unit_circle(uniform))) > 1e-12 * r",
-        "                or np.max(np.abs(self.thetas - uniform)) > 1e-3\n"
-        "                or np.max(np.abs(self.nodes - r * _unit_circle(uniform))) > 1e-3 * r",
-        ["tests/test_geometry.py"],
     ),
     (
         "intertwining-tolerance-1e-3",

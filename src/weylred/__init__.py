@@ -6,15 +6,17 @@ Layers:
   algebra over the Gaussian rationals, including the star product and
   star-basis expansions.
 - ``geometry``: the two fiber models (``SphereFiber`` for circles and
-  2-spheres, the level sets of a radial phi; ``LevelSetModel`` for
-  implicit curves and lines, which carries its curve parametrization at
-  its nodes), coarea densities, and induced divergences of tangent vector
-  fields.
+  2-spheres, the level sets of a radial phi, which holds only its radius
+  and grid shape; ``LevelSetModel`` for implicit curves and lines, which
+  carries its curve parametrization at its nodes), coarea densities, and
+  induced divergences of tangent vector fields.
 - ``dint``: the direct-integral decomposition (position and momentum
   sides) and decomposable operators (``assemble_Opd``), through which
   the strong-commutation check runs.
-- ``fiber``: midpoint-kernel quantization on sphere fibers, and on both
-  fiber models the generator J_X, its matrix, and the evolution group.
+- ``fiber``: midpoint-kernel quantization on sphere fibers, of a symbol
+  given by its Fourier transform ``fhat`` or by separable circle terms,
+  and on both fiber models the generator J_X, its matrix, and the
+  evolution group.
 - ``sweep``: semiclassical residual sweeps for separable circle symbols.
 - ``config`` / ``report`` / ``cli``: the verification harness.
 """
@@ -37,8 +39,8 @@ from .moyal import (
     star_commutator,
 )
 from .geometry import (
+    InvalidSphereFiber,
     LevelSetModel,
-    MalformedFiber,
     NotTangent,
     OffLevel,
     ScalarHamiltonian,

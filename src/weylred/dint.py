@@ -18,6 +18,7 @@ from .fiber import FiberFunction, FiberOperator, fiber_JX_apply
 from .geometry import (
     ScalarHamiltonian,
     SingularPoint,
+    SphereFiber,
     TestFunction,
     ambient_JY_apply,
     call_on_nodes,
@@ -30,7 +31,6 @@ from .geometry import (
     radial_fiber_stack,
     rho as rho_at,
     sphere2_level_set,
-    unit_sphere_grid,
     _radial_newton,
 )
 from .symbols import VectorField
@@ -210,12 +210,8 @@ def build_grid(
         jac = hamiltonian.grad(r_nodes[:, None] * e1) @ e1
         lam_nodes = hamiltonian.value(r_nodes[:, None] * e1)
         lam_weights = dr * jac
-        unit = (
-            unit_sphere_grid(2, fiber_nodes)
-            if fiber_kind == "circle"
-            else unit_sphere_grid(3, n_polar, n_azimuth)
-        )
-        nodes, weights = radial_fiber_stack(hamiltonian, lam_nodes, r_nodes, unit)
+        shape = (fiber_nodes,) if fiber_kind == "circle" else (n_polar, n_azimuth)
+        nodes, weights = radial_fiber_stack(hamiltonian, lam_nodes, r_nodes, shape)
         rho = rho_at(hams, nodes)
     except SingularPoint as exc:
         raise SingularLevel(str(exc)) from exc
@@ -298,9 +294,9 @@ def ambient_integral(func: Callable, dimension: int, *, n_r: int = 96, n_ang: in
     Cartesian grids.
     """
     if dimension == 2:
-        unit = unit_sphere_grid(2, n_ang)
+        unit = SphereFiber.circle(1.0, n_ang)
     elif dimension == 3:
-        unit = unit_sphere_grid(3, max(n_ang // 2, 8), n_ang)
+        unit = SphereFiber.sphere(1.0, max(n_ang // 2, 8), n_ang)
     else:
         raise ValueError("ambient quadrature implemented for n = 2, 3")
     t, wt = gauss_legendre(n_r)

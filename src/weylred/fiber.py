@@ -45,17 +45,14 @@ class FiberFunction:
     2-spheres, the level sets of a radial phi) or a `LevelSetModel`
     (implicit curves and lines).
 
-    `gradients` (ambient gradient per node) and `func` (ambient callable,
-    called once on an (N, n) point array and giving (N,)) are optional
-    analytic enrichments; when present they are preferred over grid
-    differentiation/interpolation. Without `func`, `evolve_group` can pull
-    the values back along the flow only on circles (trigonometric
-    interpolation).
+    `func` (ambient callable, called once on an (N, n) point array and
+    giving (N,)) is an optional analytic enrichment: `evolve_group` prefers
+    it to interpolation, and without it can pull the values back along the
+    flow only on circles (trigonometric interpolation).
     """
 
     fiber: object
     values: np.ndarray
-    gradients: Optional[np.ndarray] = None
     func: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
@@ -70,30 +67,37 @@ class FiberFunction:
         return complex(np.sum(self.fiber.weights * np.conj(self.values) * other.values))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PWSymbol:
     """A fiber symbol given through its vertical Fourier transform.
 
-    fhat(m, v): base points m on the sphere, vertical vectors v in the
-    tangent plane at m; must vanish for ||v|| > support_radius. The optional
-    kappa is an even cutoff on the tangent bundle (kappa(m, v) = kappa(m, -v)).
+    It holds exactly one of two forms, as `FiberOperator` holds one of
+    `dense` and `block`, and `kernel_quantize` picks its route from which:
 
-    A circle symbol may also give fhat as separable terms ((a_1, b_1), ...):
-    fhat(m, v) = sum_j a_j(theta) b_j(m ^ v), with theta = arctan2(m_1, m_0)
-    in (-pi, pi] and m ^ v = m_0 v_1 - m_1 v_0; each factor takes and gives
-    arrays. `kernel_quantize` then picks the route from the input: on a
-    circle with uniform `thetas` and without kappa it evaluates each a_j
-    once on the 2N midpoint angles and each b_j once per signed node
-    offset, and applies the kernel by offset without building it; every
-    other case calls fhat (and kappa) once, on (K, n) batches that hold
-    only the K in-support, non-antipodal node pairs, and both return
-    shape (K,).
+    - `fhat(m, v)`: base points m on the sphere, vertical vectors v in the
+      tangent plane at m; it must vanish for ||v|| > support_radius. The
+      optional kappa is an even cutoff on the tangent bundle
+      (kappa(m, v) = kappa(m, -v)). Both are called once, on (K, n) batches
+      that hold only the K in-support, non-antipodal node pairs, and both
+      return shape (K,).
+    - separable circle `terms` ((a_1, b_1), ...): the symbol
+      sum_j a_j(theta) b_j(m ^ v), with theta = arctan2(m_1, m_0) in
+      (-pi, pi] and m ^ v = m_0 v_1 - m_1 v_0; each factor takes and gives
+      arrays. They take no kappa, and quantize only on circles: each a_j is
+      evaluated once on the 2N midpoint angles and each b_j once per signed
+      node offset, and the kernel is applied by offset without building it.
     """
 
-    fhat: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    fhat: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     support_radius: float
     kappa: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     terms: Optional[Tuple[Tuple[Callable, Callable], ...]] = None
+
+    def __post_init__(self):
+        if (self.fhat is None) == (self.terms is None):
+            raise ValueError("a PWSymbol holds exactly one of fhat and separable terms")
+        if self.terms is not None and self.kappa is not None:
+            raise ValueError("separable terms take no kappa cutoff; give the symbol as fhat")
 
 
 @dataclass(frozen=True)
@@ -190,27 +194,26 @@ def kernel_quantize(f: PWSymbol, hbar: float, fiber: SphereFiber) -> FiberOperat
     evaluated only on pairs with r theta/|hbar| <= support_radius; every
     other entry is 0.
 
+    A symbol given by `fhat` calls it on the pair geometry of
+    `SphereFiber.kernel_pairs` (circles build it from node offsets,
+    2-spheres from their cached pair angles) and gives a dense operator.
     Separable `terms` are planar: on a fiber with ambient_dim != 2 they
-    raise ValueError. Two routes give the same entries. A symbol with
-    separable `terms` and no kappa, on a circle with uniform `thetas`, takes
-    the offset route: the operator is matrix-free and applies the kernel by
-    node offset (`_separable_circle_block`), in O(terms D N) per column for
-    a half-band of D nodes; its `matrix` is built only when read. Every
-    other input calls fhat on the pair geometry of `SphereFiber.kernel_pairs`
-    (circles build it from node offsets, 2-spheres from their cached pair
-    angles) and gives a dense operator.
+    raise ValueError. On a circle they give a matrix-free operator that
+    applies the kernel by node offset (`_separable_circle_block`), in
+    O(terms D N) per column for a half-band of D nodes; its `matrix` is
+    built only when read. Both routes give the same entries.
     """
     if not isinstance(fiber, SphereFiber):
         raise TypeError(f"kernel_quantize needs a SphereFiber, got a {type(fiber).__name__}")
     if hbar == 0:
         raise ValueError("hbar must be nonzero")
-    if f.terms is not None and fiber.ambient_dim != 2:
-        raise ValueError(
-            f"separable terms read the planar angle arctan2(m_1, m_0) and m ^ v; "
-            f"they need a circle fiber, not ambient dimension {fiber.ambient_dim}"
-        )
     reach = abs(hbar) * f.support_radius
-    if f.terms is not None and f.kappa is None and fiber.thetas is not None:
+    if f.terms is not None:
+        if fiber.ambient_dim != 2:
+            raise ValueError(
+                f"separable terms read the planar angle arctan2(m_1, m_0) and m ^ v; "
+                f"they need a circle fiber, not ambient dimension {fiber.ambient_dim}"
+            )
         return FiberOperator(fiber, block=_separable_circle_block(f.terms, hbar, fiber, reach))
     rows, cols, arc, M, U = fiber.kernel_pairs(reach)
     values = hbar ** (1 - fiber.ambient_dim) * np.asarray(
@@ -224,7 +227,7 @@ def kernel_quantize(f: PWSymbol, hbar: float, fiber: SphereFiber) -> FiberOperat
 
 
 def _separable_circle_block(terms, hbar: float, fiber: SphereFiber, reach: float) -> Callable:
-    """U -> K diag(weights) U for sum_j a_j(theta) b_j(m ^ v) on a uniform circle, by node offset.
+    """U -> K diag(weights) U for sum_j a_j(theta) b_j(m ^ v) on a circle, by node offset.
 
     Row i pairs with column i + e (mod N) at the midpoint angle
     pi (2 i + e) / N, one of 2N angles (taken in arctan2's range), with
@@ -323,9 +326,8 @@ def _sphere_tensor_derivative(X: VectorField, fiber: SphereFiber, values) -> np.
     added by the product rule.
     """
     r = fiber.radius
-    nb = fiber.n_azimuth
+    npol, nb = fiber.shape
     mu = fiber.mu
-    npol = len(mu)
     U = np.asarray(values, dtype=complex).reshape(npol, nb, -1)
     k = np.fft.fftfreq(nb, d=1.0 / nb)
     Uk = np.fft.fft(U, axis=1)
@@ -400,11 +402,7 @@ def fiber_JX_apply(X: VectorField, hbar: float, u: FiberFunction) -> FiberFuncti
     """-i hbar (X u + (div X^lambda) u / 2) on the fiber."""
     _check_tangent(X, u.fiber)
     values = u.values[:, None]
-    if u.gradients is not None:
-        Z = np.asarray(u.fiber.nodes, dtype=float)
-        deriv = np.einsum("ia,ia->i", X.evaluate_many(Z), np.asarray(u.gradients))[:, None]
-    else:
-        deriv = _directional_derivative(X, u.fiber, values)
+    deriv = _directional_derivative(X, u.fiber, values)
     return FiberFunction(u.fiber, _jx_block(X, hbar, u.fiber, values, deriv)[:, 0])
 
 
@@ -434,11 +432,10 @@ def evolve_group(
     hbar cancels in the closed form.
 
     A linear field X(x) = A x on a SphereFiber follows its exact orbit
-    Phi_t = e^{tA}, and its divergence integral is t tr A. On a circle with
-    uniform `thetas` that orbit is a rotation by one angle alpha, read off
-    e^{tA}, and values without `func` are pulled back by the Fourier shift
-    ifft(e^{i k alpha} fft(u)); other circles evaluate their trigonometric
-    interpolant at the flowed angles. Nonlinear fields and level-set fibers
+    Phi_t = e^{tA}, and its divergence integral is t tr A. On a circle that
+    orbit is a rotation by one angle alpha, read off e^{tA}, and values
+    without `func` are pulled back by the Fourier shift
+    ifft(e^{i k alpha} fft(u)). Nonlinear fields and level-set fibers
     integrate the flow and the divergence accumulator jointly with `steps`
     fixed RK4 steps.
     """
@@ -452,7 +449,7 @@ def evolve_group(
         # Hermitian eigendecomposition i A = V lam V^H
         lam, V = np.linalg.eigh(0.5j * (A - A.T))
         E = ((V * np.exp(-1j * t * lam)) @ V.conj().T).real
-        alpha = None if fiber.thetas is None else math.atan2(E[1, 0], E[0, 0])
+        alpha = math.atan2(E[1, 0], E[0, 0]) if fiber.ambient_dim == 2 else None
         return _pull_back(u, Z0 @ E.T, np.full(len(Z0), t * np.trace(A)), alpha)
     _check_tangent(X, fiber)
 
@@ -477,8 +474,8 @@ def _pull_back(
 ) -> FiberFunction:
     """sqrt(exp(acc)) * u(pts): u at the flowed nodes pts, times the flow density.
 
-    alpha, when given, is the angle by which the flow rotates a uniform
-    circle (pts are the nodes shifted by it): without `func` the values are
+    alpha, when given, is the angle by which the flow rotates a circle
+    (pts are the nodes shifted by it): without `func` the values are
     then pulled back by the Fourier shift ifft(e^{i k alpha} fft(u)).
     Sampled values on any fiber but a `SphereFiber` circle raise
     PullBackUnavailable.

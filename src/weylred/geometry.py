@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,13 +37,9 @@ class OffLevel(ValueError):
     """A fiber node where some phi_j is off its level by more than NODE_TOL (1 + |lam|)."""
 
 
-class MalformedFiber(ValueError):
-    """A SphereFiber grid that is not a quadrature of its sphere.
-
-    A node is off the sphere by more than 1e-12 max(1, r), the weights miss
-    the volume by more than 1e-10 of it, or a circle's angles (nodes) are
-    more than 1e-12 (1e-12 r) from the uniform grid.
-    """
+class InvalidSphereFiber(ValueError):
+    """A SphereFiber radius that is not finite and positive, or a grid shape that is
+    not (N,) for a circle or (n_polar, n_azimuth) for a 2-sphere, of positive ints."""
 
 
 @dataclass(frozen=True)
@@ -297,76 +294,67 @@ class SphereFiber:
     """Quadrature model of the sphere of radius r in R^n (n = 2 or 3).
 
     The one model of the level sets of a radial phi (`circle_level_set`,
-    `sphere2_level_set`). Circle grids are uniform in angle (trapezoid rule,
-    spectral for smooth periodic data); 2-sphere grids are Gauss-Legendre in
-    cos(polar) times a uniform azimuth grid, stored polar-major.
+    `sphere2_level_set`). It holds its radius and its grid `shape`: (N,) for
+    the circle grid, uniform in angle (trapezoid rule, spectral for smooth
+    periodic data), or (n_polar, n_azimuth) for the 2-sphere grid,
+    Gauss-Legendre in cos(polar) times a uniform azimuth grid, stored
+    polar-major. Everything else is derived from the one read-only unit
+    grid per shape (`_unit_grid`), scaled by the radius: `nodes`, `weights`,
+    a circle's angles `thetas` and a 2-sphere's `mu`.
     """
 
-    ambient_dim: int
     radius: float
-    nodes: np.ndarray
-    weights: np.ndarray
-    thetas: Optional[np.ndarray] = None  # circle angle per node (n=2)
-    mu: Optional[np.ndarray] = None  # cos(polar) Gauss nodes (n=3)
-    n_azimuth: Optional[int] = None
+    shape: Tuple[int, ...]
 
     def __post_init__(self):
         r = self.radius
-        norms = np.sqrt(np.einsum("ia,ia->i", self.nodes, self.nodes))
-        if np.max(np.abs(norms - r)) > 1e-12 * max(1.0, r):
-            raise MalformedFiber("fiber nodes are off the sphere")
-        target = 2 * math.pi * r if self.ambient_dim == 2 else 4 * math.pi * r * r
-        if abs(self.weights.sum() - target) > 1e-10 * target:
-            raise MalformedFiber("quadrature weights do not reproduce the volume")
-        if self.thetas is not None:
-            # the offset pair geometry of `kernel_pairs` relies on this grid
-            n = self.n_nodes
-            uniform = 2 * math.pi * np.arange(n) / n
-            if (
-                self.ambient_dim != 2
-                or np.shape(self.thetas) != (n,)
-                or np.max(np.abs(self.thetas - uniform)) > 1e-12
-                or np.max(np.abs(self.nodes - r * _unit_circle(uniform))) > 1e-12 * r
-            ):
-                raise MalformedFiber("circle nodes must be r (cos, sin)(2 pi k / N) in order k = 0..N-1")
+        if not (isinstance(r, numbers.Real) and math.isfinite(r) and r > 0):
+            raise InvalidSphereFiber(f"fiber radius {r!r} is not a positive finite number")
+        _unit_grid(self.shape)
 
     @classmethod
     def circle(cls, radius: float, n_nodes: int = 256) -> "SphereFiber":
-        thetas = 2 * math.pi * np.arange(n_nodes) / n_nodes
-        nodes = radius * _unit_circle(thetas)
-        weights = np.full(n_nodes, 2 * math.pi * radius / n_nodes)
-        return cls(2, radius, nodes, weights, thetas=thetas)
+        return cls(radius, (n_nodes,))
 
     @classmethod
     def sphere(cls, radius: float, n_polar: int = 24, n_azimuth: int = 48) -> "SphereFiber":
-        mu, wmu = gauss_legendre(n_polar)
-        betas = 2 * math.pi * np.arange(n_azimuth) / n_azimuth
-        M, B = np.meshgrid(mu, betas, indexing="ij")  # polar-major
-        S = np.sqrt(1 - M**2)
-        nodes = np.stack([S * np.cos(B), S * np.sin(B), M], axis=-1).reshape(-1, 3)
-        weights = np.repeat(wmu * 2 * math.pi / n_azimuth, n_azimuth)
-        unit = cls(3, 1.0, nodes, weights, mu=mu, n_azimuth=n_azimuth)
-        return unit if radius == 1.0 else unit.scaled(radius)
+        return cls(radius, (n_polar, n_azimuth))
 
-    def scaled(self, radius: float) -> "SphereFiber":
-        """The same grid on the sphere of the given radius (from a unit-radius grid)."""
-        if self.radius != 1.0:
-            raise ValueError("only a unit-radius grid can be scaled")
-        factor = radius ** (self.ambient_dim - 1)
-        return replace(
-            self, radius=radius, nodes=radius * self.nodes, weights=factor * self.weights
-        )
+    @property
+    def ambient_dim(self) -> int:
+        return len(self.shape) + 1
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return math.prod(self.shape)
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        return _read_only(self.radius * _unit_grid(self.shape).nodes)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return _read_only(self.radius ** (self.ambient_dim - 1) * _unit_grid(self.shape).weights)
+
+    @property
+    def thetas(self) -> np.ndarray:
+        """The angle 2 pi k / N of circle node k (circles only)."""
+        if self.ambient_dim != 2:
+            raise AttributeError("a 2-sphere grid has no circle angles")
+        return _unit_grid(self.shape).axis
+
+    @property
+    def mu(self) -> np.ndarray:
+        """The Gauss-Legendre nodes in cos(polar), one per polar ring (2-spheres only)."""
+        if self.ambient_dim != 3:
+            raise AttributeError("a circle grid has no polar rings")
+        return _unit_grid(self.shape).axis
 
     @cached_property
     def pair_angles(self) -> Tuple[np.ndarray, np.ndarray]:
         """Angle between every node pair (N, N) and the antipodal mask |z + w| <= 1e-9 r.
 
-        Built on first use and kept in the instance dict, outside the fields:
-        `scaled` and `dataclasses.replace` make a new instance without it.
+        Built on first use and kept in the instance dict, outside the fields.
         """
         Z = self.nodes
         r = self.radius
@@ -381,15 +369,15 @@ class SphereFiber:
         distance r theta, the geodesic midpoint and the unit chord direction
         (z_row - z_col)/|z_row - z_col| (0 on the diagonal), one entry per pair.
 
-        On a uniform circle the geometry of a pair depends only on its node
-        offset d = row - col: theta = 2 pi |d| / N, and the midpoint sits at
-        the angle phi = theta_col + pi d / N with chord direction
+        On a circle the geometry of a pair depends only on its node offset
+        d = row - col: theta = 2 pi |d| / N, and the midpoint sits at the
+        angle phi = theta_col + pi d / N with chord direction
         (-sin phi, cos phi). Offsets 1 <= d < N/2 are built directly, the
         mirrored pair (col, row) reuses the midpoint with the negated
-        direction, and antipodes (d = N/2) never enter. Other grids use
+        direction, and antipodes (d = N/2) never enter. 2-spheres use
         `pair_angles`.
         """
-        if self.thetas is None:
+        if self.ambient_dim == 3:
             return self._kernel_pairs_from_angles(reach)
         r, n = self.radius, self.n_nodes
         offsets = self.reach_offsets(reach)
@@ -411,7 +399,7 @@ class SphereFiber:
         )
 
     def reach_offsets(self, reach: float) -> np.ndarray:
-        """Node offsets 1 <= d < N/2 of a uniform circle whose arc r 2 pi d / N is within reach.
+        """Node offsets 1 <= d < N/2 of a circle whose arc r 2 pi d / N is within reach.
 
         The in-reach offsets are 1..D for some D >= 0; the antipodal offset
         N/2 never enters.
@@ -433,8 +421,51 @@ class SphereFiber:
         return rows, cols, r * theta[keep], M, U
 
 
-def _unit_circle(angles: np.ndarray) -> np.ndarray:
-    return np.stack([np.cos(angles), np.sin(angles)], axis=1)
+class _UnitGrid(NamedTuple):
+    nodes: np.ndarray  # (N, n)
+    weights: np.ndarray  # (N,)
+    axis: np.ndarray  # a circle's angles thetas (N,), a 2-sphere's mu (n_polar,)
+
+
+def _unit_grid(shape: Tuple[int, ...]) -> _UnitGrid:
+    """The unit-radius circle (shape (N,)) or 2-sphere (shape (n_polar, n_azimuth)) grid.
+
+    Any other shape raises InvalidSphereFiber. The check runs before the
+    cache, which would take (8.0,) or (True,) for a cached (8,) or (1,).
+    """
+    if not (
+        isinstance(shape, tuple)
+        and len(shape) in (1, 2)
+        and all(isinstance(n, numbers.Integral) and not isinstance(n, bool) and n > 0 for n in shape)
+    ):
+        raise InvalidSphereFiber(
+            f"fiber grid shape {shape!r} is not (N,) for a circle or (n_polar, n_azimuth) "
+            f"for a 2-sphere, of positive ints"
+        )
+    return _build_unit_grid(shape)
+
+
+@lru_cache(maxsize=32)
+def _build_unit_grid(shape: Tuple[int, ...]) -> _UnitGrid:
+    """Built once per shape and shared, so its arrays are read-only."""
+    if len(shape) == 1:
+        (n,) = shape
+        thetas = 2 * math.pi * np.arange(n) / n
+        nodes = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+        return _UnitGrid(_read_only(nodes), _read_only(np.full(n, 2 * math.pi / n)), _read_only(thetas))
+    n_polar, n_azimuth = shape
+    mu, wmu = gauss_legendre(n_polar)
+    betas = 2 * math.pi * np.arange(n_azimuth) / n_azimuth
+    M, B = np.meshgrid(mu, betas, indexing="ij")  # polar-major
+    S = np.sqrt(1 - M**2)
+    nodes = np.stack([S * np.cos(B), S * np.sin(B), M], axis=-1).reshape(-1, 3)
+    weights = np.repeat(wmu * 2 * math.pi / n_azimuth, n_azimuth)
+    return _UnitGrid(_read_only(nodes), _read_only(weights), mu)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @lru_cache(maxsize=32)
@@ -465,21 +496,6 @@ def half_line_rule(order: int, scale: float) -> Tuple[np.ndarray, np.ndarray]:
     r.flags.writeable = False
     dr.flags.writeable = False
     return r, dr
-
-
-@lru_cache(maxsize=32)
-def unit_sphere_grid(dimension: int, *sizes: int) -> SphereFiber:
-    """The unit-radius circle (sizes: n_nodes) or 2-sphere (n_polar, n_azimuth) grid.
-
-    Built once per size and shared, so its arrays are read-only; callers
-    scale it (`SphereFiber.scaled` copies the nodes and weights and shares
-    `thetas` and `mu`).
-    """
-    unit = SphereFiber.circle(1.0, *sizes) if dimension == 2 else SphereFiber.sphere(1.0, *sizes)
-    for array in (unit.nodes, unit.weights, unit.thetas, unit.mu):
-        if array is not None:
-            array.flags.writeable = False
-    return unit
 
 
 def _require_on_level(hams, level, nodes: np.ndarray) -> None:
@@ -577,9 +593,9 @@ def _level_name(levels: np.ndarray, i: int) -> str:
 
 
 def radial_fiber_stack(
-    phi: ScalarHamiltonian, levels, radii, unit: SphereFiber
+    phi: ScalarHamiltonian, levels, radii, shape: Tuple[int, ...]
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The unit grid scaled to every radius r_i with phi(r_i e_1) = levels[i].
+    """The unit grid of `shape` scaled to every radius r_i with phi(r_i e_1) = levels[i].
 
     Returns the nodes (L, N, n) and weights (L, N) of the L scaled grids.
     Every radius must be finite and positive, and a regular root (the
@@ -596,27 +612,28 @@ def radial_fiber_stack(
         raise ValueError(
             f"fiber radius {radii[i]} at {_level_name(levels, i)} is not a positive finite number"
         )
-    e1 = np.eye(unit.ambient_dim)[0]
+    unit = _unit_grid(shape)
+    e1 = np.eye(len(shape) + 1)[0]
     _require_regular_root(phi.grad(radii[:, None] * e1) @ e1, levels, radii)
     nodes = radii[:, None, None] * unit.nodes
     _require_on_level([phi], [levels[:, None]], nodes)
-    return nodes, radii[:, None] ** (unit.ambient_dim - 1) * unit.weights
+    return nodes, radii[:, None] ** len(shape) * unit.weights
 
 
 def _radial_level_set(
-    phi: ScalarHamiltonian, lam: float, unit: SphereFiber, radius: Optional[float]
+    phi: ScalarHamiltonian, lam: float, shape: Tuple[int, ...], radius: Optional[float]
 ) -> SphereFiber:
-    """The unit grid scaled to the regular radius where phi = lam on the first axis.
+    """The fiber of grid `shape` at the regular radius where phi = lam on the first axis.
 
     A given radius is used as it is; without one, the radius is solved by
     Newton from sqrt(|lam|) + 0.5. Either way it passes the checks of
     `radial_fiber_stack`, as a stack of one level.
     """
     if radius is None:
-        e1 = np.eye(unit.ambient_dim)[0]
+        e1 = np.eye(len(shape) + 1)[0]
         radius = _radial_newton(phi, e1, lam, max(math.sqrt(abs(lam)) + 0.5, 0.5))
-    radial_fiber_stack(phi, [lam], [radius], unit)
-    return unit.scaled(radius)
+    radial_fiber_stack(phi, [lam], [radius], shape)
+    return SphereFiber(radius, shape)
 
 
 def circle_level_set(
@@ -626,7 +643,7 @@ def circle_level_set(
     (phi(radius e_1) = lam), else at the radius solved by Newton."""
     if phi.dimension != 2:
         raise ValueError("circle fibers need ambient dimension 2")
-    return _radial_level_set(phi, lam, unit_sphere_grid(2, n_nodes), radius)
+    return _radial_level_set(phi, lam, (n_nodes,), radius)
 
 
 def sphere2_level_set(
@@ -641,7 +658,7 @@ def sphere2_level_set(
     `radius` when the caller knows it, else at the radius solved by Newton."""
     if phi.dimension != 3:
         raise ValueError("sphere2 fibers need ambient dimension 3")
-    return _radial_level_set(phi, lam, unit_sphere_grid(3, n_polar, n_azimuth), radius)
+    return _radial_level_set(phi, lam, (n_polar, n_azimuth), radius)
 
 
 def _star_curve_velocity(phi: ScalarHamiltonian, Z: np.ndarray) -> np.ndarray:

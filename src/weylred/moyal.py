@@ -136,10 +136,11 @@ def _quotient(s_key, s_den: int, p_key, p_den: int) -> Tuple[int, int, int]:
 def expand_power_in_star_basis(f: PolySymbol, m: int) -> StarExpansion:
     """Express the pointwise power f^m in the basis {hbar^d f^{*j}}.
 
-    Requires f free of hbar. The hbar^0 part of f^{*j} is f^j, so the
-    remainder f^m - f^{*m} is reduced top-down: its lowest hbar-slice d is
-    written as sum_j a_j f^j by leading-term division, and hbar^d a_j f^{*j}
-    moves from the remainder into c_j until nothing is left. Every term of
+    Requires f free of hbar. The hbar^0 part of f^{*j} is f^j, so the plain
+    powers are read off the star powers, and the remainder f^m - f^{*m} is
+    reduced top-down: its lowest hbar-slice d is written as sum_j a_j f^j by
+    leading-term division, and hbar^d a_j f^{*j} moves from the remainder
+    into c_j until nothing is left. Every term of
     f^{*j} has degree + 2 * (hbar power) <= j deg f, so d never exceeds
     m deg f / 2. Each step, the quotient a_j and the subtraction
     s - a hbar^d p, is one pass over Gaussian-integer numerators
@@ -155,10 +156,9 @@ def expand_power_in_star_basis(f: PolySymbol, m: int) -> StarExpansion:
     if degree == 0:
         raise SingularSystemError("star powers of a constant are linearly dependent")
     star_powers = [PolySymbol.one(n)]
-    plain_powers = [PolySymbol.one(n)]
     for _ in range(m):
         star_powers.append(moyal_star(star_powers[-1], f))
-        plain_powers.append(plain_powers[-1] * f)
+    plain_powers = [p.hbar_component(0) for p in star_powers]
     leading = {_leading_key(p): j for j, p in enumerate(plain_powers)}
     d_max = m * degree // 2
 

@@ -160,7 +160,7 @@ class NoAngularDerivative(ValueError):
 
 
 class NotUniformCircle(ValueError):
-    """Separable circle symbols need a circle fiber with uniform `thetas`."""
+    """Separable circle symbols need a `SphereFiber` circle."""
 
 
 @dataclass(frozen=True)
@@ -183,26 +183,11 @@ class SeparableCircleSymbol:
         return max(max(abs(p.s0), abs(p.s_max)) for _, _, p in self.terms)
 
     def to_pw(self) -> PWSymbol:
-        """The fiber symbol sum_j a_j(theta) b_j(s), s the tangent part of v scaled by |m| / r.
-
-        It carries its separable terms, for the offset route of
-        `kernel_quantize`, and `fhat`, the route of every other fiber.
-        """
+        """The fiber symbol sum_j a_j(theta) b_j(s), s the tangent part of v scaled by |m| / r,
+        as separable terms for the offset route of `kernel_quantize`."""
         r = self.radius
         terms = tuple((a, lambda wedge, prof=prof: prof(wedge / r)) for a, _, prof in self.terms)
-
-        def fhat(m, v):
-            m = np.asarray(m, dtype=float)
-            v = np.asarray(v, dtype=float)
-            theta = np.arctan2(m[..., 1], m[..., 0])
-            # m ^ v: r times the signed tangent component of v at the base point
-            wedge = -m[..., 1] * v[..., 0] + m[..., 0] * v[..., 1]
-            out = np.zeros(np.shape(theta), dtype=complex)
-            for a, b in terms:
-                out = out + np.asarray(a(theta), dtype=complex) * b(wedge)
-            return out
-
-        return PWSymbol(fhat=fhat, support_radius=self.support_radius(), terms=terms)
+        return PWSymbol(terms=terms, support_radius=self.support_radius())
 
     def product(self, other: "SeparableCircleSymbol") -> "SeparableCircleSymbol":
         terms = []
@@ -277,14 +262,14 @@ def semiclassical_sweep(
     """Vector-wise deviations of the quantized product, Jordan product and
     scaled commutator from the quantization of the classical counterparts,
     for each hbar in the (decreasing) list. The fiber must be a
-    `SphereFiber` circle with uniform `thetas`; any other fiber raises
-    `NotUniformCircle` before a kernel is built. The kernels take the
-    matrix-free offset route of `kernel_quantize` and are only applied, each
-    to at most a two-column block; no N x N array is built.
+    `SphereFiber` circle; any other fiber raises `NotUniformCircle` before a
+    kernel is built. The kernels take the matrix-free offset route of
+    `kernel_quantize` and are only applied, each to at most a two-column
+    block; no N x N array is built.
     """
-    if not isinstance(fiber, SphereFiber) or fiber.thetas is None:
+    if not isinstance(fiber, SphereFiber) or fiber.ambient_dim != 2:
         raise NotUniformCircle(
-            "the sweep needs a SphereFiber circle with uniform thetas, got a "
+            "the sweep needs a SphereFiber circle, got a "
             f"{type(fiber).__name__} of {len(fiber.nodes)} nodes in R^{np.shape(fiber.nodes)[1]}"
         )
     if any(h <= 0 for h in hbars):

@@ -7,8 +7,8 @@ from math import factorial
 
 import numpy as np
 
-from weylred.fiber import FiberOperator
-from weylred.geometry import SphereFiber, call_on_nodes
+from weylred.fiber import FiberOperator, PWSymbol
+from weylred.geometry import SphereFiber, call_on_nodes, induced_divergence
 from weylred.moyal import star_commutator
 from weylred.rational import QQi
 from weylred.symbols import PolySymbol, _check_same_dim, integer_product
@@ -89,6 +89,48 @@ def multiplication_op(a, fiber) -> FiberOperator:
     """Multiplication by a(z) as a dense FiberOperator; a is called once on the (N, n) nodes."""
     vals = call_on_nodes(a, np.asarray(fiber.nodes, dtype=float)).astype(complex)
     return FiberOperator(fiber, np.diag(vals))
+
+
+def separable_fhat(terms):
+    """fhat(m, v) = sum_j a_j(theta) b_j(m ^ v) of separable circle terms, theta = arctan2(m_1, m_0).
+
+    The pair-route form of the symbol that `kernel_quantize` applies by
+    node offset; it reads only the first two coordinates of m and v.
+    """
+
+    def fhat(m, v):
+        m = np.asarray(m, dtype=float)
+        v = np.asarray(v, dtype=float)
+        theta = np.arctan2(m[..., 1], m[..., 0])
+        # m ^ v: r times the signed tangent component of v at the base point
+        wedge = -m[..., 1] * v[..., 0] + m[..., 0] * v[..., 1]
+        out = np.zeros(np.shape(theta), dtype=complex)
+        for a, b in terms:
+            out = out + np.asarray(a(theta), dtype=complex) * b(wedge)
+        return out
+
+    return fhat
+
+
+def pair_route(sym: PWSymbol) -> PWSymbol:
+    """The separable symbol `sym` as an fhat symbol, which `kernel_quantize` evaluates per node pair."""
+    return PWSymbol(fhat=separable_fhat(sym.terms), support_radius=sym.support_radius)
+
+
+def jx_from_gradients(X, hbar: float, fiber, values, gradients) -> np.ndarray:
+    """-i hbar (X . grad u + (div X^lambda) u / 2) at the nodes, from the ambient gradients of u.
+
+    The analytic counterpart of `fiber_JX_apply`'s grid derivative. On a
+    SphereFiber div X^lambda is the ambient divergence of the tangent field;
+    on a level-set model it is `induced_divergence`.
+    """
+    Z = np.asarray(fiber.nodes, dtype=float)
+    if isinstance(fiber, SphereFiber):
+        div = np.real(X.divergence().evaluate_many(Z))
+    else:
+        div = induced_divergence(X, fiber.hamiltonians, Z)
+    deriv = np.einsum("ia,ia->i", X.evaluate_many(Z), np.asarray(gradients))
+    return -1j * hbar * (deriv + 0.5 * div * np.asarray(values))
 
 
 def check_gradient(u, probes: np.ndarray) -> float:

@@ -133,22 +133,15 @@ class TestRadialLevels:
         with pytest.raises(ValueError, match=r"node \d+ \(.*\) off the level set: phi="):
             build_grid(self._ellipsoid(), "sphere2", 0.5, 2.0, 4, n_polar=6, n_azimuth=12)
 
-    def test_fibers_share_one_unit_grid_per_size(self, monkeypatch):
-        built = []
-        original = geometry.SphereFiber.__dict__["sphere"]
-
-        def counted(cls, *args, **kwargs):
-            built.append(args)
-            return original.__func__(cls, *args, **kwargs)
-
-        geometry.unit_sphere_grid.cache_clear()
-        monkeypatch.setattr(geometry.SphereFiber, "sphere", classmethod(counted))
+    def test_fibers_share_one_unit_grid_per_size(self):
+        geometry._build_unit_grid.cache_clear()
         h3 = radial_hamiltonian(3)
         grid = build_grid(h3, "sphere2", 0.5, 4.0, 6, n_polar=7, n_azimuth=14)
         build_grid(h3, "sphere2", 0.3, 2.0, 5, n_polar=7, n_azimuth=14)
-        geometry.unit_sphere_grid.cache_clear()
-        assert built == [(1.0, 7, 14)]
-        radii = np.array([f.radius for f in grid.fibers])
+        fibers = grid.fibers
+        assert geometry._build_unit_grid.cache_info().misses == 1
+        assert all(f.shape == (7, 14) and f.mu is fibers[0].mu for f in fibers)
+        radii = np.array([f.radius for f in fibers])
         assert np.allclose(radii, np.sqrt(2 * grid.lambda_nodes), rtol=1e-14, atol=0)
 
     def test_sphere2_grid_fibers(self):
@@ -358,9 +351,6 @@ class TestStackedGrid:
         self, monkeypatch, kind, n, sizes, size
     ):
         phi = radial_hamiltonian(n)
-        # the shared unit grids are SphereFibers too: build them before counting
-        geometry.unit_sphere_grid(2, 16)
-        geometry.unit_sphere_grid(3, 6, 12)
         rows, built = [], []
         value = ScalarHamiltonian.value
         post_init = SphereFiber.__post_init__
@@ -405,16 +395,14 @@ class TestStackedGrid:
     def test_stack_radius_must_be_positive_and_finite(self, half_r2, bad):
         radii = np.sqrt(2 * self.LEVELS)
         radii[2] = bad
-        unit = geometry.unit_sphere_grid(2, 16)
         with pytest.raises(ValueError, match=r"radius .* at level 2 \(lambda = 2.0\) is not a positive"):
-            geometry.radial_fiber_stack(half_r2, self.LEVELS, radii, unit)
+            geometry.radial_fiber_stack(half_r2, self.LEVELS, radii, (16,))
 
     def test_stack_radius_off_its_level_names_level_and_node(self, half_r2):
         radii = np.sqrt(2 * self.LEVELS)
         radii[1] *= 1.01
-        unit = geometry.unit_sphere_grid(2, 16)
         with pytest.raises(ValueError, match=r"node 0 \(.*, level 1\) off the level set: phi=.* vs 1.0"):
-            geometry.radial_fiber_stack(half_r2, self.LEVELS, radii, unit)
+            geometry.radial_fiber_stack(half_r2, self.LEVELS, radii, (16,))
         # a non-radial phi is on its level on the first axis only
         x0, x1, x2 = (PolySymbol.x(a, 3) for a in range(3))
         ellipsoid = ScalarHamiltonian((x0 * x0 + 2 * (x1 * x1) + x2 * x2) * Fraction(1, 2))
@@ -424,12 +412,11 @@ class TestStackedGrid:
     def test_stack_root_below_threshold_names_the_level(self, half_r2):
         levels = np.array([0.5, 5e-21, 2.0])
         radii = np.array([1.0, 1e-10, 2.0])
-        unit = geometry.unit_sphere_grid(2, 16)
         with pytest.raises(
             geometry.SingularPoint,
             match=r"radial derivative 1.000e-10 below threshold at level 1 \(lambda = 5e-21",
         ):
-            geometry.radial_fiber_stack(half_r2, levels, radii, unit)
+            geometry.radial_fiber_stack(half_r2, levels, radii, (16,))
 
     def test_singular_node_of_a_stack_names_level_and_node(self, half_r2):
         stack = np.ones((3, 4, 2))

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +26,7 @@ from weylred.fiber import (
 from weylred import fiber as fiber_module
 from weylred import geometry, symbols
 from weylred.geometry import (
+    InvalidSphereFiber,
     NotTangent,
     ScalarHamiltonian,
     half_line_rule,
@@ -35,7 +36,14 @@ from weylred.geometry import (
 from weylred.sweep import default_sweep_pair
 from weylred.symbols import PolySymbol, VectorField, rotation_generator
 
-from oracles import AntipodalPair, midpoint_map, multiplication_op
+from oracles import (
+    AntipodalPair,
+    jx_from_gradients,
+    midpoint_map,
+    multiplication_op,
+    pair_route,
+    separable_fhat,
+)
 
 
 def bump(s, radius):
@@ -46,10 +54,13 @@ def bump(s, radius):
     return out
 
 
-def bump_symbol(r, support=4.0, kappa=None):
+def bump_symbol(r, support=4.0, kappa=None, odd=False):
+    """(1 + m_0 / 2r) b(|v|), times (1 + 0.3 i v_0) if odd: an imaginary part odd in v."""
+
     def fhat(m, v):
         a = 1.0 + 0.5 * np.asarray(m)[..., 0] / r
-        return a * bump(np.linalg.norm(v, axis=-1), support)
+        out = a * bump(np.linalg.norm(v, axis=-1), support)
+        return out * (1 + 0.3j * np.asarray(v)[..., 0]) if odd else out
 
     return PWSymbol(fhat=fhat, support_radius=support, kappa=kappa)
 
@@ -64,13 +75,7 @@ def separable_symbol(r, support=4.0):
         return 0.25 * (wedge / r) * bump(wedge / r, support)
 
     terms = ((lambda t: 1.0 + 0.5 * np.cos(t), b0), (lambda t: 1j * np.sin(2 * t), b1))
-
-    def fhat(m, v):
-        theta = np.arctan2(m[..., 1], m[..., 0])
-        wedge = m[..., 0] * v[..., 1] - m[..., 1] * v[..., 0]
-        return sum(a(theta) * b(wedge) for a, b in terms)
-
-    return PWSymbol(fhat=fhat, support_radius=support, terms=terms)
+    return PWSymbol(terms=terms, support_radius=support)
 
 
 def even_cutoff(m, v):
@@ -116,26 +121,67 @@ class TestSphereFiber:
         f = SphereFiber.sphere(2.0)
         assert f.weights.sum() == pytest.approx(16 * math.pi, rel=1e-12)
 
-    def test_off_sphere_rejected(self):
-        f = SphereFiber.circle(1.0, 16)
-        bad = f.nodes.copy()
-        bad[3] *= 1.001
-        with pytest.raises(ValueError):
-            SphereFiber(2, 1.0, bad, f.weights, thetas=f.thetas)
+    def test_holds_its_radius_and_grid_shape_only(self):
+        assert [f.name for f in fields(SphereFiber)] == ["radius", "shape"]
+        assert SphereFiber.circle(1.5, 16) == SphereFiber(1.5, (16,))
+        assert SphereFiber.sphere(1.5, 6, 12) == SphereFiber(1.5, (6, 12))
+        with pytest.raises(TypeError):
+            SphereFiber(1.0, (16,), nodes=np.zeros((16, 2)))
 
-    def test_circle_rejects_nodes_off_the_uniform_order(self):
+    def test_circle_nodes_are_the_uniform_grid_in_order(self):
         # kernel_pairs reads the pair geometry off node offsets, so the
-        # nodes must be r (cos, sin)(2 pi k / N) in order
-        f = SphereFiber.circle(1.5, 16)
-        perm = np.random.default_rng(2).permutation(16)
-        with pytest.raises(ValueError, match="in order"):
-            replace(f, nodes=np.roll(f.nodes, 1, axis=0))
-        with pytest.raises(ValueError, match="in order"):
-            replace(f, nodes=f.nodes[perm])
-        with pytest.raises(ValueError, match="in order"):
-            replace(f, nodes=f.nodes[perm], thetas=f.thetas[perm])
-        assert np.array_equal(replace(f, nodes=f.nodes.copy()).nodes, f.nodes)
-        assert SphereFiber.circle(1.0, 16).scaled(1.5).thetas is not None
+        # nodes are r (cos, sin)(2 pi k / N) in order k = 0..N-1
+        r, n = 1.5, 16
+        f = SphereFiber.circle(r, n)
+        angles = 2 * math.pi * np.arange(n) / n
+        assert np.array_equal(f.thetas, angles)
+        assert np.max(np.abs(f.nodes - r * np.stack([np.cos(angles), np.sin(angles)], axis=1))) <= 1e-15
+        assert np.array_equal(f.weights, np.full(n, r * (2 * math.pi / n)))
+
+    @pytest.mark.parametrize("shape", [(16,), (6, 12)], ids=["circle", "sphere"])
+    def test_nodes_and_weights_are_the_shared_unit_grid_scaled(self, shape):
+        unit, big = SphereFiber(1.0, shape), SphereFiber(2.5, shape)
+        assert np.array_equal(big.nodes, 2.5 * unit.nodes)
+        assert np.array_equal(big.weights, 2.5 ** (len(shape)) * unit.weights)
+        norms = np.linalg.norm(big.nodes, axis=1)
+        assert np.max(np.abs(norms - 2.5)) <= 1e-14
+        # one unit grid per shape, read-only, so no fiber can move its nodes
+        axis = unit.thetas if len(shape) == 1 else unit.mu
+        assert axis is (big.thetas if len(shape) == 1 else big.mu)
+        for array in (big.nodes, big.weights, axis):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_grid_of_one_kind_has_no_axis_of_the_other(self):
+        with pytest.raises(AttributeError, match="no circle angles"):
+            SphereFiber.sphere(1.0, 6, 12).thetas
+        with pytest.raises(AttributeError, match="no polar rings"):
+            SphereFiber.circle(1.0, 16).mu
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf, 1j])
+    @pytest.mark.parametrize("build", [SphereFiber.circle, SphereFiber.sphere], ids=["circle", "sphere"])
+    def test_radius_must_be_positive_and_finite(self, build, radius):
+        with pytest.raises(InvalidSphereFiber, match="fiber radius .* is not a positive finite number"):
+            build(radius, 8)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(0,), (-4,), (), (6, 12, 3), (8.0,), (True,), (6, 0), [16], 16],
+        ids=["zero", "negative", "empty", "three-axes", "float", "bool", "zero-azimuth", "list", "int"],
+    )
+    def test_shape_must_be_one_or_two_positive_ints(self, shape):
+        # (8.0,) and (True,) equal the shapes of cached grids; the check runs before the cache
+        SphereFiber.circle(1.0, 8), SphereFiber.circle(1.0, 1)
+        with pytest.raises(InvalidSphereFiber, match="fiber grid shape"):
+            SphereFiber(1.0, shape)
+
+    def test_bad_sizes_of_the_constructors_are_named(self):
+        # a zero-node circle used to divide by zero while building its weights
+        with pytest.raises(InvalidSphereFiber, match=r"fiber grid shape \(0,\)"):
+            SphereFiber.circle(1.0, 0)
+        with pytest.raises(InvalidSphereFiber, match=r"fiber grid shape \(0, 8\)"):
+            SphereFiber.sphere(1.0, 0, 8)
+        assert issubclass(InvalidSphereFiber, ValueError)
 
 
 class TestMidpointMap:
@@ -310,12 +356,19 @@ class TestKernelQuantize:
 
     @pytest.mark.parametrize("kappa", [None, even_cutoff], ids=["bare", "kappa"])
     @pytest.mark.parametrize(
-        "fiber",
-        [SphereFiber.circle(1.0, 32), SphereFiber.sphere(1.3, n_polar=6, n_azimuth=12)],
-        ids=["circle-32", "sphere-6x12"],
+        "fiber, odd",
+        [
+            (SphereFiber.circle(1.0, 32), False),
+            (SphereFiber.sphere(1.3, n_polar=6, n_azimuth=12), False),
+            (SphereFiber.circle(1.0, 32), True),
+            (SphereFiber.sphere(1.3, n_polar=6, n_azimuth=12), True),
+        ],
+        ids=["circle-32", "sphere-6x12", "circle-32-odd-in-v", "sphere-6x12-odd-in-v"],
     )
-    def test_matches_per_entry_midpoint_oracle(self, fiber, kappa):
-        f = bump_symbol(fiber.radius, support=4.0, kappa=kappa)
+    def test_matches_per_entry_midpoint_oracle(self, fiber, odd, kappa):
+        # a symbol whose imaginary part is odd in v pins the orientation of
+        # the chord direction z_row - z_col, which an even symbol cannot see
+        f = bump_symbol(fiber.radius, support=4.0, kappa=kappa, odd=odd)
         for hbar in (0.7, -1.1):
             got = kernel_quantize(f, hbar, fiber).matrix
             want = midpoint_kernel_oracle(f, hbar, fiber)
@@ -365,7 +418,7 @@ class TestKernelQuantize:
             shapes.append(("kappa", m.shape, v.shape))
             return np.ones(len(m))
 
-        kernel_quantize(PWSymbol(fhat, support, kappa), hbar, fiber)
+        kernel_quantize(PWSymbol(fhat=fhat, support_radius=support, kappa=kappa), hbar, fiber)
         assert 0 < expected < n_nodes * n_nodes
         assert shapes == [
             ("fhat", (expected, 2), (expected, 2)),
@@ -375,17 +428,12 @@ class TestKernelQuantize:
     @pytest.mark.parametrize("n_nodes", [31, 48])
     @pytest.mark.parametrize("hbar", [0.45, -0.8, 2.5], ids=["band", "negative", "all-offsets"])
     def test_separable_terms_match_per_entry_oracle(self, n_nodes, hbar):
-        # on a uniform circle, terms without kappa take the offset route and
-        # never call fhat
+        # on a circle, terms take the offset route; the oracle evaluates the
+        # same symbol as fhat, entry by entry
         fiber = SphereFiber.circle(1.2, n_nodes)
-        pair_route = separable_symbol(fiber.radius)
-
-        def no_fhat(m, v):
-            raise AssertionError("fhat called on the offset route")
-
-        offset_route = replace(pair_route, fhat=no_fhat)
-        got = kernel_quantize(offset_route, hbar, fiber).matrix
-        want = midpoint_kernel_oracle(pair_route, hbar, fiber)
+        sym = separable_symbol(fiber.radius)
+        got = kernel_quantize(sym, hbar, fiber).matrix
+        want = midpoint_kernel_oracle(pair_route(sym), hbar, fiber)
         assert np.count_nonzero(got) == np.count_nonzero(want)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -399,7 +447,7 @@ class TestKernelQuantize:
         op = kernel_quantize(sym, hbar, fiber)
         assert op.dense is None and "matrix" not in vars(op)
         rows = np.arange(0, n_nodes, 1 if n_nodes < 100 else 16)
-        want_kernel = midpoint_kernel_oracle(sym, hbar, fiber, rows)
+        want_kernel = midpoint_kernel_oracle(pair_route(sym), hbar, fiber, rows)
         rng = np.random.default_rng(n_nodes)
         block = rng.normal(size=(n_nodes, 2)) + 1j * rng.normal(size=(n_nodes, 2))
         got = op.apply_block(block)
@@ -425,24 +473,20 @@ class TestKernelQuantize:
         with pytest.raises(ValueError, match="exactly one"):
             FiberOperator(fiber, np.eye(8), block=lambda values: values)
 
-    @pytest.mark.parametrize(
-        "fiber, kappa",
-        [
-            (SphereFiber.circle(1.0, 24), even_cutoff),
-            (replace(SphereFiber.circle(1.0, 24), thetas=None), None),
-        ],
-        ids=["circle-kappa", "circle-no-thetas"],
-    )
-    def test_separable_terms_with_kappa_or_off_circle_call_fhat(self, fiber, kappa):
-        calls = []
-        sym = separable_symbol(fiber.radius)
-
-        def fhat(m, v):
-            calls.append(m.shape)
-            return sym.fhat(m[..., :2], v[..., :2])
-
-        kernel_quantize(replace(sym, fhat=fhat, kappa=kappa), 0.5, fiber)
-        assert len(calls) == 1
+    def test_symbol_holds_fhat_or_terms(self):
+        terms = separable_symbol(1.0).terms
+        fhat = separable_fhat(terms)
+        with pytest.raises(ValueError, match="exactly one of fhat and separable terms"):
+            PWSymbol(support_radius=4.0)
+        with pytest.raises(ValueError, match="exactly one of fhat and separable terms"):
+            PWSymbol(fhat=fhat, support_radius=4.0, terms=terms)
+        # a cutoff belongs to the fhat form, which the offset route never calls
+        with pytest.raises(ValueError, match="separable terms take no kappa"):
+            PWSymbol(terms=terms, support_radius=4.0, kappa=even_cutoff)
+        fiber = SphereFiber.circle(1.0, 24)
+        assert kernel_quantize(PWSymbol(terms=terms, support_radius=4.0), 0.5, fiber).dense is None
+        cut = kernel_quantize(PWSymbol(fhat=fhat, support_radius=4.0, kappa=even_cutoff), 0.5, fiber)
+        assert cut.block is None
 
     def test_separable_terms_on_a_sphere_raise(self):
         # the terms read the planar angle arctan2(m_1, m_0) and m ^ v; on a
@@ -451,26 +495,24 @@ class TestKernelQuantize:
         for sym in (default_sweep_pair()[0].to_pw(), separable_symbol(1.0)):
             with pytest.raises(ValueError, match="need a circle fiber, not ambient dimension 3"):
                 kernel_quantize(sym, 0.5, fiber)
-        # without terms the same fhat is quantized on the pair route
-        plain = replace(separable_symbol(1.0), terms=None)
+        # as fhat the same symbol is quantized on the pair route
+        plain = pair_route(separable_symbol(1.0))
         assert kernel_quantize(plain, 0.5, fiber).matrix.shape == (72, 72)
 
     def test_scaled_fiber_does_not_reuse_unit_pair_angles(self):
+        # the unit grid is shared per shape, but pair angles belong to a fiber
         f = bump_symbol(1.0, support=3.0)
         unit = SphereFiber.sphere(1.0, n_polar=6, n_azimuth=12)
         kernel_quantize(f, 0.5, unit)  # fills the unit fiber's pair cache
-        scaled = unit.scaled(2.5)
+        scaled = SphereFiber.sphere(2.5, n_polar=6, n_azimuth=12)
         assert "pair_angles" not in vars(scaled)
         got = kernel_quantize(f, 0.5, scaled).matrix
-        fresh = kernel_quantize(f, 0.5, SphereFiber.sphere(2.5, n_polar=6, n_azimuth=12)).matrix
-        assert np.array_equal(got, fresh)
+        want = midpoint_kernel_oracle(f, 0.5, scaled)
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
         assert not np.array_equal(got, kernel_quantize(f, 0.5, unit).matrix)
         # another grid with the same node count must not see the unit grid's pairs
         other = SphereFiber.sphere(1.0, n_polar=12, n_azimuth=6)
-        swapped = replace(
-            unit, nodes=other.nodes, weights=other.weights, mu=other.mu, n_azimuth=6
-        )
-        got = kernel_quantize(f, 0.5, swapped).matrix
+        got = kernel_quantize(f, 0.5, other).matrix
         want = midpoint_kernel_oracle(f, 0.5, other)
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
@@ -554,8 +596,8 @@ class TestFiberJX:
             axis=1,
         )
         grid = fiber_JX_apply(X, 1.0, FiberFunction(fiber, vals))
-        exact = fiber_JX_apply(X, 1.0, FiberFunction(fiber, vals, gradients=grads))
-        assert np.max(np.abs(grid.values - exact.values)) < 1e-8
+        exact = jx_from_gradients(X, 1.0, fiber, vals, grads)
+        assert np.max(np.abs(grid.values - exact)) < 1e-8
 
     def test_sphere_divergent_field_analytic(self):
         # Y = z1 * (rotation about e3): Y u = 2i z1 u on u = (z1+i z2)^2,
@@ -617,7 +659,7 @@ class TestLineJX:
         vals = np.exp(-(s**2))
         grads = (-2 * s * vals)[:, None] * direction[None, :]
         grid = fiber_JX_apply(X, 1.0, FiberFunction(model, vals)).values
-        exact = fiber_JX_apply(X, 1.0, FiberFunction(model, vals, gradients=grads)).values
+        exact = jx_from_gradients(X, 1.0, model, vals, grads)
         assert np.max(np.abs(grid - exact)) < 1e-9
 
 

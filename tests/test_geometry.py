@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +7,6 @@ from scipy.special import ellipe
 
 from weylred.fiber import FiberFunction, fiber_JX_apply
 from weylred.geometry import (
-    MalformedFiber,
     NotTangent,
     OffLevel,
     ScalarHamiltonian,
@@ -349,52 +347,6 @@ class TestGuardThresholds:
         else:
             assert np.all(np.isfinite(induced_divergence(Y, [half_r2], fiber.nodes)))
             assert np.all(np.isfinite(fiber_JX_apply(Y, 1.0, u).values))
-
-    # SphereFiber's own guards: on-sphere 1e-12 max(1, r), weight sum 1e-10 of
-    # the volume, circle angles 1e-12 and circle nodes 1e-12 r from uniform
-    FACTORS = pytest.mark.parametrize("factor, fires", [(10.0, True), (0.1, False)])
-
-    @staticmethod
-    def _check(build, fires, message):
-        if fires:
-            with pytest.raises(MalformedFiber, match=message):
-                build()
-        else:
-            build()
-
-    @FACTORS
-    @pytest.mark.parametrize("r", [0.5, 3.0])
-    def test_on_sphere_threshold(self, r, factor, fires):
-        # one node of a 2-sphere moved out along its ray by factor x 1e-12 max(1, r)
-        fiber = SphereFiber.sphere(r, 6, 12)
-        nodes = fiber.nodes.copy()
-        nodes[5] *= 1 + factor * 1e-12 * max(1.0, r) / r
-        self._check(lambda: replace(fiber, nodes=nodes), fires, "off the sphere")
-
-    @FACTORS
-    @pytest.mark.parametrize("build", [lambda: SphereFiber.circle(2.0, 16), lambda: SphereFiber.sphere(2.0, 6, 12)])
-    def test_weight_sum_threshold(self, build, factor, fires):
-        fiber = build()
-        weights = fiber.weights * (1 + factor * 1e-10)
-        self._check(lambda: replace(fiber, weights=weights), fires, "do not reproduce the volume")
-
-    @FACTORS
-    def test_uniform_angle_threshold(self, factor, fires):
-        fiber = SphereFiber.circle(2.0, 16)
-        thetas = fiber.thetas.copy()
-        thetas[3] += factor * 1e-12
-        self._check(lambda: replace(fiber, thetas=thetas), fires, "circle nodes must be")
-
-    @FACTORS
-    def test_uniform_node_threshold(self, factor, fires):
-        # a circle node moved along the circle's tangent by factor x 1e-12 r:
-        # it stays on the sphere to ~1e-23, but leaves the uniform grid
-        r = 2.0
-        fiber = SphereFiber.circle(r, 16)
-        nodes = fiber.nodes.copy()
-        t = fiber.thetas[3]
-        nodes[3] += factor * 1e-12 * r * np.array([-math.sin(t), math.cos(t)])
-        self._check(lambda: replace(fiber, nodes=nodes), fires, "circle nodes must be")
 
 
 class TestHalfLineRule:

