@@ -72,9 +72,31 @@ MUTANTS = [
     (
         "fused-step-hbar-shift-dropped",
         "symbols.py",
-        "                key = (key[0] + shift, key[1], key[2])",
-        "                key = (key[0], key[1], key[2])",
+        "        lift = shift << _hbar_shift(self.dimension)  # hbar^shift moves the hbar field alone",
+        "        lift = 0  # hbar^shift moves the hbar field alone",
         ["tests/test_moyal.py", "tests/test_oracles.py"],
+    ),
+    # -- the packed monomial layout
+    (
+        "tensor-step-degree-fields-dropped",
+        "symbols.py",
+        "        1 << FIELD_BITS * j: (FIELD_BITS * j, half + FIELD_BITS * j, hbar_bit - _variable(n, j) - _variable(n, n + j))",
+        "        1 << FIELD_BITS * j: (FIELD_BITS * j, half + FIELD_BITS * j, hbar_bit - (1 << FIELD_BITS * j) - (1 << half + FIELD_BITS * j))",
+        ["tests/test_moyal.py::TestMoyalStar::test_f12_star_f12"],
+    ),
+    (
+        "nonzero-mask-misses-exponent-one",
+        "symbols.py",
+        "    spread = (x_ones | x_ones << half) * (_LIMIT - 1)",
+        "    spread = (x_ones | x_ones << half) * (_LIMIT - 2)",
+        ["tests/test_moyal.py::TestMoyalStar::test_f12_star_f12"],
+    ),
+    (
+        "plain-product-overflow-unchecked",
+        "symbols.py",
+        "        (reduce(or_, f.num, 0) + reduce(or_, g.num, 0)) >> (FIELD_BITS * 2 * n) & (_LIMIT | _LIMIT << FIELD_BITS)",
+        "        0",
+        ["tests/test_symbols.py::TestPackedMonomials::test_product_past_the_field_raises_before_its_loop"],
     ),
     (
         "quotient-conjugate-dropped",
@@ -126,6 +148,13 @@ MUTANTS = [
         "        anti = np.linalg.norm(Z[:, None, :] + Z[None, :, :], axis=2) <= 1e-9 * r",
         "        anti = np.linalg.norm(Z[:, None, :] + Z[None, :, :], axis=2) <= 0",
         ["tests/test_fiber.py"],
+    ),
+    (
+        "circle-mirrored-pair-orientation-flipped",
+        "geometry.py",
+        "            np.concatenate([np.zeros((n, 2)), chord, -chord]),",
+        "            np.concatenate([np.zeros((n, 2)), chord, chord]),",
+        ["tests/test_config_cli.py::TestCLI::test_kernel_exit_zero"],
     ),
     (
         "sphere-pair-orientation-flipped",

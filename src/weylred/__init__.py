@@ -77,6 +77,7 @@ from .dint import (
 from .fiber import (
     FiberFunction,
     FiberOperator,
+    InvalidKernelInput,
     PWSymbol,
     PullBackUnavailable,
     SphereFiber,

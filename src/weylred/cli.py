@@ -390,8 +390,9 @@ def _run_kernel(cfg: SuiteConfig, report: Report) -> None:
     b = bump_profile(4.0)
 
     def fhat(m, v):
-        a = 1.0 + 0.5 * np.asarray(m)[..., 0]
-        return a * b(np.linalg.norm(v, axis=-1))
+        # the imaginary part is odd in v, so a mirrored pair with the wrong orientation shows
+        wedge = m[..., 0] * v[..., 1] - m[..., 1] * v[..., 0]
+        return (1.0 + 0.5 * m[..., 0]) * b(np.linalg.norm(v, axis=-1)) * (1.0 + 0.3j * wedge)
 
     sym = PWSymbol(fhat=fhat, support_radius=4.0)
 

@@ -37,6 +37,10 @@ class PullBackUnavailable(ValueError):
     """Sampled values that cannot be moved along the flow without an ambient callable."""
 
 
+class InvalidKernelInput(ValueError):
+    """A support radius that is negative or NaN, or an hbar that is zero or not finite."""
+
+
 @dataclass
 class FiberFunction:
     """Node values of a function on a fiber.
@@ -98,6 +102,8 @@ class PWSymbol:
             raise ValueError("a PWSymbol holds exactly one of fhat and separable terms")
         if self.terms is not None and self.kappa is not None:
             raise ValueError("separable terms take no kappa cutoff; give the symbol as fhat")
+        if not self.support_radius >= 0:  # NaN fails this too
+            raise InvalidKernelInput(f"support_radius must be >= 0, got {self.support_radius!r}")
 
 
 @dataclass(frozen=True)
@@ -205,8 +211,8 @@ def kernel_quantize(f: PWSymbol, hbar: float, fiber: SphereFiber) -> FiberOperat
     """
     if not isinstance(fiber, SphereFiber):
         raise TypeError(f"kernel_quantize needs a SphereFiber, got a {type(fiber).__name__}")
-    if hbar == 0:
-        raise ValueError("hbar must be nonzero")
+    if not (math.isfinite(hbar) and hbar != 0):
+        raise InvalidKernelInput(f"hbar must be finite and nonzero, got {hbar!r}")
     reach = abs(hbar) * f.support_radius
     if f.terms is not None:
         if fiber.ambient_dim != 2:

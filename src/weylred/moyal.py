@@ -1,13 +1,7 @@
 """Exact Moyal star product and Weyl-ordering power expansions.
 
-Everything here is finite and exact: a star product of polynomials has no
-order K past min(xi-degree f, x-degree g) + min(x-degree f, xi-degree g),
-since its order-K part applies d_xi^alpha d_x^beta to f and
-d_x^alpha d_xi^beta to g with |alpha| + |beta| = K. The star-basis
-expansion is a top-down reduction, one hbar-slice at a time, by exact
-division by leading terms over Q(i). No floating point enters this module,
-and no QQi or Fraction either: every step runs on the stored
-Gaussian-integer numerators.
+Everything here is finite and exact, and no floating point, QQi or Fraction
+enters: every step runs on the stored Gaussian-integer numerators.
 
 The Moyal operator splits across coordinate pairs: with
 Pi_a = d_xi_a (x) d_x_a - d_x_a (x) d_xi_a,
@@ -16,18 +10,14 @@ product of two monomials is the tensor product of n one-coordinate
 products, each a short cached table of integers 2^k k! r
 (`symbols._coordinate_product`, imported here). The products run in
 `symbols.integer_product`, the loop the plain product and the Poisson
-bracket use too, given the range of orders to keep. One scan per factor
-packs its monomials into ints and gives the x/xi degrees, and the loop cuts
-the range at the bound above: it alone decides the top order. It tensors
-only a pair's active coordinates, where a derivative of one factor meets
-the other's variable; an idle pair is one add of packed exponents. It
-weights the kept orders over the 2^K K! of the largest, adds every order
-straight into one accumulator and ends with one gcd reduction. Since
-P^k(g, f) = (-1)^k P^k(f, g), f * g - g * f is twice the odd orders of
-f * g: the star commutator is one pass over the term pairs, not two star
-products and a subtraction.
+bracket use too, given the range of orders to keep; it alone cuts the
+range at the x/xi degree bound. Since P^k(g, f) = (-1)^k P^k(f, g),
+f * g - g * f is twice the odd orders of f * g: the star commutator is one
+pass over the term pairs, not two star products and a subtraction.
 
-The expansion's steps are integer passes too: a leading-term quotient is
+The star-basis expansion is a top-down reduction, one hbar-slice at a
+time, by exact division by leading terms over Q(i): the leading key is the
+largest packed monomial, a leading-term quotient is
 s_key conj(p_key) p.den / (|p_key|^2 s.den) with one gcd (`_quotient`),
 and each subtraction s - a hbar^d p is one `PolySymbol._sub_scaled` pass.
 """
@@ -41,7 +31,7 @@ from typing import Dict, List, Tuple
 
 # the one-coordinate tables keep their name here too:
 # moyal._coordinate_product.cache_clear() empties them
-from .symbols import PolySymbol, TermKey, _coordinate_product, integer_product
+from .symbols import PolySymbol, _coordinate_product, _hbar_shift, integer_product
 
 # no order of a product of polynomials passes its x/xi bound, and
 # `integer_product` cuts every range of orders there
@@ -91,24 +81,20 @@ class StarExpansion:
         return self.reconstruct() - self.base_symbol**self.degree
 
 
-def _leading_key(f: PolySymbol) -> TermKey:
-    """Leading monomial in the graded lex order: total degree, then x, then xi."""
-    return max(f.num, key=lambda key: (sum(key[1]) + sum(key[2]), key[1], key[2]))
-
-
 def _as_polynomial_in(
-    s: PolySymbol, plain_powers: List[PolySymbol], leading: Dict[TermKey, int]
+    s: PolySymbol, plain_powers: List[PolySymbol], leading: Dict[int, int]
 ) -> List[Tuple[int, Tuple[int, int, int]]]:
     """Coefficients a_j = (re + i im) / den with s = sum_j a_j f^j, by division by leading terms.
 
-    In a graded monomial order the leading monomial of f^j is LM(f)^j, so
-    each step removes the leading term of s with one multiple of a power of
-    f; `leading` maps LM(f)^j to j. Raises SingularSystemError when s is
-    not a polynomial in f.
+    The packed keys of hbar-free symbols compare in a monomial order (x
+    degree, xi degree, exponents), so the leading monomial is the largest
+    key, and that of f^j is LM(f)^j: each step removes the leading term of s
+    with one multiple of a power of f; `leading` maps LM(f)^j to j. Raises
+    SingularSystemError when s is not a polynomial in f.
     """
     out = []
     while not s.is_zero():
-        key = _leading_key(s)
+        key = max(s.num)
         j = leading.get(key)
         if j is None:
             raise SingularSystemError(
@@ -159,17 +145,17 @@ def expand_power_in_star_basis(f: PolySymbol, m: int) -> StarExpansion:
     for _ in range(m):
         star_powers.append(moyal_star(star_powers[-1], f))
     plain_powers = [p.hbar_component(0) for p in star_powers]
-    leading = {_leading_key(p): j for j, p in enumerate(plain_powers)}
+    leading = {max(p.num): j for j, p in enumerate(plain_powers)}
     d_max = m * degree // 2
 
-    zero = (0,) * n
-    coeff_parts: dict[int, list] = {m: [(1, {(0, zero, zero): (1, 0)})]}
+    hbar_shift = _hbar_shift(n)
+    coeff_parts: dict[int, list] = {m: [(1, {0: (1, 0)})]}
     rest = plain_powers[m] - star_powers[m]
     for d in range(d_max + 1):
         if rest.is_zero():
             break
         for j, (re, im, den) in _as_polynomial_in(rest.hbar_component(d), plain_powers, leading):
-            coeff_parts.setdefault(j, []).append((den, {(d, zero, zero): (re, im)}))
+            coeff_parts.setdefault(j, []).append((den, {d << hbar_shift: (re, im)}))
             rest = rest._sub_scaled(star_powers[j], re, im, den, d)
     if not rest.is_zero():
         raise ExpansionBoundError(

@@ -2,20 +2,29 @@
 
 Coefficients live in Q(i) so that star products of real symbols stay exact.
 A symbol stores them as Gaussian-integer numerators over one reduced
-denominator: `den >= 1` and `num = {(hbar_power, x_exponents, xi_exponents):
-(re, im)}`, with no (0, 0) entry and gcd(den, every numerator) = 1. That
-form is canonical, so equality and hashing compare (dimension, den, num),
-and every ring operation runs on Python ints. The `{key: QQi}` view `terms`
-is built from the numerators on first read.
+denominator: `den >= 1` and `num = {monomial: (re, im)}`, with no (0, 0)
+entry and gcd(den, every numerator) = 1. That form is canonical, so equality
+and hashing compare (dimension, den, num), and every ring operation runs on
+Python ints.
+
+A monomial hbar^h x^xe xi^xie is one packed int: fields of FIELD_BITS bits
+hold x_0..x_{n-1}, then xi_0..xi_{n-1} from the low end, then the xi degree
+sum(xie) and the x degree sum(xe), with h on top. Every field stays below
+2^(FIELD_BITS - 1), so the product of two monomials is the sum of their
+ints and no field carries; a symbol or product that would pass that raises
+ExponentOverflow. Comparing two ints compares (h, x degree, xi degree,
+exponents), a monomial order. The public surface speaks tuple keys
+(hbar_power, x_exponents, xi_exponents): the constructor packs them, and
+the `{key: QQi}` view `terms`, built on first read, and `compile` unpack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, perm
-from operator import add, index
+from operator import index, or_
 from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,9 +33,60 @@ from .rational import QQi, parse_rational
 
 TermKey = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
 
+FIELD_BITS = 16  # the width of one packed exponent or degree field
+_FIELD = (1 << FIELD_BITS) - 1
+_LIMIT = 1 << (FIELD_BITS - 1)  # every field stays below it: its top bit is spare
+
 
 class DimensionMismatch(ValueError):
     pass
+
+
+class ExponentOverflow(ValueError):
+    """An exponent or an x/xi degree would reach 2^(FIELD_BITS - 1), past its packed field."""
+
+
+def _hbar_shift(n: int) -> int:
+    """The lowest bit of the hbar power in a packed monomial of dimension n."""
+    return FIELD_BITS * (2 * n + 2)
+
+
+def _check_fits(dx: int, dxi: int) -> None:
+    """ExponentOverflow unless an x degree dx and a xi degree dxi, and so every exponent, fit a field."""
+    if max(dx, dxi) >= _LIMIT:
+        raise ExponentOverflow(f"x degree {dx} and xi degree {dxi}: exponents and degrees must stay below {_LIMIT}")
+
+
+def _pack(h: int, xe: Sequence[int], xie: Sequence[int]) -> int:
+    """The packed monomial hbar^h x^xe xi^xie, for non-negative exponents."""
+    dx, dxi = sum(xe), sum(xie)
+    _check_fits(dx, dxi)
+    key = h
+    for v in (dx, dxi, *reversed(xie), *reversed(xe)):
+        key = key << FIELD_BITS | v
+    return key
+
+
+def _variable(n: int, i: int) -> int:
+    """The packed monomial x_i for i < n and xi_(i-n) past it: one in its field and its degree field."""
+    return 1 << FIELD_BITS * i | 1 << FIELD_BITS * (2 * n + (i < n))
+
+
+def _unpack(n: int, key: int) -> TermKey:
+    """The tuple key (hbar power, x exponents, xi exponents) of a packed monomial."""
+    e = [key >> (FIELD_BITS * i) & _FIELD for i in range(2 * n)]
+    return key >> _hbar_shift(n), tuple(e[:n]), tuple(e[n:])
+
+
+def _product_degrees(f: "PolySymbol", g: "PolySymbol") -> Tuple[int, int, int, int]:
+    """The largest x and xi degrees over the terms of f, then of g, two field
+    reads a term; ExponentOverflow if a product of their terms would pass a field."""
+    s = FIELD_BITS * 2 * f.dimension
+    xf, xif, xg, xig = (
+        max((key >> shift & _FIELD for key in h.num), default=0) for h in (f, g) for shift in (s + FIELD_BITS, s)
+    )
+    _check_fits(xf + xg, xif + xig)
+    return xf, xif, xg, xig
 
 
 def _check_same_dim(f: "PolySymbol", g: "PolySymbol"):
@@ -61,7 +121,7 @@ def _common_factor(den: int, sums) -> int:
     return common
 
 
-def _integer_form(coefficients: Mapping[TermKey, QQi]) -> Tuple[int, dict]:
+def _integer_form(coefficients: Mapping[int, QQi]) -> Tuple[int, dict]:
     """(den, num) of nonzero coefficients: den is the lcm of their reduced
     denominators, so it shares no factor with all of the numerators."""
     den = 1
@@ -83,7 +143,7 @@ class PolySymbol:
 
     def __init__(self, dimension: int, terms: Mapping[TermKey, QQi] | None = None):
         _check_dimension(dimension)
-        clean: dict[TermKey, QQi] = {}
+        clean: dict[int, QQi] = {}
         for (h, xe, xie), c in (terms or {}).items():
             h = _exponent(h)
             xe = tuple(_exponent(e) for e in xe)
@@ -92,10 +152,10 @@ class PolySymbol:
                 raise ValueError("exponents must be non-negative")
             if len(xe) != dimension or len(xie) != dimension:
                 raise DimensionMismatch("exponent vector length != dimension")
+            key = _pack(h, xe, xie)
             c = QQi.coerce(c)
             if c.is_zero():
                 continue
-            key = (h, xe, xie)
             prev = clean.get(key)
             total = c if prev is None else prev + c
             if total.is_zero():
@@ -154,9 +214,9 @@ class PolySymbol:
     def terms(self) -> dict:
         """The coefficients as a read-only {key: QQi} view, built on first read."""
         if self._terms is None:
-            den = self.den
+            n, den = self.dimension, self.den
             view = {
-                key: QQi._from_fractions(Fraction(re, den), Fraction(im, den))
+                _unpack(n, key): QQi._from_fractions(Fraction(re, den), Fraction(im, den))
                 for key, (re, im) in self.num.items()
             }
             object.__setattr__(self, "_terms", view)
@@ -172,8 +232,7 @@ class PolySymbol:
     def constant(cls, c, n: int) -> "PolySymbol":
         _check_dimension(n)
         c = QQi.coerce(c)
-        z = (0,) * n
-        return cls._canonical(n, *_integer_form({(0, z, z): c} if c else {}))
+        return cls._canonical(n, *_integer_form({0: c} if c else {}))
 
     @classmethod
     def one(cls, n: int) -> "PolySymbol":
@@ -183,15 +242,13 @@ class PolySymbol:
     def x(cls, a: int, n: int) -> "PolySymbol":
         if not 0 <= a < n:
             raise IndexError(f"x index {a} out of range for dimension {n}")
-        xe = tuple(1 if j == a else 0 for j in range(n))
-        return cls._canonical(n, 1, {(0, xe, (0,) * n): (1, 0)})
+        return cls._canonical(n, 1, {_variable(n, a): (1, 0)})
 
     @classmethod
     def xi(cls, a: int, n: int) -> "PolySymbol":
         if not 0 <= a < n:
             raise IndexError(f"xi index {a} out of range for dimension {n}")
-        xie = tuple(1 if j == a else 0 for j in range(n))
-        return cls._canonical(n, 1, {(0, (0,) * n, xie): (1, 0)})
+        return cls._canonical(n, 1, {_variable(n, n + a): (1, 0)})
 
     @classmethod
     def hbar(cls, n: int, power: int = 1) -> "PolySymbol":
@@ -199,8 +256,7 @@ class PolySymbol:
         power = _exponent(power)
         if power < 0:
             raise ValueError("exponents must be non-negative")
-        z = (0,) * n
-        return cls._canonical(n, 1, {(power, z, z): (1, 0)})
+        return cls._canonical(n, 1, {power << _hbar_shift(n): (1, 0)})
 
     # -- ring operations ------------------------------------------------
     def _sub_scaled(
@@ -216,9 +272,10 @@ class PolySymbol:
         s, t = D // self.den, D // (den * other.den)
         sums = dict(self.num) if s == 1 else {k: (a * s, b * s) for k, (a, b) in self.num.items()}
         c, d = re * t, im * t
+        lift = shift << _hbar_shift(self.dimension)  # hbar^shift moves the hbar field alone
         for key, (a, b) in other.num.items():
-            if shift:
-                key = (key[0] + shift, key[1], key[2])
+            if lift:
+                key += lift
             pr, pi = a * c - b * d, a * d + b * c
             prev = sums.get(key)
             sums[key] = (-pr, -pi) if prev is None else (prev[0] - pr, prev[1] - pi)
@@ -278,17 +335,13 @@ class PolySymbol:
             raise ValueError("kind must be 'x' or 'xi'")
         if not 0 <= a < self.dimension:
             raise IndexError(f"variable index {a} out of range")
-        pos = 1 if kind == "x" else 2
+        i = a if kind == "x" else self.dimension + a
+        field, step = FIELD_BITS * i, _variable(self.dimension, i)
         out: dict = {}
         for key, (re, im) in self.num.items():
-            exps = key[pos]
-            e = exps[a]
-            if e == 0:
-                continue
-            new_exps = tuple(v - 1 if j == a else v for j, v in enumerate(exps))
-            new_key = list(key)
-            new_key[pos] = new_exps
-            out[tuple(new_key)] = (re * e, im * e)
+            e = key >> field & _FIELD
+            if e:
+                out[key - step] = (re * e, im * e)
         return PolySymbol._reduced(self.dimension, self.den, out)
 
     def poisson(self, other: "PolySymbol") -> "PolySymbol":
@@ -304,23 +357,21 @@ class PolySymbol:
     # -- queries --------------------------------------------------------
     def total_degree(self) -> int:
         """Max combined degree in (x, xi); hbar does not count."""
-        if not self.num:
-            return 0
-        return max(sum(xe) + sum(xie) for _, xe, xie in self.num)
+        s = FIELD_BITS * 2 * self.dimension
+        return max(((key >> s & _FIELD) + (key >> (s + FIELD_BITS) & _FIELD) for key in self.num), default=0)
 
     def is_xi_free(self) -> bool:
-        return all(sum(xie) == 0 for _, _, xie in self.num)
+        s = FIELD_BITS * 2 * self.dimension
+        return not any(key >> s & _FIELD for key in self.num)
 
     def is_hbar_free(self) -> bool:
-        return all(h == 0 for h, _, _ in self.num)
+        return max(self.num, default=0) >> _hbar_shift(self.dimension) == 0  # hbar is the top field
 
     def hbar_component(self, power: int) -> "PolySymbol":
         """The hbar^power slice, with the hbar factor stripped."""
-        return PolySymbol._reduced(
-            self.dimension,
-            self.den,
-            {(0, xe, xie): c for (h, xe, xie), c in self.num.items() if h == power},
-        )
+        s = _hbar_shift(self.dimension)
+        sliced = {key & ((1 << s) - 1): c for key, c in self.num.items() if key >> s == power}
+        return PolySymbol._reduced(self.dimension, self.den, sliced)
 
     def compile(self) -> Tuple[np.ndarray, np.ndarray]:
         """Exponent matrix (T, 1 + 2n) over (hbar, x, xi) and complex coefficients (T,).
@@ -382,45 +433,6 @@ def _coordinate_product(alpha: int, beta: int, gamma: int, delta: int) -> tuple:
     return tuple(out)
 
 
-_NONZERO = bytes([0] + [1] * 255)
-
-
-def _scan(f: PolySymbol, size: int):
-    """One pass over f: (rows, x degree, xi degree), or None if an exponent needs more than `size` bytes.
-
-    Each exponent takes a field of `size` bytes, x_0..x_{n-1} then
-    xi_0..xi_{n-1} from the low end, with the hbar power above them, so the
-    product of two monomials is the sum of their packed ints; every field
-    keeps a spare top bit, so no field of a product overflows. A row is
-    (packed monomial, x mask, xi mask, re, im, exponents): the masks hold bit
-    8a for each coordinate a with a nonzero x, and xi, exponent, and the
-    exponents are the tuple x + xi.
-    """
-    n = f.dimension
-    limit = 1 << (8 * size - 1)
-    h_shift = 16 * n * size
-    low = (1 << (8 * n)) - 1
-    rows = []
-    xdeg = xideg = 0
-    for (h, xe, xie), (re, im) in f.num.items():
-        e = xe + xie
-        if max(e) >= limit:
-            return None
-        if size == 1:
-            raw = bytes(e)
-            nz = int.from_bytes(raw.translate(_NONZERO), "little")
-        else:
-            raw = b"".join([v.to_bytes(size, "little") for v in e])
-            nz = int.from_bytes(bytes(map(bool, e)), "little")
-        rows.append((h << h_shift | int.from_bytes(raw, "little"), nz & low, nz >> (8 * n), re, im, e))
-        dx, dxi = sum(xe), sum(xie)
-        if dx > xdeg:
-            xdeg = dx
-        if dxi > xideg:
-            xideg = dxi
-    return rows, xdeg, xideg
-
-
 def integer_product(
     f: PolySymbol,
     g: PolySymbol,
@@ -435,43 +447,30 @@ def integer_product(
     P^1 the Poisson bracket); with `phased` order K also carries
     hbar^K i^K, its sign folded into the weights and its i a swap. So the
     plain product is orders = range(1), `poisson` is range(1, 2) times 2
-    without phase, and the star product is every order. Both factors enter
-    as their stored Gaussian-integer numerators, only int multiply-adds run
-    per pair of terms, and one gcd reduces the sums. No Fraction is built.
+    without phase, and the star product is every order. Only int
+    multiply-adds on the stored numerators run per pair of terms, keys add
+    as packed monomials, and one gcd reduces the sums: no Fraction is built
+    and no monomial unpacked. A product whose degrees would pass a field
+    raises ExponentOverflow before any loop runs.
 
-    Order 0 alone is a plain loop over tuple keys; a one-term factor there
-    only relabels and scales the other's terms, with no accumulation. Past
-    it, one scan per factor (`_scan`) packs each monomial into one int and
-    gives the x and xi degrees. No order passes min(xi deg f, x deg g) +
-    min(x deg f, xi deg g) (order K applies d_xi^alpha d_x^beta to f and
-    d_x^alpha d_xi^beta to g, |alpha| + |beta| = K), so `orders` is cut
-    there, and the kept orders share the denominator 2^top top! of the
-    largest one, top: every weight is an integer. At top order 1
-    (`_first_order_sums`) each coordinate's derivative terms of f and g are
-    paired directly. Past it (`_tensor_sums`) a pair of terms reaches past
-    order 0 only through its active coordinates a, those where the xi_a
-    exponent of f and the x_a exponent of g, or the x_a exponent of f and
-    the xi_a exponent of g, are both nonzero; a pair with none costs one add
-    of packed exponents (nothing if order 0 is not kept), and only the
-    active coordinates' tables (`_coordinate_product`) are tensored, entries
-    past the top order pruned as they are built: an order-K entry that
-    lowers coordinate a by k_a weighs prod R_a K! w_K / prod k_a!, w_K the
-    order's weight over the common denominator, and moves the packed key by
-    sum_a k_a (hbar - x_a - xi_a). Every order adds straight into one
-    accumulator, and the sums are unpacked and reduced in one pass.
+    No order passes min(xi deg f, x deg g) + min(x deg f, xi deg g) (order K
+    applies d_xi^alpha d_x^beta to f and d_x^alpha d_xi^beta to g,
+    |alpha| + |beta| = K), so `orders` is cut there, and the kept orders
+    share the denominator 2^top top! of the largest one, top: every weight
+    is an integer. Top order 1 pairs each coordinate's derivative terms
+    directly (`_first_order_sums`); past it, each pair of terms tensors the
+    tables of its active coordinates alone (`_tensor_sums`).
     """
     _check_same_dim(f, g)
     n = f.dimension
     D = f.den * g.den
-    if orders == range(1):
+    # the OR of a symbol's keys bounds each of its fields and stays below _LIMIT
+    # there, so two add without a carry: a plain product that fits needs no degrees
+    if orders == range(1) and not (
+        (reduce(or_, f.num, 0) + reduce(or_, g.num, 0)) >> (FIELD_BITS * 2 * n) & (_LIMIT | _LIMIT << FIELD_BITS)
+    ):
         return PolySymbol._reduced(n, D, _plain_sums(f, g, scale))
-    size = 1
-    while True:
-        fs, gs = _scan(f, size), _scan(g, size)
-        if fs and gs:
-            break
-        size += 1
-    (fs, xf, xif), (gs, xg, xig) = fs, gs
+    xf, xif, xg, xig = _product_degrees(f, g)
     kept = range(orders.start, min(orders.stop, min(xif, xg) + min(xf, xig) + 1), orders.step)
     if not kept:
         return PolySymbol.zero(n)
@@ -486,49 +485,37 @@ def integer_product(
     weight = [unit << (top - K) if K in kept else 0 for K in range(top + 1)]
     if phased:  # fold the sign of i^K into the weights; the swap stays below
         weight = [-w if K & 2 else w for K, w in enumerate(weight)]
-    w8 = 8 * size
     if top == 1:
-        acc = _first_order_sums(fs, gs, n, w8, weight[0], weight[1], phased)
+        acc = _first_order_sums(f, g, weight[0], weight[1], phased)
     else:
-        acc = _tensor_sums(fs, gs, n, w8, weight, phased)
-    common = _common_factor(D, acc.values())
-    h_shift = 2 * n * w8
-    low = (1 << h_shift) - 1
-    num = {}
-    for key, (re, im) in acc.items():
-        if re or im:
-            raw = (key & low).to_bytes(2 * n * size, "little")
-            e = tuple(raw) if size == 1 else tuple(
-                int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)
-            )
-            num[(key >> h_shift, e[:n], e[n:])] = (re // common, im // common)
-    return PolySymbol._canonical(n, D // common if num else 1, num)
+        acc = _tensor_sums(f, g, weight, phased)
+    return PolySymbol._reduced(n, D, acc)
 
 
-def _first_order_sums(fs, gs, n: int, w8: int, w0: int, w1: int, phased: bool) -> dict:
-    """Packed sums of w0 fg + w1 (i hbar)^phased P^1(f, g) over the rows of `_scan`.
+def _first_order_sums(f: PolySymbol, g: PolySymbol, w0: int, w1: int, phased: bool) -> dict:
+    """The sums of w0 fg + w1 (i hbar)^phased P^1(f, g) by packed monomial.
 
     P^1(f, g) = sum_a d_xi_a f d_x_a g - d_x_a f d_xi_a g: each
     coordinate's derivative terms are paired directly, so a pair of terms
     with no active coordinate costs nothing, and the weight, sign and phase
     ride on the f side. w0 adds the plain product as one more pairing.
     """
-    hb = 1 << (2 * n * w8) if phased else 0
+    n = f.dimension
+    hb = 1 << _hbar_shift(n) if phased else 0
     c0, d0 = (0, w1) if phased else (w1, 0)
     pairings = []
     if w0:
-        pairings.append(
-            ([(k, a * w0, b * w0) for k, _, _, a, b, _ in fs], [(k, c, d) for k, _, _, c, d, _ in gs])
-        )
+        fl, gl = [(k, a * w0, b * w0) for k, (a, b) in f.num.items()], [(k, c, d) for k, (c, d) in g.num.items()]
+        pairings.append((fl, gl))
     for j in range(n):
         for fi, gi, sign in ((n + j, j, 1), (j, n + j, -1)):
-            fbit, gbit = 1 << (fi * w8), 1 << (gi * w8)
+            fs, gs, fstep, gstep = FIELD_BITS * fi, FIELD_BITS * gi, _variable(n, fi), _variable(n, gi)
             fl = [
-                (k + hb - fbit, sign * e[fi] * (a * c0 - b * d0), sign * e[fi] * (a * d0 + b * c0))
-                for k, _, _, a, b, e in fs
-                if e[fi]
+                (k + hb - fstep, sign * e * (a * c0 - b * d0), sign * e * (a * d0 + b * c0))
+                for k, (a, b) in f.num.items()
+                if (e := k >> fs & _FIELD)
             ]
-            gl = [(k - gbit, e[gi] * c, e[gi] * d) for k, _, _, c, d, e in gs if e[gi]] if fl else ()
+            gl = [(k - gstep, e * c, e * d) for k, (c, d) in g.num.items() if (e := k >> gs & _FIELD)] if fl else ()
             if gl:
                 pairings.append((fl, gl))
     acc: dict = {}
@@ -547,21 +534,43 @@ def _first_order_sums(fs, gs, n: int, w8: int, w0: int, w1: int, phased: bool) -
     return acc
 
 
-def _tensor_sums(fs, gs, n: int, w8: int, weight: Sequence[int], phased: bool) -> dict:
-    """Packed sums of sum_K weight[K] / K! (i hbar)^(K phased) P^K(f, g) over the rows of `_scan`, top order >= 2.
+def _tensor_sums(f: PolySymbol, g: PolySymbol, weight: Sequence[int], phased: bool) -> dict:
+    """The sums of sum_K weight[K] / K! (i hbar)^(K phased) P^K(f, g) by packed monomial, top order >= 2.
 
-    The sign of i^K is already folded into `weight`. Each pair of terms adds
-    weight[0] times its plain product, and past it the tensor product of its
-    active coordinates' tables, pruned past the top order.
+    The sign of i^K is already folded into `weight`. A pair of terms
+    reaches past order 0 only through its active coordinates a, where the
+    xi_a exponent of f and the x_a exponent of g, or the x_a exponent of f
+    and the xi_a exponent of g, are both nonzero. A term's nonzero
+    exponents take one add and mask (Warren, Hacker's Delight, ch. 6):
+    adding _LIMIT - 1 to every field sets the spare top bit of exactly the
+    nonzero ones. Each pair adds weight[0] times its plain product, and
+    past it the tensor product of its active coordinates' tables
+    (`_coordinate_product`), pruned past the top order as it is built: an
+    order-K entry that lowers coordinate a by k_a weighs
+    prod R_a weight[K] / prod k_a! and moves the key by
+    sum_a k_a (hbar - x_a - xi_a - x degree - xi degree).
     """
+    n = f.dimension
     top = len(weight) - 1
     w0 = weight[0]
-    hbar_bit = 1 << (2 * n * w8) if phased else 0
-    step = [hbar_bit - (1 << (a * w8)) - (1 << ((n + a) * w8)) for a in range(n)]
+    half = FIELD_BITS * n  # the xi fields start here
+    hbar_bit = 1 << _hbar_shift(n) if phased else 0
+    x_ones = ((1 << half) - 1) // _FIELD  # a 1 at the bottom of each x field
+    spread = (x_ones | x_ones << half) * (_LIMIT - 1)
+    # coordinate j by the bottom bit of its x field: its two field shifts, and one order's key step
+    coordinate = {
+        1 << FIELD_BITS * j: (FIELD_BITS * j, half + FIELD_BITS * j, hbar_bit - _variable(n, j) - _variable(n, n + j))
+        for j in range(n)
+    }
+    # rows (key, x mask, xi mask, re, im): bit FIELD_BITS j of a mask marks a nonzero x_j or xi_j
+    fs, gs = (
+        [(k, (nz := (k + spread) >> (FIELD_BITS - 1)) & x_ones, nz >> half & x_ones, a, b) for k, (a, b) in h.num.items()]
+        for h in (f, g)
+    )
     acc: dict = {}
     get = acc.get
-    for key1, xm1, xim1, a, b, e1 in fs:
-        for key2, xm2, xim2, c, d, e2 in gs:
+    for key1, xm1, xim1, a, b in fs:
+        for key2, xm2, xim2, c, d in gs:
             active = (xim1 & xm2) | (xm1 & xim2)
             if not (active or w0):
                 continue
@@ -581,11 +590,12 @@ def _tensor_sums(fs, gs, n: int, w8: int, weight: Sequence[int], phased: bool) -
             while active:
                 bit = active & -active
                 active ^= bit
-                j = bit.bit_length() >> 3
-                table = _coordinate_product(e1[j], e1[n + j], e2[j], e2[n + j])
-                s = step[j]
+                sx, sxi, step = coordinate[bit]
+                table = _coordinate_product(
+                    key1 >> sx & _FIELD, key1 >> sxi & _FIELD, key2 >> sx & _FIELD, key2 >> sxi & _FIELD
+                )
                 tensor = [
-                    (K + k, k2 + k * s, W * R, facts * k_fact)
+                    (K + k, k2 + k * step, W * R, facts * k_fact)
                     for K, k2, W, facts in tensor
                     for k, _, _, R, k_fact in table
                     if K + k <= top
@@ -608,33 +618,26 @@ def _tensor_sums(fs, gs, n: int, w8: int, weight: Sequence[int], phased: bool) -
 
 
 def _plain_sums(f: PolySymbol, g: PolySymbol, w: int) -> dict:
-    """The numerator sums of w f g, the order-0 pass of `integer_product`.
+    """The numerator sums of w f g, the order-0 pass of `integer_product`: keys add.
 
     A one-term factor relabels and scales the other's terms: adding one
-    monomial is injective, so no two products share a key and nothing
+    key is injective, so no two products share a key and nothing
     accumulates.
     """
     if len(f.num) == 1:
         f, g = g, f
     if len(g.num) == 1:
-        (((h2, xe2, xie2), (c, d)),) = g.num.items()
+        ((k2, (c, d)),) = g.num.items()
         c, d = c * w, d * w
-        if not (any(xe2) or any(xie2)):  # a constant times hbar^h2 moves only the hbar power
-            return {
-                (h1 + h2, xe1, xie1): (a * c - b * d, a * d + b * c)
-                for (h1, xe1, xie1), (a, b) in f.num.items()
-            }
-        return {
-            (h1 + h2, tuple(map(add, xe1, xe2)), tuple(map(add, xie1, xie2))): (a * c - b * d, a * d + b * c)
-            for (h1, xe1, xie1), (a, b) in f.num.items()
-        }
+        return {k1 + k2: (a * c - b * d, a * d + b * c) for k1, (a, b) in f.num.items()}
     acc: dict = {}
+    get = acc.get
     g_terms = g.num.items()
-    for (h1, xe1, xie1), (a, b) in f.num.items():
-        for (h2, xe2, xie2), (c, d) in g_terms:
-            key = (h1 + h2, tuple(map(add, xe1, xe2)), tuple(map(add, xie1, xie2)))
+    for k1, (a, b) in f.num.items():
+        for k2, (c, d) in g_terms:
+            key = k1 + k2
             re, im = a * c - b * d, a * d + b * c
-            slot = acc.get(key)
+            slot = get(key)
             if slot is None:
                 acc[key] = [re, im]
             else:
@@ -652,13 +655,14 @@ def compile_symbols(symbols: Sequence[PolySymbol]) -> Tuple[np.ndarray, np.ndarr
     distinct monomial, and the complex coefficient matrix (T, len(symbols)).
     """
     n = symbols[0].dimension
-    rows: dict[TermKey, int] = {}
+    rows: dict[int, int] = {}
     for f in symbols:
         _check_same_dim(symbols[0], f)
         for key in f.num:
             rows.setdefault(key, len(rows))
     exponents = np.zeros((len(rows), 1 + 2 * n), dtype=np.int64)
-    for (h, xe, xie), t in rows.items():
+    for key, t in rows.items():
+        h, xe, xie = _unpack(n, key)
         exponents[t] = (h, *xe, *xie)
     coefficients = np.zeros((len(rows), len(symbols)), dtype=complex)
     for j, f in enumerate(symbols):
@@ -735,7 +739,8 @@ class VectorField:
         n = self.dimension
         A = np.zeros((n, n))
         for a, comp in enumerate(self.components):
-            for (_, xe, _), (re, _) in comp.num.items():
+            for key, (re, _) in comp.num.items():
+                _, xe, _ = _unpack(n, key)
                 if sum(xe) != 1:
                     return None
                 A[a, xe.index(1)] = re / comp.den
@@ -777,13 +782,14 @@ def momentum_symbol(X: VectorField) -> PolySymbol:
 
     The components are xi-free, so the terms of X_a xi_a carry xi exponent
     e_a and never meet another component's: J_X is one relabel of the
-    components' numerators over their lcm denominator.
+    components' numerators, each key plus the packed xi_a, over their lcm
+    denominator.
     """
     n = X.dimension
     parts = []
     for a, comp in enumerate(X.components):
-        unit = tuple(int(j == a) for j in range(n))
-        parts.append((comp.den, {(h, xe, unit): c for (h, xe, _), c in comp.num.items()}))
+        xi_a = _variable(n, n + a)
+        parts.append((comp.den, {key + xi_a: c for key, c in comp.num.items()}))
     return PolySymbol._disjoint_sum(n, parts)
 
 

@@ -12,6 +12,7 @@ from weylred.config import SuiteConfig
 from weylred.fiber import (
     FiberFunction,
     FiberOperator,
+    InvalidKernelInput,
     PWSymbol,
     PullBackUnavailable,
     SphereFiber,
@@ -487,6 +488,21 @@ class TestKernelQuantize:
         assert kernel_quantize(PWSymbol(terms=terms, support_radius=4.0), 0.5, fiber).dense is None
         cut = kernel_quantize(PWSymbol(fhat=fhat, support_radius=4.0, kappa=even_cutoff), 0.5, fiber)
         assert cut.block is None
+
+    @pytest.mark.parametrize("radius", [-1.0, float("nan")])
+    def test_negative_or_nan_support_radius_is_named(self, radius):
+        # either would leave only the diagonal in reach and quantize without a word
+        fhat = separable_fhat(separable_symbol(1.0).terms)
+        with pytest.raises(InvalidKernelInput, match="support_radius must be >= 0"):
+            PWSymbol(fhat=fhat, support_radius=radius)
+        assert kernel_quantize(PWSymbol(fhat=fhat, support_radius=0.0), 0.5, SphereFiber.circle(1.0, 16)).matrix.any()
+
+    @pytest.mark.parametrize("hbar", [float("nan"), float("inf"), -float("inf"), 0.0])
+    def test_non_finite_or_zero_hbar_is_named(self, hbar):
+        # a NaN hbar gave a kernel of NaNs
+        sym = PWSymbol(fhat=separable_fhat(separable_symbol(1.0).terms), support_radius=4.0)
+        with pytest.raises(InvalidKernelInput, match="hbar must be finite and nonzero"):
+            kernel_quantize(sym, hbar, SphereFiber.circle(1.0, 16))
 
     def test_separable_terms_on_a_sphere_raise(self):
         # the terms read the planar angle arctan2(m_1, m_0) and m ^ v; on a

@@ -443,9 +443,9 @@ def test_momentum_symbol_matches_reference(X):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_wide_exponent_fields_match_sympy(n):
-    # exponents of 128 and more take two bytes per packed field, and the
-    # product's exponents pass 255; few derivative pairs survive, so the
-    # sympy reference stays small
+    # exponents of 128 and more, and products past 255, once needed wider
+    # packed fields; few derivative pairs survive, so the sympy reference
+    # stays small
     sympy = pytest.importorskip("sympy")
     xs = list(sympy.symbols(f"x0:{n}"))
     xis = list(sympy.symbols(f"xi0:{n}"))
@@ -461,5 +461,31 @@ def test_wide_exponent_fields_match_sympy(n):
         F_, G_ = _to_sympy(sympy, F, xs, xis, hbar), _to_sympy(sympy, G, xs, xis, hbar)
         want = _sympy_star(sympy, F_, G_, xs, xis, hbar, order)
         assert sympy.expand(_to_sympy(sympy, moyal_star(F, G), xs, xis, hbar) - want) == 0
-    assert max(max(xe + xie) for _, xe, xie in (f * g).num) > 255
+    assert max(max(xe + xie) for _, xe, xie in (f * g).terms) > 255
     assert f.poisson(g) == _ref_bidifferential_power(f, g, 1)
+
+
+@pytest.mark.parametrize("e", [127, 128, 255, 256, 2**15 - 8])
+def test_products_across_field_boundaries_match_references(e):
+    # exponents around the old one-byte fields, and one whose products land just
+    # under the packed field's limit of 2^15; g keeps a low degree, so the
+    # composition-sum references stay small
+    f = PolySymbol(
+        2,
+        {
+            (0, (e, 1), (2, 0)): QQi(3),
+            (1, (0, 2), (0, e)): QQi(0, Fraction(1, 2)),
+            (0, (e - 1, 0), (1, 1)): QQi(Fraction(-5, 7)),
+        },
+    )
+    g = PolySymbol(
+        2,
+        {(0, (1, 0), (1, 0)): QQi(2), (0, (3, 0), (0, 1)): QQi(1, -1), (2, (0, 1), (0, 2)): QQi(Fraction(1, 3))},
+    )
+    for F, G in ((f, g), (g, f)):
+        assert F * G == _ref_product(F, G)
+        star = _ref_moyal_star(F, G)
+        assert moyal_star(F, G) == star
+        assert star_commutator(F, G) == star - _ref_moyal_star(G, F)
+        assert F.poisson(G) == _ref_bidifferential_power(F, G, 1)
+    assert max(max(xe + xie) for _, xe, xie in moyal_star(f, g).terms) == e + 3

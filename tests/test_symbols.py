@@ -5,10 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from weylred.moyal import moyal_star, star_commutator
 from weylred.rational import QQi, parse_rational
 from weylred.symbols import (
     DimensionMismatch,
+    ExponentOverflow,
     PolySymbol,
     VectorField,
     angular_momentum,
@@ -87,6 +91,70 @@ class TestConstructor:
         assert all(type(e) is int for h, xe, xie in f.terms for e in (h, *xe, *xie))
 
 
+LIMIT = 2**15  # every packed exponent and x/xi degree stays below it
+
+
+def _wide_keys(n):
+    """Tuple keys whose exponents span the packed fields: each x/xi degree below LIMIT, hbar unbounded."""
+    spread = st.lists(st.integers(0, LIMIT // n - 1), min_size=n, max_size=n)
+    one = st.tuples(st.integers(0, n - 1), st.integers(0, LIMIT - 1))
+    exps = st.one_of(spread, one.map(lambda p: [p[1] if j == p[0] else 0 for j in range(n)]))
+    return st.tuples(st.integers(0, 10**6), exps.map(tuple), exps.map(tuple))
+
+
+_wide_symbols = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.dictionaries(
+            _wide_keys(n), st.builds(QQi, st.fractions(max_denominator=9)).filter(lambda c: c != QQi()), max_size=5
+        ),
+    )
+)
+
+
+class TestPackedMonomials:
+    @settings(max_examples=80, deadline=None)
+    @given(_wide_symbols)
+    def test_terms_round_trip(self, n_terms):
+        n, terms = n_terms
+        f = PolySymbol(n, terms)
+        assert f.terms == terms
+        assert PolySymbol(n, f.terms) == f
+        if terms:
+            # the largest packed key leads in the order (hbar, x degree, xi degree, xi_{n-1} .. xi_0, x_{n-1} .. x_0)
+            packed = {next(iter(PolySymbol(n, {key: 1}).num)): key for key in terms}
+            order = lambda k: (k[0], sum(k[1]), sum(k[2]), k[2][::-1], k[1][::-1])
+            assert packed[max(f.num)] == max(terms, key=order)
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            (0, (LIMIT, 0), (0, 0)),
+            (0, (0, 0), (0, LIMIT)),
+            (0, (LIMIT // 2, LIMIT // 2), (0, 0)),  # every exponent fits, the x degree does not
+            (0, (0, 0), (LIMIT - 1, 1)),
+        ],
+    )
+    def test_exponent_or_degree_past_the_field_raises(self, key):
+        with pytest.raises(ExponentOverflow, match="must stay below 32768"):
+            PolySymbol(2, {key: 1})
+        with pytest.raises(ExponentOverflow):  # a zero coefficient too
+            PolySymbol(2, {key: 0})
+        assert issubclass(ExponentOverflow, ValueError)
+
+    @pytest.mark.parametrize("kind", ["x", "xi"])
+    def test_product_past_the_field_raises_before_its_loop(self, kind):
+        unit, other = (PolySymbol.x, PolySymbol.xi) if kind == "x" else (PolySymbol.xi, PolySymbol.x)
+        f = unit(0, 2) ** (LIMIT // 2) + unit(1, 2)
+        g = unit(1, 2) ** (LIMIT // 2 - 1) * (1 + other(1, 2))
+        assert (f * g).total_degree() == LIMIT  # a kind's degree reaches LIMIT - 1, just under the field
+        h = unit(1, 2) ** (LIMIT // 2)
+        for product in (lambda: f * h, lambda: h * f, lambda: moyal_star(f, h), lambda: star_commutator(h, f)):
+            with pytest.raises(ExponentOverflow, match="must stay below 32768"):
+                product()
+        assert PolySymbol.hbar(2, 10**9) * PolySymbol.hbar(2, 10**9) == PolySymbol.hbar(2, 2 * 10**9)
+
+
 class TestBasisConstructors:
     """`zero`, `one`, `constant`, `x`, `xi` and `hbar` skip the validating loop."""
 
@@ -106,7 +174,8 @@ class TestBasisConstructors:
 
     def test_constant_stores_one_reduced_denominator(self):
         f = PolySymbol.constant(QQi("1/2", "-2/3"), 2)
-        assert (f.den, f.num) == (6, {(0, (0, 0), (0, 0)): (3, -4)})
+        assert (f.den, list(f.num.values())) == (6, [(3, -4)])
+        assert f.terms == {(0, (0, 0), (0, 0)): QQi("1/2", "-2/3")}
 
     @pytest.mark.parametrize("zero", [0, Fraction(0), QQi()])
     def test_constant_zero_is_the_zero_symbol(self, zero):
@@ -242,7 +311,7 @@ class TestMomentumSymbol:
         j = momentum_symbol(X)
         # every term of X . xi has xi-degree exactly one
         if not j.is_zero():
-            assert {sum(xie) for _, _, xie in j.num} == {1}
+            assert {sum(xie) for _, _, xie in j.terms} == {1}
 
 
 class TestAngularMomentum:
