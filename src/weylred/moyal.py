@@ -3,15 +3,14 @@
 Everything here is finite and exact, and no floating point, QQi or Fraction
 enters: every step runs on the stored Gaussian-integer numerators.
 
-The Moyal operator splits across coordinate pairs: with
-Pi_a = d_xi_a (x) d_x_a - d_x_a (x) d_xi_a,
-exp((i hbar/2) sum_a Pi_a) = prod_a exp((i hbar/2) Pi_a), so the star
-product of two monomials is the tensor product of n one-coordinate
-products, each a short cached table of integers 2^k k! r
-(`symbols._coordinate_product`, imported here). The products run in
+The Moyal operator is a sum of 2n commuting moves: with
+P = sum_a d_xi_a (x) d_x_a - d_x_a (x) d_xi_a, the order-k part
+(i hbar/2)^k P^k / k! expands by the multinomial theorem into products of
+derivatives of the two factors, one count per move. The products run in
 `symbols.integer_product`, the loop the plain product and the Poisson
-bracket use too, given the range of orders to keep; it alone cuts the
-range at the x/xi degree bound. Since P^k(g, f) = (-1)^k P^k(f, g),
+bracket use too, given the range of orders to keep; it builds the
+derivative terms move by move, and alone cuts the range at the x/xi
+degree bound. Since P^k(g, f) = (-1)^k P^k(f, g),
 f * g - g * f is twice the odd orders of f * g: the star commutator is one
 pass over the term pairs, not two star products and a subtraction.
 
@@ -29,9 +28,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Dict, List, Tuple
 
-# the one-coordinate tables keep their name here too:
-# moyal._coordinate_product.cache_clear() empties them
-from .symbols import PolySymbol, _coordinate_product, _hbar_shift, integer_product
+from .symbols import PolySymbol, _hbar_shift, integer_product
 
 # no order of a product of polynomials passes its x/xi bound, and
 # `integer_product` cuts every range of orders there

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm, perm
+from math import factorial, gcd, lcm
 from operator import index, or_
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -78,15 +78,14 @@ def _unpack(n: int, key: int) -> TermKey:
     return key >> _hbar_shift(n), tuple(e[:n]), tuple(e[n:])
 
 
-def _product_degrees(f: "PolySymbol", g: "PolySymbol") -> Tuple[int, int, int, int]:
-    """The largest x and xi degrees over the terms of f, then of g, two field
-    reads a term; ExponentOverflow if a product of their terms would pass a field."""
+def _check_product_fits(f: "PolySymbol", g: "PolySymbol") -> None:
+    """ExponentOverflow if a product of a term of f and a term of g would pass a
+    field: the largest x and xi degrees of each, two field reads a term."""
     s = FIELD_BITS * 2 * f.dimension
     xf, xif, xg, xig = (
         max((key >> shift & _FIELD for key in h.num), default=0) for h in (f, g) for shift in (s + FIELD_BITS, s)
     )
     _check_fits(xf + xg, xif + xig)
-    return xf, xif, xg, xig
 
 
 def _check_same_dim(f: "PolySymbol", g: "PolySymbol"):
@@ -165,11 +164,11 @@ class PolySymbol:
         self._init(dimension, *_integer_form(clean))
 
     def _init(self, dimension: int, den: int, num: dict) -> None:
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "_terms", None)
-        object.__setattr__(self, "_compiled", None)
+        _set_dimension(self, dimension)
+        _set_den(self, den)
+        _set_num(self, num)
+        _set_terms(self, None)
+        _set_compiled(self, None)
 
     @classmethod
     def _canonical(cls, dimension: int, den: int, num: dict) -> "PolySymbol":
@@ -180,12 +179,18 @@ class PolySymbol:
 
     @classmethod
     def _reduced(cls, dimension: int, den: int, sums: Mapping) -> "PolySymbol":
-        """Numerator sums over den made canonical: zero entries dropped, one gcd divided out."""
+        """Numerator sums over den made canonical: zero entries dropped, one gcd divided out.
+
+        `sums` maps keys to (re, im) tuples, and the caller gives it away: it
+        becomes `num` as it is when it is canonical already.
+        """
         common = _common_factor(den, sums.values())
-        if common == 1:
-            num = {key: (re, im) for key, (re, im) in sums.items() if re or im}
-        else:
+        if common != 1:
             num = {key: (re // common, im // common) for key, (re, im) in sums.items() if re or im}
+        elif all(map(any, sums.values())):
+            num = sums
+        else:
+            num = {key: c for key, c in sums.items() if any(c)}
         return cls._canonical(dimension, den // common if num else 1, num)
 
     @classmethod
@@ -219,7 +224,7 @@ class PolySymbol:
                 _unpack(n, key): QQi._from_fractions(Fraction(re, den), Fraction(im, den))
                 for key, (re, im) in self.num.items()
             }
-            object.__setattr__(self, "_terms", view)
+            _set_terms(self, view)
         return self._terms
 
     # -- constructors ---------------------------------------------------
@@ -347,10 +352,10 @@ class PolySymbol:
     def poisson(self, other: "PolySymbol") -> "PolySymbol":
         """{f,g} = sum_a (d_xi_a f d_x_a g - d_x_a f d_xi_a g).
 
-        The first order of the product loop without phase, P^1(f, g): one
-        pass over the term pairs, each read off its active coordinates. The
-        sign is fixed so that {J_X, J_Y} = J_[X,Y] with the standard Lie
-        bracket of vector fields.
+        The first order of the product loop without phase, P^1(f, g): each
+        coordinate's derivative terms of f and g are paired, and no other
+        pair of terms is visited. The sign is fixed so that
+        {J_X, J_Y} = J_[X,Y] with the standard Lie bracket of vector fields.
         """
         return integer_product(self, self._coerce(other), range(1, 2), 2, phased=False)
 
@@ -380,7 +385,7 @@ class PolySymbol:
         """
         if self._compiled is None:
             exponents, coefficients = compile_symbols([self])
-            object.__setattr__(self, "_compiled", (exponents, coefficients[:, 0]))
+            _set_compiled(self, (exponents, coefficients[:, 0]))
         return self._compiled
 
     def evaluate(self, x: Sequence[float], xi: Sequence[float], hbar: float = 1.0) -> complex:
@@ -411,26 +416,10 @@ class PolySymbol:
         return " + ".join(parts)
 
 
-@lru_cache(maxsize=4096)
-def _coordinate_product(alpha: int, beta: int, gamma: int, delta: int) -> tuple:
-    """x^alpha xi^beta * x^gamma xi^delta in one coordinate pair.
-
-    Gives ((k, x exponent, xi exponent, R, k!), ...) over the orders k with
-    R != 0, in increasing k, the order-k term being
-    i^k hbar^k R / (2^k k!) x^(alpha+gamma-k) xi^(beta+delta-k), with the integer
-    R = sum_{j+l=k} binom(k, j) (-1)^l ff(beta,j) ff(alpha,l) ff(gamma,j) ff(delta,l)
-    and ff(a, j) = a (a-1) ... (a-j+1) the falling factorial.
-    """
-    out = []
-    for k in range(min(beta, gamma) + min(alpha, delta) + 1):
-        R = 0
-        for j in range(max(0, k - min(alpha, delta)), min(beta, gamma, k) + 1):
-            l = k - j
-            term = comb(k, j) * perm(beta, j) * perm(alpha, l) * perm(gamma, j) * perm(delta, l)
-            R += -term if l % 2 else term
-        if R:
-            out.append((k, alpha + gamma - k, beta + delta - k, R, factorial(k)))
-    return tuple(out)
+# the slots' own setters pass the immutability guard, at a third of the cost of object.__setattr__
+_set_dimension, _set_den, _set_num, _set_terms, _set_compiled = (
+    PolySymbol.__dict__[name].__set__ for name in PolySymbol.__slots__
+)
 
 
 def integer_product(
@@ -455,22 +444,25 @@ def integer_product(
 
     No order passes min(xi deg f, x deg g) + min(x deg f, xi deg g) (order K
     applies d_xi^alpha d_x^beta to f and d_x^alpha d_xi^beta to g,
-    |alpha| + |beta| = K), so `orders` is cut there, and the kept orders
-    share the denominator 2^top top! of the largest one, top: every weight
-    is an integer. Top order 1 pairs each coordinate's derivative terms
-    directly (`_first_order_sums`); past it, each pair of terms tensors the
-    tables of its active coordinates alone (`_tensor_sums`).
+    |alpha| + |beta| = K), so `orders` is cut there. The cut reads the
+    degree fields of the OR of each factor's keys, which bound its degrees
+    from above: an order kept past the true bound has no terms. The kept
+    orders share the denominator 2^top top! of the largest one, top, so
+    every weight is an integer. Order 0 alone runs `_plain_sums`, and any
+    other range `_order_sums`.
     """
     _check_same_dim(f, g)
     n = f.dimension
-    D = f.den * g.den
     # the OR of a symbol's keys bounds each of its fields and stays below _LIMIT
-    # there, so two add without a carry: a plain product that fits needs no degrees
-    if orders == range(1) and not (
-        (reduce(or_, f.num, 0) + reduce(or_, g.num, 0)) >> (FIELD_BITS * 2 * n) & (_LIMIT | _LIMIT << FIELD_BITS)
-    ):
+    # there, so two add without a carry: a product that fits needs no exact degrees
+    fo, go = reduce(or_, f.num, 0), reduce(or_, g.num, 0)
+    s = FIELD_BITS * 2 * n
+    if (fo + go) >> s & (_LIMIT | _LIMIT << FIELD_BITS):
+        _check_product_fits(f, g)
+    D = f.den * g.den
+    if orders == range(1):
         return PolySymbol._reduced(n, D, _plain_sums(f, g, scale))
-    xf, xif, xg, xig = _product_degrees(f, g)
+    xf, xif, xg, xig = fo >> s + FIELD_BITS & _FIELD, fo >> s & _FIELD, go >> s + FIELD_BITS & _FIELD, go >> s & _FIELD
     kept = range(orders.start, min(orders.stop, min(xif, xg) + min(xf, xig) + 1), orders.step)
     if not kept:
         return PolySymbol.zero(n)
@@ -485,135 +477,72 @@ def integer_product(
     weight = [unit << (top - K) if K in kept else 0 for K in range(top + 1)]
     if phased:  # fold the sign of i^K into the weights; the swap stays below
         weight = [-w if K & 2 else w for K, w in enumerate(weight)]
-    if top == 1:
-        acc = _first_order_sums(f, g, weight[0], weight[1], phased)
-    else:
-        acc = _tensor_sums(f, g, weight, phased)
-    return PolySymbol._reduced(n, D, acc)
+    return PolySymbol._reduced(n, D, _order_sums(f, g, fo, go, weight, phased))
 
 
-def _first_order_sums(f: PolySymbol, g: PolySymbol, w0: int, w1: int, phased: bool) -> dict:
-    """The sums of w0 fg + w1 (i hbar)^phased P^1(f, g) by packed monomial.
+@lru_cache(maxsize=32)  # one layout per dimension
+def _moves(n: int) -> tuple:
+    """The 2n moves of P = sum_a d_xi_a (x) d_x_a - d_x_a (x) d_xi_a in dimension n.
 
-    P^1(f, g) = sum_a d_xi_a f d_x_a g - d_x_a f d_xi_a g: each
-    coordinate's derivative terms are paired directly, so a pair of terms
-    with no active coordinate costs nothing, and the weight, sign and phase
-    ride on the f side. w0 adds the plain product as one more pairing.
+    Each is (field shift on f, field shift on g, key step on f, key step on
+    g, sign); a step lowers one variable's field and its degree field by one.
     """
-    n = f.dimension
-    hb = 1 << _hbar_shift(n) if phased else 0
-    c0, d0 = (0, w1) if phased else (w1, 0)
-    pairings = []
-    if w0:
-        fl, gl = [(k, a * w0, b * w0) for k, (a, b) in f.num.items()], [(k, c, d) for k, (c, d) in g.num.items()]
-        pairings.append((fl, gl))
-    for j in range(n):
-        for fi, gi, sign in ((n + j, j, 1), (j, n + j, -1)):
-            fs, gs, fstep, gstep = FIELD_BITS * fi, FIELD_BITS * gi, _variable(n, fi), _variable(n, gi)
-            fl = [
-                (k + hb - fstep, sign * e * (a * c0 - b * d0), sign * e * (a * d0 + b * c0))
-                for k, (a, b) in f.num.items()
-                if (e := k >> fs & _FIELD)
-            ]
-            gl = [(k - gstep, e * c, e * d) for k, (c, d) in g.num.items() if (e := k >> gs & _FIELD)] if fl else ()
-            if gl:
-                pairings.append((fl, gl))
-    acc: dict = {}
-    get = acc.get
-    for fl, gl in pairings:
-        for k1, a, b in fl:
-            for k2, c, d in gl:
-                k = k1 + k2
-                re, im = a * c - b * d, a * d + b * c
-                slot = get(k)
-                if slot is None:
-                    acc[k] = [re, im]
-                else:
-                    slot[0] += re
-                    slot[1] += im
-    return acc
+    return tuple(
+        (FIELD_BITS * fv, FIELD_BITS * gv, _variable(n, fv), _variable(n, gv), sign)
+        for a in range(n)
+        for fv, gv, sign in ((n + a, a, 1), (a, n + a, -1))
+    )
 
 
-def _tensor_sums(f: PolySymbol, g: PolySymbol, weight: Sequence[int], phased: bool) -> dict:
-    """The sums of sum_K weight[K] / K! (i hbar)^(K phased) P^K(f, g) by packed monomial, top order >= 2.
+def _order_sums(f: PolySymbol, g: PolySymbol, fo: int, go: int, weight: Sequence[int], phased: bool) -> dict:
+    """The sums of sum_K weight[K] / K! (i hbar)^(K phased) P^K(f, g) by packed monomial.
 
-    The sign of i^K is already folded into `weight`. A pair of terms
-    reaches past order 0 only through its active coordinates a, where the
-    xi_a exponent of f and the x_a exponent of g, or the x_a exponent of f
-    and the xi_a exponent of g, are both nonzero. A term's nonzero
-    exponents take one add and mask (Warren, Hacker's Delight, ch. 6):
-    adding _LIMIT - 1 to every field sets the spare top bit of exactly the
-    nonzero ones. Each pair adds weight[0] times its plain product, and
-    past it the tensor product of its active coordinates' tables
-    (`_coordinate_product`), pruned past the top order as it is built: an
-    order-K entry that lowers coordinate a by k_a weighs
-    prod R_a weight[K] / prod k_a! and moves the key by
-    sum_a k_a (hbar - x_a - xi_a - x degree - xi degree).
+    The sign of i^K is already folded into `weight`, and fo, go are the OR
+    of the keys of f and of g. The 2n moves v of P (`_moves`) commute, so
+    P^K / K! is the sum, over counts m_v adding up to K, of
+    prod_v sign_v^m_v / m_v! (d^m f)(d^m g), where d^m takes each move's
+    variable m_v times. The derivative rows of both factors are built move
+    by move: each state (K, rows of f, rows of g) takes the next move 0, 1,
+    2, ... times, and a branch ends at the top order or once a side has no
+    term left. A move whose variable no term of a factor carries (its field
+    is 0 in fo or go) is skipped. Each state then pairs its rows as the
+    plain product does, hbar^K lifting the keys when phased. No integer
+    division is left over: prod_v m_v! divides K!, which divides weight[K].
     """
     n = f.dimension
     top = len(weight) - 1
-    w0 = weight[0]
-    half = FIELD_BITS * n  # the xi fields start here
     hbar_bit = 1 << _hbar_shift(n) if phased else 0
-    x_ones = ((1 << half) - 1) // _FIELD  # a 1 at the bottom of each x field
-    spread = (x_ones | x_ones << half) * (_LIMIT - 1)
-    # coordinate j by the bottom bit of its x field: its two field shifts, and one order's key step
-    coordinate = {
-        1 << FIELD_BITS * j: (FIELD_BITS * j, half + FIELD_BITS * j, hbar_bit - _variable(n, j) - _variable(n, n + j))
-        for j in range(n)
-    }
-    # rows (key, x mask, xi mask, re, im): bit FIELD_BITS j of a mask marks a nonzero x_j or xi_j
-    fs, gs = (
-        [(k, (nz := (k + spread) >> (FIELD_BITS - 1)) & x_ones, nz >> half & x_ones, a, b) for k, (a, b) in h.num.items()]
-        for h in (f, g)
-    )
+    # (K, rows (key, re, im) of d^m f, of d^m g, prod sign_v^m_v, prod m_v!)
+    states = [(0, [(k, a, b) for k, (a, b) in f.num.items()], [(k, c, d) for k, (c, d) in g.num.items()], 1, 1)]
+    for fs, gs, fstep, gstep, sign in _moves(n):
+        if not (fo >> fs & _FIELD and go >> gs & _FIELD):
+            continue
+        for K, fl, gl, s, den in states[:]:
+            for m in range(1, top - K + 1):  # this move taken m times
+                gl = [(k - gstep, e * c, e * d) for k, c, d in gl if (e := k >> gs & _FIELD)]
+                if not gl:
+                    break
+                fl = [(k - fstep, e * a, e * b) for k, a, b in fl if (e := k >> fs & _FIELD)]
+                if not fl:
+                    break
+                s, den = s * sign, den * m
+                states.append((K + m, fl, gl, s, den))
     acc: dict = {}
     get = acc.get
-    for key1, xm1, xim1, a, b in fs:
-        for key2, xm2, xim2, c, d in gs:
-            active = (xim1 & xm2) | (xm1 & xim2)
-            if not (active or w0):
-                continue
-            re, im = a * c - b * d, a * d + b * c
-            key = key1 + key2
-            if w0:
-                slot = get(key)
-                if slot is None:
-                    acc[key] = [re * w0, im * w0]
-                else:
-                    slot[0] += re * w0
-                    slot[1] += im * w0
-                if not active:
-                    continue
-            re1, im1 = (-im, re) if phased else (re, im)  # the odd orders' i
-            tensor = [(0, key, 1, 1)]  # (K, key, prod R_a, prod k_a!)
-            while active:
-                bit = active & -active
-                active ^= bit
-                sx, sxi, step = coordinate[bit]
-                table = _coordinate_product(
-                    key1 >> sx & _FIELD, key1 >> sxi & _FIELD, key2 >> sx & _FIELD, key2 >> sxi & _FIELD
-                )
-                tensor = [
-                    (K + k, k2 + k * step, W * R, facts * k_fact)
-                    for K, k2, W, facts in tensor
-                    for k, _, _, R, k_fact in table
-                    if K + k <= top
-                ]
-            for K, k, W, facts in tensor:
-                if not K or not weight[K]:
-                    continue
-                w = W * weight[K] // facts
-                if K & 1:
-                    cre, cim = re1 * w, im1 * w
-                else:
-                    cre, cim = re * w, im * w
-                slot = get(k)
-                if slot is None:
-                    acc[k] = [cre, cim]
-                else:
-                    slot[0] += cre
-                    slot[1] += cim
+    for K, fl, gl, s, den in states:
+        w = weight[K] * s // den
+        if not w:
+            continue
+        lift, odd = K * hbar_bit, phased and K & 1
+        for k1, a, b in fl:
+            k1 += lift
+            for k2, c, d in gl:
+                k = k1 + k2
+                re, im = (a * c - b * d) * w, (a * d + b * c) * w
+                if odd:  # the odd orders' i
+                    re, im = -im, re
+                prev = get(k)
+                acc[k] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
     return acc
 
 
@@ -637,12 +566,8 @@ def _plain_sums(f: PolySymbol, g: PolySymbol, w: int) -> dict:
         for k2, (c, d) in g_terms:
             key = k1 + k2
             re, im = a * c - b * d, a * d + b * c
-            slot = get(key)
-            if slot is None:
-                acc[key] = [re, im]
-            else:
-                slot[0] += re
-                slot[1] += im
+            prev = get(key)
+            acc[key] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
     if w != 1:
         return {key: (re * w, im * w) for key, (re, im) in acc.items()}
     return acc

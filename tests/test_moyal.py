@@ -2,7 +2,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import factorial, perm
 
 import pytest
 
@@ -202,50 +202,48 @@ class TestIntegerProductLoop:
         assert difference + g == f
         assert J == sum((c * PolySymbol.xi(a, n) for a, c in enumerate(X.components)), PolySymbol.zero(n))
 
-    def test_first_order_passes_read_no_coordinate_table(self, monkeypatch):
+    def test_momentum_brackets_stop_at_the_first_order(self, monkeypatch):
         # J_X, J_Y have xi-degree 1, so the x/xi bound keeps star_commutator at
-        # K <= 2 and its odd part at K = 1; a first-order term is read off the
-        # pair's exponents, and the Poisson bracket is that pass without phase
+        # K <= 2 and its odd part at K = 1, and the Poisson bracket is that
+        # order without phase; the angular momentum's star square reaches K = 2
         rng = random.Random(15)
         X, Y = random_vector_field(rng, 3, 3), random_vector_field(rng, 3, 3)
         JX, JY = momentum_symbol(X), momentum_symbol(Y)
         JB = momentum_symbol(X.lie_bracket(Y))
+        tops, raw_sums = [], symbols._order_sums
 
-        def no_table(*args):
-            raise AssertionError(f"coordinate table read for {args}")
+        def recorded(f, g, fo, go, weight, phased):
+            tops.append(len(weight) - 1)
+            return raw_sums(f, g, fo, go, weight, phased)
 
-        monkeypatch.setattr(symbols, "_coordinate_product", no_table)
+        monkeypatch.setattr(symbols, "_order_sums", recorded)
         assert star_commutator(JX, JY) == PolySymbol.hbar(3) * (QQi.i() * JB)
         assert JX.poisson(JY) == JB
+        assert tops == [1, 1]
         f = angular_momentum(0, 1, 3)
-        with pytest.raises(AssertionError, match="coordinate table read"):
-            moyal_star(f, f)
+        assert moyal_star(f, f) == f * f - PolySymbol.hbar(3, 2) * Fraction(1, 2)
+        assert tops == [1, 1, 2]
 
-    def test_coordinate_tables_are_integer(self):
-        # for all exponents <= 8: the stored R = 2^k k! r is an int, equal to the
-        # binomial sum and to the Fraction formula r the tables held before
-        for alpha, beta, gamma, delta in itertools.product(range(9), repeat=4):
-            table = {
-                k: (p, q, R, k_fact)
-                for k, p, q, R, k_fact in moyal._coordinate_product(alpha, beta, gamma, delta)
-            }
-            top = min(beta, gamma) + min(alpha, delta)
-            assert set(table) <= set(range(top + 1))
-            for k in range(top + 1):
-                falling = [
-                    (-1) ** (k - j) * perm(beta, j) * perm(alpha, k - j) * perm(gamma, j) * perm(delta, k - j)
-                    for j in range(k + 1)
-                ]
-                R = sum(comb(k, j) * ff for j, ff in enumerate(falling))
+    def test_one_coordinate_products_match_the_fraction_formula(self):
+        # x^alpha xi^beta * x^gamma xi^delta = sum_k (i hbar)^k r_k x^(alpha+gamma-k) xi^(beta+delta-k)
+        # with r_k = sum_{j+l=k} (-1)^l ff(beta,j) ff(alpha,l) ff(gamma,j) ff(delta,l) / (2^k j! l!),
+        # ff the falling factorial, built here with Fractions and the public constructor
+        phases = [QQi(1), QQi.i(), QQi(-1), -QQi.i()]
+        for alpha, beta, gamma, delta in itertools.product(range(7), repeat=4):
+            expected = {}
+            for k in range(min(beta, gamma) + min(alpha, delta) + 1):
                 r = sum(
-                    Fraction(ff, 2**k * factorial(j) * factorial(k - j)) for j, ff in enumerate(falling)
+                    Fraction(
+                        (-1) ** (k - j) * perm(beta, j) * perm(alpha, k - j) * perm(gamma, j) * perm(delta, k - j),
+                        2**k * factorial(j) * factorial(k - j),
+                    )
+                    for j in range(k + 1)
                 )
-                assert R == r * 2**k * factorial(k)
-                if R:
-                    assert table[k] == (alpha + gamma - k, beta + delta - k, R, factorial(k))
-                    assert type(table[k][2]) is int
-                else:
-                    assert k not in table
+                expected[(k, (alpha + gamma - k,), (beta + delta - k,))] = phases[k % 4] * r
+            product = moyal_star(
+                PolySymbol(1, {(0, (alpha,), (beta,)): 1}), PolySymbol(1, {(0, (gamma,), (delta,)): 1})
+            )
+            assert product == PolySymbol(1, expected)
 
 
 class TestStarCommutator:

@@ -171,8 +171,8 @@ def _monomial(n, c, h, xe, xie):
 @example((_monomial(3, QQi(5), 0, (0, 0, 0), (0, 0, 0)), _monomial(3, QQi(1, 1), 1, (1, 2, 0), (0, 1, 3))))
 def test_star_and_commutator_match_the_unpruned_sum(fg):
     # the oracle sums every order up to min(total degrees) from partials and
-    # plain products; the loop bounds orders by the x/xi degrees and visits
-    # only active coordinates
+    # plain products; the loop bounds orders by the x/xi degrees and builds
+    # only the derivative terms that are nonzero
     f, g = fg
     fg_star, gf_star = star_oracle(f, g), star_oracle(g, f)
     assert moyal_star(f, g) == fg_star
